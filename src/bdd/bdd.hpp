@@ -130,6 +130,7 @@ struct ManagerStats {
   std::uint64_t cache_lookups = 0;   ///< operation cache probes
   std::uint64_t cache_hits = 0;      ///< operation cache hits
   std::uint64_t cache_evictions = 0; ///< live cache entries overwritten
+  std::uint64_t cache_resizes = 0;   ///< operation cache doublings
   std::size_t peak_bytes = 0;        ///< high-water mark of pool+table+cache bytes
 };
 
@@ -176,10 +177,15 @@ struct ReorderRecord {
 ///    workloads but keeps canonicity trivially simple; negation results are
 ///    memoized so repeated NOT is cheap.
 ///  * Nodes are pool indices, the unique table is a chained hash over the
-///    pool, and the operation cache is one direct-mapped array keyed by
-///    (op, a, b, c). The cache is cleared on GC, which also guarantees that
-///    a reused node slot can never alias a stale cache entry (slots are
-///    only recycled by the GC itself).
+///    pool, and the operation cache is a direct-mapped array keyed by
+///    (op, a, b, c). The cache starts at 2^12 entries and doubles, up to
+///    2^Options::cache_log2, whenever the evictions since its last resize
+///    reach a quarter of its slots (CUDD-style growth under pressure), so a
+///    small repair never pays for a large cache. Its full capacity is
+///    reserved up front and a doubling rehashes in place, so a resize never
+///    holds two arrays. The cache is cleared on GC, which also guarantees
+///    that a reused node slot can never alias a stale cache entry (slots
+///    are only recycled by the GC itself).
 ///  * Garbage collection is mark-and-sweep from externally referenced
 ///    nodes. It runs only at public operation entry points, never inside a
 ///    recursion, so intermediate results need no protection.
@@ -191,7 +197,9 @@ class Manager {
   struct Options {
     /// Initial node pool capacity (grows on demand).
     std::size_t initial_capacity = 1u << 16;
-    /// log2 of the operation-cache entry count.
+    /// log2 of the *maximum* operation-cache entry count. The cache starts
+    /// at min(2^12, 2^cache_log2) entries and grows under eviction
+    /// pressure until it reaches this cap.
     unsigned cache_log2 = 20;
     /// GC triggers when live nodes exceed this (adapts upward when GC
     /// reclaims too little).
@@ -359,9 +367,14 @@ class Manager {
                                   static_cast<double>(buckets_.size());
   }
 
-  /// Operation-cache shape: total entries and occupied entries (one walk).
+  /// Operation-cache shape: current entries (the cache grows under
+  /// eviction pressure, so this changes over a run), the cap it may grow
+  /// to (2^Options::cache_log2), and occupied entries (one walk).
   [[nodiscard]] std::size_t cache_entry_count() const noexcept {
     return cache_.size();
+  }
+  [[nodiscard]] std::size_t cache_entry_cap() const noexcept {
+    return cache_cap_;
   }
   [[nodiscard]] std::size_t cache_entries_used() const;
 
@@ -490,6 +503,7 @@ class Manager {
   [[nodiscard]] bool cache_get(std::uint32_t op, NodeId a, NodeId b, NodeId c,
                                NodeId& out);
   void cache_put(std::uint32_t op, NodeId a, NodeId b, NodeId c, NodeId result);
+  void grow_cache();
 
   NodeId and_rec(NodeId f, NodeId g);
   NodeId or_rec(NodeId f, NodeId g);
@@ -517,8 +531,10 @@ class Manager {
   std::size_t free_count_ = 0;
   bool has_free_ = false;
 
-  std::vector<CacheEntry> cache_;
+  std::vector<CacheEntry> cache_;  // capacity reserved to cache_cap_ up front
   std::size_t cache_mask_ = 0;
+  std::size_t cache_cap_ = 0;
+  std::size_t cache_evictions_since_resize_ = 0;
 
   std::uint32_t num_vars_ = 0;
   std::vector<std::uint32_t> level_of_var_;  // var -> level

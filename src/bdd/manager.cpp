@@ -31,6 +31,9 @@ inline std::size_t hash_cache(std::uint32_t op, NodeId a, NodeId b,
   return static_cast<std::size_t>(h ^ (h >> 33));
 }
 
+/// Operation-cache entries a fresh manager starts with (see Manager).
+constexpr std::size_t kInitialCacheEntries = std::size_t{1} << 12;
+
 }  // namespace
 
 const char* gc_trigger_name(GcTrigger trigger) noexcept {
@@ -129,7 +132,11 @@ Manager::Manager() : Manager(Options{}) {}
 
 Manager::Manager(const Options& options)
     : gc_threshold_(options.gc_threshold) {
-  const std::size_t cache_size = std::size_t{1} << options.cache_log2;
+  // Reserve the cap once so every later doubling stays inside this one
+  // allocation; only the pages actually resized into get touched.
+  cache_cap_ = std::size_t{1} << options.cache_log2;
+  cache_.reserve(cache_cap_);
+  const std::size_t cache_size = std::min(kInitialCacheEntries, cache_cap_);
   cache_.resize(cache_size);
   cache_mask_ = cache_size - 1;
   init_pool(options.initial_capacity < 64 ? 64 : options.initial_capacity);
@@ -395,14 +402,41 @@ bool Manager::cache_get(std::uint32_t op, NodeId a, NodeId b, NodeId c,
 void Manager::cache_put(std::uint32_t op, NodeId a, NodeId b, NodeId c,
                         NodeId result) {
   CacheEntry& e = cache_[hash_cache(op, a, b, c) & cache_mask_];
-  if (e.op != kOpNone && (e.op != op || e.a != a || e.b != b || e.c != c)) {
-    ++stats_.cache_evictions;  // direct-mapped: a different live key dies here
-  }
+  // Direct-mapped: a different live key dying here is an eviction.
+  const bool evicted =
+      e.op != kOpNone && (e.op != op || e.a != a || e.b != b || e.c != c);
   e.op = op;
   e.a = a;
   e.b = b;
   e.c = c;
   e.result = result;
+  if (!evicted) return;
+  ++stats_.cache_evictions;
+  // Grow once the evictions since the last resize reach a quarter of the
+  // slots. After the entry is written, so the rehash places it too.
+  if (++cache_evictions_since_resize_ >= cache_.size() / 4 &&
+      cache_.size() < cache_cap_) {
+    grow_cache();
+  }
+}
+
+void Manager::grow_cache() {
+  // Doubling adds one hash bit, so the entry in slot i belongs at i or at
+  // i + old; the upper half starts empty, so the moves never collide.
+  const std::size_t old_size = cache_.size();
+  cache_.resize(old_size * 2);  // within the reserved capacity: no realloc
+  cache_mask_ = cache_.size() - 1;
+  for (std::size_t i = 0; i < old_size; ++i) {
+    CacheEntry& e = cache_[i];
+    if (e.op == kOpNone) continue;
+    if ((hash_cache(e.op, e.a, e.b, e.c) & cache_mask_) != i) {
+      cache_[i + old_size] = e;
+      e = CacheEntry{};
+    }
+  }
+  cache_evictions_since_resize_ = 0;
+  ++stats_.cache_resizes;
+  note_peak_bytes();
 }
 
 }  // namespace lr::bdd

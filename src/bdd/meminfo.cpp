@@ -60,6 +60,8 @@ MemInfo collect(const Manager& mgr) {
   info.unique_load = mgr.unique_load();
 
   info.cache_entries = mgr.cache_entry_count();
+  info.cache_cap = mgr.cache_entry_cap();
+  info.cache_resizes = stats.cache_resizes;
   info.cache_entries_used = mgr.cache_entries_used();
   info.cache_occupancy =
       info.cache_entries == 0
@@ -93,7 +95,9 @@ void write_report(const MemInfo& info, std::ostream& out,
   out << "  unique table  " << info.unique_buckets << " buckets, "
       << info.unique_buckets_used << " used, load "
       << fixed2(info.unique_load) << ", " << info.unique_hits << " hits\n";
-  out << "  op cache      " << info.cache_entries << " entries, "
+  out << "  op cache      " << info.cache_entries << " entries (cap "
+      << info.cache_cap << ", " << info.cache_resizes << " resize"
+      << (info.cache_resizes == 1 ? "" : "s") << "), "
       << info.cache_entries_used << " used ("
       << percent(info.cache_occupancy) << "), hit rate "
       << percent(info.cache_hit_rate) << ", " << info.cache_evictions
@@ -146,6 +150,9 @@ void record_metrics(const MemInfo& info, const std::string& prefix) {
   m.set_gauge(prefix + ".unique_load", info.unique_load);
   m.set_gauge(prefix + ".cache_entries",
               static_cast<double>(info.cache_entries));
+  m.set_gauge(prefix + ".cache_cap", static_cast<double>(info.cache_cap));
+  m.set_gauge(prefix + ".cache_resizes",
+              static_cast<double>(info.cache_resizes));
   m.set_gauge(prefix + ".cache_entries_used",
               static_cast<double>(info.cache_entries_used));
   m.set_gauge(prefix + ".cache_occupancy", info.cache_occupancy);

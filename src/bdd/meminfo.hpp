@@ -27,9 +27,11 @@ struct MemInfo {
   std::size_t unique_buckets_used = 0;
   double unique_load = 0.0;         ///< live nodes per bucket
 
-  std::size_t cache_entries = 0;
+  std::size_t cache_entries = 0;    ///< current entries (grows under pressure)
+  std::size_t cache_cap = 0;        ///< entries the cache may grow to
+  std::uint64_t cache_resizes = 0;  ///< doublings so far
   std::size_t cache_entries_used = 0;
-  double cache_occupancy = 0.0;     ///< used / total entries
+  double cache_occupancy = 0.0;     ///< used / current entries
   std::uint64_t cache_lookups = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_evictions = 0;

@@ -13,16 +13,6 @@ namespace lr::sym {
 
 namespace {
 
-/// Worker managers keep the main manager's cache geometry: fixpoint
-/// iterations only stay cheap when the operation cache survives from one
-/// iteration to the next, and a smaller direct-mapped cache evicts exactly
-/// those entries.
-bdd::Manager::Options worker_manager_options() {
-  bdd::Manager::Options options;
-  options.initial_capacity = 1u << 16;
-  return options;
-}
-
 /// Pin-set bound: past this many pinned roots the engine releases every
 /// pin together with the worker import memos keyed on them.
 constexpr std::size_t kMaxPins = 4096;
@@ -47,7 +37,7 @@ IntraEngine::IntraEngine(bdd::Manager& main, std::size_t jobs,
   }
   workers_.reserve(kContexts);
   for (std::size_t w = 0; w < kContexts; ++w) {
-    auto worker = std::make_unique<Worker>(worker_manager_options());
+    auto worker = std::make_unique<Worker>();
     for (std::uint32_t v = 0; v < nvars; ++v) worker->mgr.new_var();
     align_worker(*worker);
     worker->cube_cur = worker->mgr.make_cube(cur_bits_);

@@ -45,8 +45,6 @@ class IntraEngine {
   /// variable count and level order; `memo` caches main->worker imports
   /// (valid while the engine's pin set is intact).
   struct Worker {
-    explicit Worker(const bdd::Manager::Options& options) : mgr(options) {}
-
     bdd::Manager mgr;
     bdd::ImportMemo memo;
     bdd::ImportMemo export_memo;

@@ -13,6 +13,7 @@
 #include "bdd/bdd.hpp"
 #include "bdd/meminfo.hpp"
 #include "support/metrics.hpp"
+#include "support/rng.hpp"
 
 namespace lr::bdd {
 namespace {
@@ -80,6 +81,76 @@ TEST_F(BddMeminfoTest, TinyCacheCountsEvictions) {
     f = f & (small.bdd_var(vars[v]) ^ small.bdd_var(vars[v + 1]));
   }
   EXPECT_GT(small.stats().cache_evictions, 0u);
+}
+
+/// Eviction-heavy workload: a growing disjunction of random minterms, whose
+/// every OR probes far more distinct keys than a small cache holds.
+void churn_cache(Manager& mgr) {
+  std::vector<VarIndex> vars;
+  for (int i = 0; i < 16; ++i) vars.push_back(mgr.new_var());
+  support::SplitMix64 rng(5);
+  Bdd f = mgr.bdd_false();
+  for (int i = 0; i < 300; ++i) {
+    Bdd term = mgr.bdd_true();
+    for (const VarIndex v : vars) {
+      term &= rng.flip() ? mgr.bdd_var(v) : mgr.bdd_nvar(v);
+    }
+    f |= term;
+    ASSERT_LE(mgr.cache_entry_count(), mgr.cache_entry_cap());
+  }
+}
+
+TEST(BddMeminfoCacheTest, CacheStartsSmallAndGrowsUnderEvictionPressure) {
+  Manager mgr;
+  EXPECT_EQ(mgr.cache_entry_count(), 4096u);
+  EXPECT_EQ(mgr.cache_entry_cap(), std::size_t{1}
+                                       << Manager::Options{}.cache_log2);
+  EXPECT_EQ(mgr.stats().cache_resizes, 0u);
+  const std::size_t fresh_peak = mgr.stats().peak_bytes;
+
+  churn_cache(mgr);
+  const ManagerStats& stats = mgr.stats();
+  EXPECT_GT(stats.cache_resizes, 0u);
+  EXPECT_EQ(mgr.cache_entry_count(), std::size_t{4096} << stats.cache_resizes)
+      << "every resize doubles";
+  // The watermark follows the growth: it covers the grown cache.
+  EXPECT_GE(stats.peak_bytes, mgr.allocated_bytes());
+  EXPECT_GE(stats.peak_bytes - fresh_peak,
+            (mgr.cache_entry_count() - 4096) * 20)
+      << "a cache entry is five 32-bit words";
+
+  const meminfo::MemInfo info = meminfo::collect(mgr);
+  EXPECT_EQ(info.cache_entries, mgr.cache_entry_count());
+  EXPECT_EQ(info.cache_cap, mgr.cache_entry_cap());
+  EXPECT_EQ(info.cache_resizes, stats.cache_resizes);
+  std::ostringstream out;
+  meminfo::write_report(info, out);
+  EXPECT_NE(out.str().find("(cap 1048576, " +
+                           std::to_string(stats.cache_resizes) + " resize"),
+            std::string::npos)
+      << out.str();
+}
+
+TEST(BddMeminfoCacheTest, CacheGrowthStopsAtTheCap) {
+  Manager::Options options;
+  options.cache_log2 = 13;  // cap 8192: one doubling allowed
+  Manager mgr(options);
+  churn_cache(mgr);
+  EXPECT_EQ(mgr.cache_entry_count(), 8192u);
+  EXPECT_EQ(mgr.stats().cache_resizes, 1u);
+}
+
+TEST(BddMeminfoCacheTest, CacheAtOrBelowInitialSizeNeverGrows) {
+  for (const unsigned log2 : {4u, 12u}) {
+    Manager::Options options;
+    options.cache_log2 = log2;
+    Manager mgr(options);
+    EXPECT_EQ(mgr.cache_entry_count(), std::size_t{1} << log2);
+    churn_cache(mgr);
+    EXPECT_EQ(mgr.cache_entry_count(), std::size_t{1} << log2);
+    EXPECT_EQ(mgr.stats().cache_resizes, 0u);
+    EXPECT_GT(mgr.stats().cache_evictions, 0u) << "pressure was there";
+  }
 }
 
 TEST_F(BddMeminfoTest, GcLogRecordsTriggerAndReclaim) {
@@ -151,6 +222,12 @@ TEST_F(BddMeminfoTest, MetricsMirrorCarriesMemAndReorderKeys) {
   EXPECT_EQ(m.gauge("meminfotest.mem.peak_bytes"),
             static_cast<double>(info.peak_bytes));
   EXPECT_GT(m.gauge("meminfotest.mem.unique_buckets"), 0.0);
+  EXPECT_EQ(m.gauge("meminfotest.mem.cache_entries"),
+            static_cast<double>(info.cache_entries));
+  EXPECT_EQ(m.gauge("meminfotest.mem.cache_cap"),
+            static_cast<double>(info.cache_cap));
+  EXPECT_EQ(m.gauge("meminfotest.mem.cache_resizes"),
+            static_cast<double>(info.cache_resizes));
   EXPECT_EQ(m.gauge("meminfotest.reorder.runs"), 1.0);
   const SiftMove& first = mgr_.reorder_log().back().moves.front();
   const std::string base =
