@@ -183,9 +183,10 @@ struct ReorderRecord {
 ///    reach a quarter of its slots (CUDD-style growth under pressure), so a
 ///    small repair never pays for a large cache. Its full capacity is
 ///    reserved up front and a doubling rehashes in place, so a resize never
-///    holds two arrays. The cache is cleared on GC, which also guarantees
-///    that a reused node slot can never alias a stale cache entry (slots
-///    are only recycled by the GC itself).
+///    holds two arrays. Entries survive GC unless they name a freed node;
+///    those are dropped in the same collection, before any slot is reused,
+///    so a recycled slot can never alias a stale entry (slots are only
+///    recycled by the GC itself). Reordering clears the whole cache.
 ///  * Garbage collection is mark-and-sweep from externally referenced
 ///    nodes. It runs only at public operation entry points, never inside a
 ///    recursion, so intermediate results need no protection.

@@ -309,7 +309,11 @@ void Manager::collect_garbage_impl(GcTrigger trigger) {
       mark(id, stack);
     }
   }
-  // Sweep: rebuild the unique table from marked nodes, free the rest.
+  // Sweep: rebuild the unique table from marked nodes, free the rest, and
+  // record the survivors (terminals included) in a bitmap for the cache
+  // pass below.
+  std::vector<std::uint64_t> live((nodes_.size() + 63) / 64, 0);
+  live[0] = 0b11;
   std::fill(buckets_.begin(), buckets_.end(), kFalseId);
   free_head_ = 0;
   free_count_ = 0;
@@ -325,6 +329,7 @@ void Manager::collect_garbage_impl(GcTrigger trigger) {
     }
     if ((n.var & 0x80000000u) != 0) {
       n.var &= 0x7fffffffu;  // clear mark, keep node
+      live[id >> 6] |= std::uint64_t{1} << (id & 63);
       const std::size_t b = hash_triple(n.var, n.lo, n.hi) & bucket_mask_;
       n.next = buckets_[b];
       buckets_[b] = id;
@@ -337,8 +342,21 @@ void Manager::collect_garbage_impl(GcTrigger trigger) {
       has_free_ = true;
     }
   }
-  // Stale cache entries may reference freed slots; drop everything.
-  std::fill(cache_.begin(), cache_.end(), CacheEntry{});
+  // Op-cache entries whose operands and result all survived stay valid:
+  // a live node is never rewritten by a collection. Drop the rest now,
+  // before any freed slot can be reused and alias them.
+  const auto is_live = [&live](NodeId id) {
+    return ((live[id >> 6] >> (id & 63)) & 1u) != 0;
+  };
+  for (CacheEntry& e : cache_) {
+    if (e.op == kOpNone) continue;
+    const NodeId packed_cube =
+        (e.op & kOpAndExists3Flag) != 0 ? e.op & ~kOpAndExists3Flag : kFalseId;
+    if (!is_live(e.a) || !is_live(e.b) || !is_live(e.c) ||
+        !is_live(e.result) || !is_live(packed_cube)) {
+      e = CacheEntry{};
+    }
+  }
   stats_.live_nodes = live_nodes();
   const double gc_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - gc_start)

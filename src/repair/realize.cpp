@@ -43,6 +43,23 @@ struct ProcessInputs {
   std::vector<std::pair<bdd::NodeId, bdd::NodeId>> expand;
 };
 
+/// ExpandGroup's loop invariants for process j: (cube_pair_of({v}),
+/// unchanged(v)) for every v in R_j − W_j, in reads order.
+std::vector<std::pair<bdd::Bdd, bdd::Bdd>> expand_inputs(
+    prog::DistributedProgram& program, std::size_t j) {
+  sym::Space& space = program.space();
+  const prog::Process& proc = program.process(j);
+  const std::unordered_set<sym::VarId> writes(proc.writes.begin(),
+                                              proc.writes.end());
+  std::vector<std::pair<bdd::Bdd, bdd::Bdd>> expand;
+  for (const sym::VarId v : proc.reads) {
+    if (writes.count(v) != 0) continue;
+    const sym::VarId vs[1] = {v};
+    expand.emplace_back(space.cube_pair_of(vs), space.unchanged(v));
+  }
+  return expand;
+}
+
 /// Parallel per-process group enumeration: processes are independent in
 /// Algorithm 2 (each only consumes its own pool δ ∩ respects_write(j)), so
 /// worker w replicates the exact sequential loop for processes
@@ -68,14 +85,9 @@ std::vector<bdd::Bdd> realize_parallel(
     inputs[j].unreadable_cube = engine.pin(program.unreadable_cube(j));
     if (options.group_method == GroupMethod::kPaperLoop &&
         options.use_expand_group) {
-      const prog::Process& proc = program.process(j);
-      std::unordered_set<sym::VarId> writes(proc.writes.begin(),
-                                            proc.writes.end());
-      for (const sym::VarId v : proc.reads) {
-        if (writes.count(v) != 0) continue;
-        const sym::VarId vs[1] = {v};
-        inputs[j].expand.emplace_back(engine.pin(space.cube_pair_of(vs)),
-                                      engine.pin(space.unchanged(v)));
+      for (const auto& [cube_v, unchanged_v] : expand_inputs(program, j)) {
+        inputs[j].expand.emplace_back(engine.pin(cube_v),
+                                      engine.pin(unchanged_v));
       }
     }
   }
@@ -96,15 +108,17 @@ std::vector<bdd::Bdd> realize_parallel(
       const auto group_of = [&](const bdd::Bdd& delta) {
         return m.exists(delta & w_same, w_ucube) & w_same & w_valid_pair;
       };
+      const auto realizable_subset = [&](const bdd::Bdd& delta) {
+        const bdd::Bdd member_shape = w_same & w_valid_pair;
+        return delta & member_shape &
+               m.forall(member_shape.implies(delta), w_ucube);
+      };
       bdd::Bdd pool =
           w_proper & engine.import(w, inputs[j].respects_write);
       bdd::Bdd accepted = m.bdd_false();
       throw_if_cancelled(options.cancel);
       if (options.group_method == GroupMethod::kOneShot) {
-        const bdd::Bdd member_shape = w_same & w_valid_pair;
-        const bdd::Bdd closed =
-            pool & member_shape &
-            m.forall(member_shape.implies(pool), w_ucube);
+        const bdd::Bdd closed = realizable_subset(pool);
         accepted = group_of(closed & w_tol);
         if (journaling) {
           out.events.push_back({PendingEvent::kAccepted, nullptr, accepted,
@@ -126,12 +140,16 @@ std::vector<bdd::Bdd> realize_parallel(
           const bdd::Bdd chosen = m.pick_minterm(worklist, all_bits);
           bdd::Bdd group = group_of(chosen);
           if (!group.leq(pool)) {
+            // Batched rejection, exactly as in the sequential loop.
+            const bdd::Bdd closed = realizable_subset(pool);
             if (journaling) {
               out.events.push_back(
                   {PendingEvent::kRejected, "closure", group, group, pool});
+              out.events.push_back(
+                  {PendingEvent::kPrune, "closure", pool, closed, bdd::Bdd()});
             }
-            pool = pool.minus(group);
-            worklist = worklist.minus(group);
+            pool = closed;
+            worklist &= closed;
             continue;
           }
           if (options.use_expand_group) {
@@ -268,13 +286,10 @@ std::vector<bdd::Bdd> realize(prog::DistributedProgram& program,
       // Lines 7-22 of Algorithm 2. The worklist is restricted to
       // transitions that start inside the span: groups made purely of
       // Line-1 don't-cares carry no behavior and need not be enumerated.
-      const prog::Process& proc = program.process(j);
-      std::unordered_set<sym::VarId> writes(proc.writes.begin(),
-                                            proc.writes.end());
-      std::vector<sym::VarId> expandable;  // R_j − W_j
-      for (const sym::VarId v : proc.reads) {
-        if (writes.count(v) == 0) expandable.push_back(v);
-      }
+      const std::vector<std::pair<bdd::Bdd, bdd::Bdd>> expand =
+          options.use_expand_group
+              ? expand_inputs(program, j)
+              : std::vector<std::pair<bdd::Bdd, bdd::Bdd>>{};
 
       bdd::Bdd worklist = delta_j_pool & tolerance;
       support::progress::Heartbeat heartbeat("realize.groups");
@@ -294,28 +309,35 @@ std::vector<bdd::Bdd> realize(prog::DistributedProgram& program,
         // Line 9: its group.
         bdd::Bdd group = program.group(j, chosen);
         if (!group.leq(delta_j_pool)) {
-          // Line 11: some member is missing; discard the whole group.
+          // Line 11, batched: some member is missing, so the group goes,
+          // and so does every other group not wholly in the pool. The pool
+          // only ever loses whole groups, so which groups the loop would
+          // reject one at a time is fixed by the initial pool; dropping
+          // them all now (one ∀) leaves the accepted groups, their order
+          // and every ExpandGroup decision unchanged (DESIGN.md §6.9), and
+          // no later iteration can reject.
+          const bdd::Bdd closed =
+              program.realizable_subset(j, delta_j_pool);
           if (options.journal != nullptr) {
             options.journal->group_rejected("repair.realize", j, "closure",
                                             group, group, delta_j_pool);
+            options.journal->prune("repair.realize", "closure", j,
+                                   delta_j_pool, closed);
           }
-          delta_j_pool = delta_j_pool.minus(group);
-          worklist = worklist.minus(group);
+          delta_j_pool = closed;
+          worklist &= closed;
           continue;
         }
         // Lines 13-18: try to widen the group by dropping readable
-        // variables from the implicit guard.
-        if (options.use_expand_group) {
-          for (const sym::VarId v : expandable) {
-            const sym::VarId vs[1] = {v};
-            const bdd::Bdd widened =
-                mgr.exists(group, space.cube_pair_of(vs)) & space.unchanged(v);
-            if (widened.leq(delta_j_pool)) {
-              group = widened;
-              ++stats.expand_successes;
-            } else {
-              ++stats.expand_failures;
-            }
+        // variables from the implicit guard (`expand` is empty when
+        // ExpandGroup is off).
+        for (const auto& [cube_v, unchanged_v] : expand) {
+          const bdd::Bdd widened = mgr.exists(group, cube_v) & unchanged_v;
+          if (widened.leq(delta_j_pool)) {
+            group = widened;
+            ++stats.expand_successes;
+          } else {
+            ++stats.expand_failures;
           }
         }
         // Lines 19-20.

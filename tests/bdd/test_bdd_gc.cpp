@@ -93,6 +93,117 @@ TEST(BddGcTest, OperationsAfterGcStillCanonical) {
   EXPECT_EQ(~(~keep), keep);
 }
 
+// --- Op-cache entries across GC ----------------------------------------------
+
+/// A kept DNF over `vars` with enough structure to need many nodes.
+Bdd random_dnf(Manager& mgr, const std::vector<VarIndex>& vars,
+               std::uint64_t seed) {
+  lr::support::SplitMix64 rng(seed);
+  Bdd f = mgr.bdd_false();
+  for (int t = 0; t < 16; ++t) {
+    Bdd term = mgr.bdd_true();
+    for (const VarIndex v : vars) {
+      if (rng.chance(1, 2)) {
+        term &= rng.flip() ? mgr.bdd_var(v) : mgr.bdd_nvar(v);
+      }
+    }
+    f |= term;
+  }
+  return f;
+}
+
+TEST(BddGcTest, CacheEntriesOnLiveNodesSurviveGc) {
+  Manager mgr;
+  std::vector<VarIndex> vars;
+  for (int i = 0; i < 10; ++i) vars.push_back(mgr.new_var());
+  const Bdd f = random_dnf(mgr, vars, 5);
+  const Bdd g = random_dnf(mgr, vars, 6);
+  const Bdd conj = f & g;
+  { const Bdd junk = random_dnf(mgr, vars, 7) ^ f; }
+  mgr.collect_garbage();
+  ASSERT_GT(mgr.stats().gc_reclaimed, 0u) << "the GC must free something";
+
+  // f, g and f & g all survived, so the top-level probe hits and the
+  // recursion never starts.
+  const std::uint64_t lookups = mgr.stats().cache_lookups;
+  const std::uint64_t hits = mgr.stats().cache_hits;
+  EXPECT_EQ(f & g, conj);
+  EXPECT_EQ(mgr.stats().cache_lookups, lookups + 1);
+  EXPECT_EQ(mgr.stats().cache_hits, hits + 1);
+}
+
+TEST(BddGcTest, CacheEntryNamingAFreedNodeIsDropped) {
+  Manager mgr;
+  const VarIndex a = mgr.new_var();
+  const VarIndex b = mgr.new_var();
+  const Bdd fa = mgr.bdd_var(a);
+  const Bdd fb = mgr.bdd_var(b);
+  // a ∧ b is one new node whose cofactors are terminals or fb, so the
+  // recomputation below probes the cache exactly once.
+  { const Bdd dead = fa & fb; }
+  const std::uint64_t used_before = mgr.cache_entries_used();
+  mgr.collect_garbage();
+  EXPECT_EQ(mgr.stats().gc_reclaimed, 1u);
+  EXPECT_EQ(mgr.cache_entries_used(), used_before - 1);
+
+  const std::uint64_t lookups = mgr.stats().cache_lookups;
+  const std::uint64_t hits = mgr.stats().cache_hits;
+  const Bdd again = fa & fb;
+  EXPECT_EQ(mgr.stats().cache_lookups, lookups + 1);
+  EXPECT_EQ(mgr.stats().cache_hits, hits) << "stale entry answered";
+  EXPECT_TRUE(mgr.eval(again, std::array<bool, 2>{true, true}));
+  EXPECT_FALSE(mgr.eval(again, std::array<bool, 2>{true, false}));
+}
+
+TEST(BddGcTest, ReusedSlotNeverReturnsTheOldResult) {
+  // One manager computes x ∧ s, frees x and the result, and refills the
+  // freed slots with other single-node functions; a second manager that
+  // never collects computes the same conjunctions afresh.
+  constexpr int kVars = 8;
+  Manager mgr;
+  Manager fresh;
+  for (int i = 0; i < kVars; ++i) {
+    (void)mgr.new_var();
+    (void)fresh.new_var();
+  }
+  const Bdd s = mgr.bdd_var(0);
+  NodeId old_id = 0;
+  {
+    const Bdd x = mgr.bdd_var(1);
+    old_id = x.id();
+    const Bdd dead = x & s;  // cached as (and, old_id, s) -> dead
+  }
+  mgr.collect_garbage();
+
+  // Single-node functions of the untouched variables, kept alive so every
+  // freed slot is refilled; one of them lands on old_id.
+  std::vector<std::pair<VarIndex, bool>> literals;
+  std::vector<Bdd> kept;
+  for (VarIndex v = 2; v < kVars; ++v) {
+    for (const bool positive : {true, false}) {
+      literals.emplace_back(v, positive);
+      kept.push_back(positive ? mgr.bdd_var(v) : mgr.bdd_nvar(v));
+    }
+  }
+  bool reused = false;
+  for (const Bdd& f : kept) reused = reused || f.id() == old_id;
+  ASSERT_TRUE(reused) << "the freed slot was not reused";
+
+  const Bdd fresh_s = fresh.bdd_var(0);
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const auto [v, positive] = literals[i];
+    const Bdd got = kept[i] & s;
+    const Bdd want =
+        (positive ? fresh.bdd_var(v) : fresh.bdd_nvar(v)) & fresh_s;
+    for (std::uint32_t row = 0; row < (1u << kVars); ++row) {
+      std::array<bool, kVars> assignment{};
+      for (int b = 0; b < kVars; ++b) assignment[b] = ((row >> b) & 1u) != 0;
+      ASSERT_EQ(mgr.eval(got, assignment), fresh.eval(want, assignment))
+          << "literal " << v << (positive ? "" : "'") << " row " << row;
+    }
+  }
+}
+
 TEST(BddGcTest, AutomaticGcTriggersUnderPressure) {
   Manager::Options opts;
   opts.gc_threshold = 2048;  // tiny threshold to force automatic GC

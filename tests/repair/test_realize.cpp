@@ -1,13 +1,33 @@
-// Unit tests for Step 2 (Algorithm 2) and the equivalence of its two group
-// methods.
+// Unit tests for Step 2 (Algorithm 2), the equivalence of its two group
+// methods, and a differential test of the batched group loop against the
+// paper's one-group-at-a-time rejection loop.
+//
+// Environment knobs (fuzz sweep of the differential test):
+//   LR_FUZZ_SEED=N     base seed (model i uses seed N+i); default 20160523
+//   LR_FUZZ_MODELS=N   models per topology x fault class; default 64
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
 #include "casestudies/byzantine.hpp"
 #include "casestudies/chain.hpp"
+#include "casestudies/tmr.hpp"
 #include "casestudies/token_ring.hpp"
+#include "lang/parser.hpp"
 #include "repair/add_masking.hpp"
+#include "repair/journal.hpp"
 #include "repair/realize.hpp"
+#include "support/rng.hpp"
+#include "../support/model_gen.hpp"
 
 namespace lr::repair {
 namespace {
@@ -113,10 +133,245 @@ TEST(RealizeTest, UnionOfDeltasWithinStepOneDeltaInsideTolerance) {
   }
 }
 
+std::string model_path(const std::string& name) {
+  return std::string(LR_SOURCE_DIR) + "/models/" + name;
+}
+
+// --- Differential test: batched rejection vs one group at a time -----------
+
+/// One accepted group as the journal records it.
+using AcceptedEvent = std::tuple<std::size_t, double, std::size_t>;
+
+/// Test-only reference: lines 1-22 of Algorithm 2 as printed, rejecting
+/// one group per iteration. `realize` batches every rejection of a process
+/// into one step; this is the loop it must agree with.
+struct Reference {
+  std::vector<bdd::Bdd> deltas;
+  std::vector<AcceptedEvent> accepted;  ///< (process, transitions, nodes)
+  std::size_t rejections = 0;
+  std::size_t processes_with_rejections = 0;
+  std::size_t expand_successes = 0;
+  std::size_t expand_failures = 0;
+};
+
+Reference realize_one_at_a_time(prog::DistributedProgram& program,
+                                const bdd::Bdd& delta,
+                                const bdd::Bdd& tolerance, bool expand) {
+  sym::Space& space = program.space();
+  bdd::Manager& mgr = space.manager();
+  const bdd::Bdd with_outside =
+      delta | (space.valid(sym::Version::kCurrent).minus(tolerance) &
+               space.valid_pair());
+  const bdd::Bdd proper = with_outside.minus(space.identity());
+  const bdd::Bdd all_bits =
+      space.cube(sym::Version::kCurrent) & space.cube(sym::Version::kNext);
+  Reference ref;
+  for (std::size_t j = 0; j < program.process_count(); ++j) {
+    const prog::Process& proc = program.process(j);
+    const std::unordered_set<sym::VarId> writes(proc.writes.begin(),
+                                                proc.writes.end());
+    bdd::Bdd pool = proper & program.respects_write(j);
+    bdd::Bdd worklist = pool & tolerance;
+    bdd::Bdd accepted = space.bdd_false();
+    bool rejected_any = false;
+    while (!worklist.is_false()) {
+      bdd::Bdd group = program.group(j, mgr.pick_minterm(worklist, all_bits));
+      if (!group.leq(pool)) {
+        ++ref.rejections;
+        rejected_any = true;
+        pool = pool.minus(group);
+        worklist = worklist.minus(group);
+        continue;
+      }
+      for (const sym::VarId v : proc.reads) {
+        if (!expand || writes.count(v) != 0) continue;
+        const sym::VarId vs[1] = {v};
+        const bdd::Bdd widened =
+            mgr.exists(group, space.cube_pair_of(vs)) & space.unchanged(v);
+        if (widened.leq(pool)) {
+          group = widened;
+          ++ref.expand_successes;
+        } else {
+          ++ref.expand_failures;
+        }
+      }
+      ref.accepted.emplace_back(j, space.count_transitions(group),
+                                group.node_count());
+      accepted |= group;
+      pool = pool.minus(group);
+      worklist = worklist.minus(group);
+    }
+    if (rejected_any) ++ref.processes_with_rejections;
+    ref.deltas.push_back(std::move(accepted));
+  }
+  return ref;
+}
+
+/// Runs Step 1 on `p`, then `realize` (sequential, and through the intra
+/// engine's parallel group enumeration) beside the reference loop, with
+/// ExpandGroup on and off. Returns false when Step 1 fails (nothing to
+/// compare); adds to `rejections` the reference's rejected groups.
+bool expect_batched_matches_reference(prog::DistributedProgram& p,
+                                      const std::string& what,
+                                      std::size_t& rejections) {
+  Options options;
+  Stats step1_stats;
+  const StepOneResult step1 = add_masking(
+      p, p.invariant(), p.space().bdd_false(), bdd::Bdd(), options,
+      step1_stats);
+  if (!step1.success) return false;
+  std::vector<bdd::Bdd> parts{step1.delta};
+  for (const bdd::Bdd& f : p.fault_action_deltas()) parts.push_back(f);
+  const bdd::Bdd tolerance =
+      p.space().forward_reachable(parts, step1.invariant);
+
+  for (const bool expand : {true, false}) {
+    const Reference ref =
+        realize_one_at_a_time(p, step1.delta, tolerance, expand);
+    rejections += ref.rejections;
+    for (const std::size_t intra_jobs : {1u, 2u}) {
+      const std::string config = what + (expand ? " expand" : " no-expand") +
+                                 " intra_jobs=" + std::to_string(intra_jobs);
+      p.space().enable_intra(intra_jobs);
+      Journal journal;
+      journal.begin_run(p, "lazy", "masking");
+      options.use_expand_group = expand;
+      options.journal = &journal;
+      Stats stats;
+      const std::vector<bdd::Bdd> deltas =
+          realize(p, step1.delta, tolerance, options, stats);
+      p.space().enable_intra(1);
+
+      if (deltas.size() != ref.deltas.size()) {
+        ADD_FAILURE() << config << ": " << deltas.size()
+                      << " deltas, reference " << ref.deltas.size();
+        return true;
+      }
+      for (std::size_t j = 0; j < deltas.size(); ++j) {
+        EXPECT_TRUE(deltas[j] == ref.deltas[j])
+            << config << ": process " << j << " delta differs";
+      }
+      std::vector<AcceptedEvent> accepted;
+      for (const JournalEvent& event : journal.events()) {
+        if (event.kind != "group" || event.text.at("decision") != "accepted") {
+          continue;
+        }
+        accepted.emplace_back(
+            static_cast<std::size_t>(event.num.at("process")),
+            event.num.at("trans"),
+            static_cast<std::size_t>(event.num.at("nodes")));
+      }
+      EXPECT_EQ(accepted, ref.accepted) << config << ": accepted events";
+      EXPECT_EQ(stats.expand_successes, ref.expand_successes) << config;
+      EXPECT_EQ(stats.expand_failures, ref.expand_failures) << config;
+      // One iteration per accepted group, plus the one that triggers each
+      // process's batch.
+      EXPECT_EQ(stats.group_iterations,
+                ref.accepted.size() + ref.processes_with_rejections)
+          << config;
+    }
+  }
+  return true;
+}
+
+TEST(RealizeBatchTest, CaseStudiesMatchOneGroupAtATime) {
+  using Factory = std::function<std::unique_ptr<prog::DistributedProgram>()>;
+  const auto model_file = [](const char* name) -> Factory {
+    return [name] { return lang::parse_program_file(model_path(name)); };
+  };
+  const std::vector<std::pair<std::string, Factory>> cases = {
+      {"tmr", [] { return cs::make_tmr({}); }},
+      {"token_ring", [] { return cs::make_token_ring({}); }},
+      {"byzantine", [] { return cs::make_byzantine({}); }},
+      {"Sc^5 d3", [] { return cs::make_chain({.length = 5, .domain = 3}); }},
+      {"mutex_ring", model_file("mutex_ring.lr")},
+      {"quickstart", model_file("quickstart.lr")},
+  };
+  std::size_t rejections = 0;
+  for (const auto& [name, make] : cases) {
+    const std::unique_ptr<prog::DistributedProgram> p = make();
+    EXPECT_TRUE(expect_batched_matches_reference(*p, name, rejections))
+        << name << ": Step 1 failed";
+  }
+  // mutex_ring rejects groups, so the batch was exercised.
+  EXPECT_GT(rejections, 0u);
+}
+
+std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return fallback;
+  return std::strtoull(value, nullptr, 0);
+}
+
+TEST(RealizeBatchTest, RandomModelsMatchOneGroupAtATime) {
+  const std::uint64_t base = env_u64("LR_FUZZ_SEED", 20160523ull);
+  const std::size_t per_shard =
+      static_cast<std::size_t>(env_u64("LR_FUZZ_MODELS", 64));
+  std::size_t compared = 0;
+  std::size_t rejections = 0;
+  for (const char* topology : {"random", "ring", "tree", "star"}) {
+    for (const char* faults : {"havoc", "corrupt"}) {
+      ::setenv("LR_FUZZ_TOPOLOGY", topology, 1);
+      ::setenv("LR_FUZZ_FAULTS", faults, 1);
+      for (std::size_t i = 0; i < per_shard; ++i) {
+        const std::uint64_t seed = testgen::model_seed(base, i);
+        support::SplitMix64 rng(seed);
+        const std::unique_ptr<prog::DistributedProgram> p =
+            testgen::random_program(rng);
+        const std::string what = std::string(topology) + "/" + faults +
+                                 " seed " + std::to_string(seed);
+        if (expect_batched_matches_reference(*p, what, rejections)) {
+          ++compared;
+        }
+        if (::testing::Test::HasFailure()) {
+          std::fprintf(stderr,
+                       "[fuzz] repro: LR_FUZZ_SEED=%llu LR_FUZZ_MODELS=1 "
+                       "./test_realize --gtest_filter='*RandomModels*' "
+                       "(mismatch under %s/%s)\n",
+                       static_cast<unsigned long long>(seed), topology,
+                       faults);
+          ::unsetenv("LR_FUZZ_TOPOLOGY");
+          ::unsetenv("LR_FUZZ_FAULTS");
+          return;
+        }
+      }
+    }
+  }
+  ::unsetenv("LR_FUZZ_TOPOLOGY");
+  ::unsetenv("LR_FUZZ_FAULTS");
+  // A sweep where Step 1 never succeeds, or nothing is ever rejected,
+  // compares nothing interesting.
+  EXPECT_GT(compared, per_shard);
+  EXPECT_GT(rejections, 0u);
+}
+
 TEST(RealizeTest, GroupIterationsAreCounted) {
-  auto p = cs::make_chain({.length = 3, .domain = 2});
-  const Realized r = realize_case(*p, GroupMethod::kPaperLoop);
-  EXPECT_GT(r.stats.group_iterations, 0u);
+  // mutex_ring rejects groups in two processes: the batched loop spends one
+  // iteration per accepted group plus at most one per process.
+  auto p = lang::parse_program_file(model_path("mutex_ring.lr"));
+  Journal journal;
+  journal.begin_run(*p, "lazy", "masking");
+  Options options;
+  options.journal = &journal;
+  Stats stats;
+  const StepOneResult step1 = add_masking(
+      *p, p->invariant(), p->space().bdd_false(), bdd::Bdd(), options, stats);
+  ASSERT_TRUE(step1.success);
+  std::vector<bdd::Bdd> parts{step1.delta};
+  for (const bdd::Bdd& f : p->fault_action_deltas()) parts.push_back(f);
+  const bdd::Bdd tolerance =
+      p->space().forward_reachable(parts, step1.invariant);
+  (void)realize(*p, step1.delta, tolerance, options, stats);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const JournalEvent& event : journal.events()) {
+    if (event.kind != "group") continue;
+    (event.text.at("decision") == "accepted" ? accepted : rejected) += 1;
+  }
+  EXPECT_GT(rejected, 0u) << "mutex_ring must exercise a rejection";
+  EXPECT_GT(stats.group_iterations, accepted);
+  EXPECT_LE(stats.group_iterations, accepted + p->process_count());
+
   auto p2 = cs::make_chain({.length = 3, .domain = 2});
   const Realized o = realize_case(*p2, GroupMethod::kOneShot);
   EXPECT_EQ(o.stats.group_iterations, 0u);
