@@ -1,7 +1,7 @@
 #include "repair/describe.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <map>
 
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -40,6 +40,29 @@ std::string render_bits(const sym::VariableInfo& info,
 
 }  // namespace
 
+bdd::Bdd project_process_view(prog::DistributedProgram& program,
+                              std::size_t process_index,
+                              const bdd::Bdd& shown) {
+  sym::Space& space = program.space();
+  bdd::Manager& mgr = space.manager();
+  const prog::Process& proc = program.process(process_index);
+  // Project away the unreadable variables: the result is over readable
+  // current values and written next values only (group-closure makes this
+  // lossless; `same_unreadable` was a tautology on δ_j anyway).
+  const bdd::Bdd readable =
+      mgr.exists(shown, program.unreadable_cube(process_index));
+  // Drop next-state copies of unwritten-but-readable variables (they equal
+  // their current values).
+  std::vector<bdd::VarIndex> frame_bits;
+  for (const sym::VarId r : proc.reads) {
+    if (std::ranges::find(proc.writes, r) != proc.writes.end()) continue;
+    const auto& info = space.info(r);
+    frame_bits.insert(frame_bits.end(), info.next_bits.begin(),
+                      info.next_bits.end());
+  }
+  return mgr.exists(readable, mgr.make_cube(frame_bits));
+}
+
 std::vector<std::string> describe_process_program(
     prog::DistributedProgram& program, std::size_t process_index,
     const bdd::Bdd& delta_j, const bdd::Bdd& restrict_to,
@@ -50,23 +73,8 @@ std::vector<std::string> describe_process_program(
 
   bdd::Bdd shown = delta_j;
   if (restrict_to.valid()) shown &= restrict_to;
-  // Project away the unreadable variables: the result is over readable
-  // current values and written next values only (group-closure makes this
-  // lossless; `same_unreadable` was a tautology on δ_j anyway).
-  bdd::Bdd projected =
-      mgr.exists(shown, program.unreadable_cube(process_index));
-  // Drop next-state copies of unwritten-but-readable variables (they equal
-  // their current values).
-  std::vector<bdd::VarIndex> frame_bits;
-  std::map<sym::VarId, bool> writes;
-  for (const sym::VarId w : proc.writes) writes[w] = true;
-  for (const sym::VarId r : proc.reads) {
-    if (writes.count(r) != 0) continue;
-    const auto& info = space.info(r);
-    frame_bits.insert(frame_bits.end(), info.next_bits.begin(),
-                      info.next_bits.end());
-  }
-  projected = mgr.exists(projected, mgr.make_cube(frame_bits));
+  const bdd::Bdd projected =
+      project_process_view(program, process_index, shown);
 
   std::vector<std::string> lines;
   bool truncated = false;

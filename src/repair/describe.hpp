@@ -9,6 +9,15 @@
 
 namespace lr::repair {
 
+/// Process j's view of a transition predicate `shown` (a subset of δ_j):
+/// ∃ over the unreadable variables, then ∃ over the next copies of the
+/// variables j reads but does not write. The result is over readable
+/// current values and written next values only, which is lossless for a
+/// realizable δ_j. describe_process_program and export_model render it.
+[[nodiscard]] bdd::Bdd project_process_view(prog::DistributedProgram& program,
+                                            std::size_t process_index,
+                                            const bdd::Bdd& shown);
+
 /// Renders a realizable process transition predicate as guarded commands.
 ///
 /// Because δ_j satisfies the read restriction, projecting away the

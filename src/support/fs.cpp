@@ -18,14 +18,25 @@ std::optional<std::string> read_file(const std::string& path) {
 }
 
 bool write_file_atomic(const std::string& path, const std::string& contents) {
+  return write_file_atomic(
+      path, [&contents](std::ostream& out) { out << contents; });
+}
+
+bool write_file_atomic(const std::string& path,
+                       const std::function<void(std::ostream&)>& write) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return false;
-    out << contents;
-    out.flush();
-    if (!out) {
+    try {
+      write(out);
+    } catch (...) {
       out.close();
+      std::remove(tmp.c_str());
+      throw;
+    }
+    out.close();
+    if (!out) {
       std::remove(tmp.c_str());
       return false;
     }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 
@@ -15,6 +17,13 @@ namespace lr::support {
 /// failure. Returns false when the write or the rename fails.
 [[nodiscard]] bool write_file_atomic(const std::string& path,
                                      const std::string& contents);
+
+/// write_file_atomic() with the bytes streamed by `write` into the temp
+/// file, so they need never be in memory at once. The write fails when
+/// `write` leaves the stream in a failed state; if `write` throws, the temp
+/// file is removed and the exception propagates.
+[[nodiscard]] bool write_file_atomic(
+    const std::string& path, const std::function<void(std::ostream&)>& write);
 
 /// FNV-1a 64-bit hash of a byte string, rendered as "fnv1a:<16 hex digits>".
 /// Used to fingerprint model files in batch checkpoint manifests; not

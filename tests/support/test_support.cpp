@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <ostream>
+#include <stdexcept>
+
 #include "support/cli.hpp"
+#include "support/fs.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -90,6 +96,38 @@ TEST(CliTest, FallbackOnUnparsableInt) {
   const char* argv[] = {"prog", "--n=abc"};
   CommandLine cli(2, argv);
   EXPECT_EQ(cli.get_int("n", 5), 5);
+}
+
+TEST(FsTest, StreamedWriteLandsAtomically) {
+  const std::string path = ::testing::TempDir() + "fs_streamed.txt";
+  ASSERT_TRUE(write_file_atomic(path, [](std::ostream& out) {
+    out << "first ";
+    out << "second";
+  }));
+  EXPECT_EQ(read_file(path), std::optional<std::string>("first second"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(FsTest, FailedStreamedWriteKeepsOldFileAndRemovesTemp) {
+  const std::string path = ::testing::TempDir() + "fs_streamed_fail.txt";
+  ASSERT_TRUE(write_file_atomic(path, std::string("old")));
+  EXPECT_FALSE(write_file_atomic(path, [](std::ostream& out) {
+    out << "torn";
+    out.setstate(std::ios::failbit);
+  }));
+  EXPECT_EQ(read_file(path), std::optional<std::string>("old"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  EXPECT_THROW((void)write_file_atomic(path,
+                                       [](std::ostream& out) {
+                                         out << "torn";
+                                         throw std::runtime_error("writer");
+                                       }),
+               std::runtime_error);
+  EXPECT_EQ(read_file(path), std::optional<std::string>("old"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
 }
 
 }  // namespace
