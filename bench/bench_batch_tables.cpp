@@ -5,23 +5,18 @@
 //
 // Usage:
 //   bench_batch_tables [--jobs=N] [--compare-jobs=M] [--par-intra=K]
-//                      [--order=MODE] [--rel=MODE] [--table=1|2|3|all]
+//                      [--order=decl|auto] [--table=1|2|3|all]
 //                      [--metrics-json=FILE] [--trace-out=FILE]
 //
 // --compare-jobs runs the sweep a second time at M jobs and reports the
 // wall-clock ratio (the batching speedup; meaningful only on multi-core
 // hardware — this is the number the ROADMAP's scaling trajectory tracks).
 //
-// --order applies a static variable-order heuristic
-// (auto|interleave|adjacency) to every task; --table restricts the sweep
-// to one paper table. CI sweeps --order=auto against the committed
-// BENCH_order.json baseline (auto, because forcing a single heuristic on
-// a hostile family blows up — EXPERIMENTS.md "Variable order").
-//
-// --rel selects the transition-relation representation (auto|mono|
-// partition) for every task; CI sweeps --rel=auto on the Sc^n chain table
-// against the committed BENCH_relation.json baseline so a regression on
-// the partitioned early-quantification path fails visibly.
+// --order=auto picks a static variable order per task (the interleave and
+// adjacency heuristics are its candidates; forcing one of them on a
+// hostile family blows up — EXPERIMENTS.md "Variable order"); --table
+// restricts the sweep to one paper table. CI sweeps --order=auto against
+// the committed BENCH_order.json baseline.
 //
 // --par-intra shards image/preimage and group enumeration *inside* each
 // task across K workers (repair::Options::intra_jobs); jobs * K is clamped
@@ -34,7 +29,6 @@
 #include "repair/batch.hpp"
 #include "support/cli.hpp"
 #include "symbolic/order_heur.hpp"
-#include "symbolic/relation.hpp"
 #include "support/metrics.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -44,6 +38,16 @@
 
 int main(int argc, char** argv) {
   const lr::support::CommandLine cli(argc, argv);
+  static const char* const kFlags[] = {"jobs",  "compare-jobs", "par-intra",
+                                       "order", "table",        "metrics-json",
+                                       "trace-out"};
+  for (const std::string& name : cli.option_names()) {
+    if (std::find(std::begin(kFlags), std::end(kFlags), name) ==
+        std::end(kFlags)) {
+      std::fprintf(stderr, "unknown option --%s\n", name.c_str());
+      return 2;
+    }
+  }
   const std::string trace_path = cli.get("trace-out", "");
   if (!trace_path.empty()) lr::support::trace::start();
 
@@ -66,27 +70,13 @@ int main(int argc, char** argv) {
 
   if (cli.has("order")) {
     const std::string order_arg = cli.get("order", "");
-    const auto mode = lr::sym::order::parse_mode(order_arg);
-    if (!mode) {
-      std::fprintf(stderr,
-                   "unknown order mode '%s' (decl|auto|interleave|adjacency)\n",
+    if (order_arg != "decl" && order_arg != "auto") {
+      std::fprintf(stderr, "unknown order mode '%s' (decl|auto)\n",
                    order_arg.c_str());
       return 2;
     }
-    for (lr::repair::BatchTask& task : tasks) task.options.order_mode = *mode;
-  }
-
-  if (cli.has("rel")) {
-    const std::string rel_arg = cli.get("rel", "");
-    const auto mode = lr::sym::parse_relation_mode(rel_arg);
-    if (!mode) {
-      std::fprintf(stderr, "unknown relation mode '%s' (auto|mono|partition)\n",
-                   rel_arg.c_str());
-      return 2;
-    }
-    for (lr::repair::BatchTask& task : tasks) {
-      task.options.relation_mode = *mode;
-    }
+    const lr::sym::order::Mode mode = *lr::sym::order::parse_mode(order_arg);
+    for (lr::repair::BatchTask& task : tasks) task.options.order_mode = mode;
   }
 
   const auto jobs = static_cast<std::size_t>(cli.get_int(

@@ -363,8 +363,6 @@ int run_order_diff(const std::string& path_a, const std::string& path_b,
                    format_value(double(cur->live_nodes))});
   summary.add_row({"peak nodes", format_value(double(base->peak_nodes)),
                    format_value(double(cur->peak_nodes))});
-  summary.add_row({"reorder runs", format_value(double(base->reorder_runs)),
-                   format_value(double(cur->reorder_runs))});
   summary.print(std::cout);
 
   // Per-label comparison: where did each bit sit, how many nodes lived on

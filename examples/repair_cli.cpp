@@ -337,7 +337,6 @@ int main(int argc, char** argv) {
     options.group_method = lr::repair::GroupMethod::kOneShot;
   }
   if (cli.has("no-heuristic")) options.restrict_to_reachable = false;
-  if (cli.has("sift")) options.sift_before_repair = true;
   if (cli.has("order")) {
     const std::string order_arg = cli.get("order", "");
     if (order_arg.rfind("file:", 0) == 0) {
@@ -347,27 +346,15 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--order=file: needs a path (see --help)\n");
         return 2;
       }
+    } else if (order_arg == "decl" || order_arg == "auto") {
+      // The heuristics (interleave, adjacency) are auto's candidates, not
+      // modes of their own: forcing one blows up on hostile families.
+      options.order_mode = *lr::sym::order::parse_mode(order_arg);
     } else {
-      const auto parsed = lr::sym::order::parse_mode(order_arg);
-      if (!parsed) {
-        std::fprintf(stderr,
-                     "unknown order mode '%s' "
-                     "(decl|auto|interleave|adjacency|file:PATH)\n",
-                     order_arg.c_str());
-        return 2;
-      }
-      options.order_mode = *parsed;
-    }
-  }
-  if (cli.has("rel")) {
-    const std::string rel_arg = cli.get("rel", "");
-    const auto parsed = lr::sym::parse_relation_mode(rel_arg);
-    if (!parsed) {
-      std::fprintf(stderr, "unknown relation mode '%s' (auto|mono|partition)\n",
-                   rel_arg.c_str());
+      std::fprintf(stderr, "unknown order mode '%s' (decl|auto|file:PATH)\n",
+                   order_arg.c_str());
       return 2;
     }
-    options.relation_mode = *parsed;
   }
   options.intra_jobs = static_cast<std::size_t>(
       std::max<std::int64_t>(1, cli.get_int("par-intra", 1)));
@@ -537,10 +524,8 @@ int main(int argc, char** argv) {
     lr::bdd::meminfo::write_report(mem, std::cout);
     lr::bdd::meminfo::record_metrics(mem);
     lr::bdd::meminfo::write_gc_report(manager, std::cout);
-    lr::bdd::meminfo::write_reorder_report(manager, std::cout);
-    lr::bdd::meminfo::record_reorder_metrics(manager);
     std::printf("\n");
-    lr::repair::write_relation_report(*program, options, std::cout);
+    lr::repair::write_relation_report(*program, std::cout);
     if (cli.has("order")) {
       std::printf("\n");
       lr::repair::write_order_report(*program, options, std::cout);

@@ -20,9 +20,9 @@ using NodeId = std::uint32_t;
 
 /// A boolean variable. Variables are identified by their creation index;
 /// their *position* in the order is a separate notion (the level), which
-/// starts out equal to the creation index and changes under
-/// Manager::reorder_sifting(). The symbolic layer constructs a good static
-/// interleaved order up front, and sifting can improve it further.
+/// starts out equal to the creation index and changes only through
+/// Manager::swap_adjacent_levels() (bdd::order::apply_order). The symbolic
+/// layer fixes a static order before any BDD is built.
 using VarIndex = std::uint32_t;
 
 /// Identifier of a registered variable permutation (see
@@ -125,7 +125,6 @@ struct ManagerStats {
   std::uint64_t created_nodes = 0;   ///< total make_node allocations
   std::uint64_t gc_runs = 0;         ///< garbage collections performed
   std::uint64_t gc_reclaimed = 0;    ///< nodes reclaimed across all GCs
-  std::uint64_t reorder_runs = 0;    ///< reorder_sifting() invocations
   std::uint64_t unique_hits = 0;     ///< make_node found existing node
   std::uint64_t cache_lookups = 0;   ///< operation cache probes
   std::uint64_t cache_hits = 0;      ///< operation cache hits
@@ -138,7 +137,6 @@ struct ManagerStats {
 enum class GcTrigger {
   kThreshold,  ///< live nodes crossed the adaptive gc_threshold
   kExplicit,   ///< collect_garbage() called by user code
-  kReorder,    ///< sifting collects before measuring a variable's journey
 };
 
 [[nodiscard]] const char* gc_trigger_name(GcTrigger trigger) noexcept;
@@ -150,24 +148,6 @@ struct GcRecord {
   std::size_t live_after = 0;
   std::size_t reclaimed = 0;
   double seconds = 0.0;
-};
-
-/// One variable's journey through a sifting run: where it started, where it
-/// settled, and how the live-node count changed.
-struct SiftMove {
-  VarIndex var = 0;
-  std::uint32_t start_level = 0;
-  std::uint32_t end_level = 0;
-  std::ptrdiff_t node_delta = 0;  ///< live-node change (negative = shrank)
-};
-
-/// Structured record of one reorder_sifting() run.
-struct ReorderRecord {
-  std::size_t live_before = 0;
-  std::size_t live_after = 0;
-  int passes = 0;
-  double seconds = 0.0;
-  std::vector<SiftMove> moves;  ///< one entry per variable journey, in order
 };
 
 /// A shared-node, reduced, ordered BDD manager (the CUDD substitute).
@@ -186,7 +166,8 @@ struct ReorderRecord {
 ///    holds two arrays. Entries survive GC unless they name a freed node;
 ///    those are dropped in the same collection, before any slot is reused,
 ///    so a recycled slot can never alias a stale entry (slots are only
-///    recycled by the GC itself). Reordering clears the whole cache.
+///    recycled by the GC itself). A level swap leaves the cache alone:
+///    it rewrites nodes in place without changing any node's function.
 ///  * Garbage collection is mark-and-sweep from externally referenced
 ///    nodes. It runs only at public operation entry points, never inside a
 ///    recursion, so intermediate results need no protection.
@@ -218,7 +199,7 @@ class Manager {
   VarIndex new_var();
 
   /// Current level (order position) of a variable; levels change under
-  /// reorder_sifting(). Terminals sort below every variable.
+  /// swap_adjacent_levels(). Terminals sort below every variable.
   [[nodiscard]] std::uint32_t level_of(VarIndex v) const noexcept {
     return level_of_var_[v];
   }
@@ -228,16 +209,9 @@ class Manager {
     return var_at_level_[level];
   }
 
-  /// Rudell's sifting: moves every variable through the order, keeping the
-  /// position that minimizes live nodes; repeats up to `max_passes` times
-  /// or until no pass improves by >= 2%. All existing Bdd handles remain
-  /// valid and keep their semantics (nodes are rewritten in place).
-  /// Returns the live-node count after reordering.
-  std::size_t reorder_sifting(int max_passes = 1);
-
-  /// One reordering primitive: in-place exchange of the variables at
-  /// `level` and `level + 1`. Returns the change in live-node count.
-  /// Semantics of every existing handle are preserved.
+  /// In-place exchange of the variables at `level` and `level + 1` (the
+  /// primitive behind bdd::order::apply_order). Returns the change in
+  /// live-node count. Semantics of every existing handle are preserved.
   std::ptrdiff_t swap_adjacent_levels(std::uint32_t level);
 
   /// Number of variables created so far.
@@ -395,11 +369,6 @@ class Manager {
     return gc_log_dropped_;
   }
 
-  /// Structured log of every reorder_sifting() run.
-  [[nodiscard]] const std::vector<ReorderRecord>& reorder_log() const noexcept {
-    return reorder_log_;
-  }
-
   // --- Concurrent read access -----------------------------------------------
   /// A decomposed view of one internal node: its variable and cofactor ids.
   /// Terminals have var == kTerminalVar.
@@ -543,14 +512,12 @@ class Manager {
   std::vector<std::vector<VarIndex>> permutations_;
 
   std::size_t gc_threshold_;
-  bool gc_enabled_ = true;
 
   /// Capped structured logs (observability, not correctness): once full,
   /// further GC records only bump the dropped counter.
   static constexpr std::size_t kMaxGcRecords = 1024;
   std::vector<GcRecord> gc_log_;
   std::uint64_t gc_log_dropped_ = 0;
-  std::vector<ReorderRecord> reorder_log_;
 
   std::unique_ptr<profile::Profiler> profiler_;
 

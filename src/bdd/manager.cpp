@@ -40,7 +40,6 @@ const char* gc_trigger_name(GcTrigger trigger) noexcept {
   switch (trigger) {
     case GcTrigger::kThreshold: return "threshold";
     case GcTrigger::kExplicit: return "explicit";
-    case GcTrigger::kReorder: return "reorder";
   }
   return "?";
 }
@@ -267,7 +266,6 @@ std::size_t Manager::live_nodes() const noexcept {
 }
 
 void Manager::maybe_gc() {
-  if (!gc_enabled_) return;
   if (live_nodes() < gc_threshold_) return;
   collect_garbage_impl(GcTrigger::kThreshold);
   // If the collection freed little, raise the threshold so we do not thrash.

@@ -166,50 +166,10 @@ void record_metrics(const MemInfo& info, const std::string& prefix) {
   }
 }
 
-void write_reorder_report(const Manager& mgr, std::ostream& out) {
-  const std::vector<ReorderRecord>& log = mgr.reorder_log();
-  if (log.empty()) return;
-  out << "bdd reorder:\n";
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    const ReorderRecord& record = log[i];
-    out << "  run " << (i + 1) << ": " << record.passes << " pass"
-        << (record.passes == 1 ? "" : "es") << ", " << record.live_before
-        << " -> " << record.live_after << " nodes, "
-        << support::format_duration(record.seconds) << "\n";
-    support::Table table({"var", "start", "end", "delta"});
-    for (const SiftMove& move : record.moves) {
-      table.add_row({"v" + std::to_string(move.var),
-                     std::to_string(move.start_level),
-                     std::to_string(move.end_level),
-                     std::to_string(move.node_delta)});
-    }
-    table.print(out);
-  }
-}
-
-void record_reorder_metrics(const Manager& mgr, const std::string& prefix) {
-  const std::vector<ReorderRecord>& log = mgr.reorder_log();
-  if (log.empty()) return;
-  support::metrics::Registry& m = support::metrics::registry();
-  m.set_gauge(prefix + ".runs", static_cast<double>(log.size()));
-  const ReorderRecord& last = log.back();
-  m.set_gauge(prefix + ".passes", static_cast<double>(last.passes));
-  m.set_gauge(prefix + ".seconds", last.seconds);
-  m.set_gauge(prefix + ".live_before",
-              static_cast<double>(last.live_before));
-  m.set_gauge(prefix + ".live_after", static_cast<double>(last.live_after));
-  for (const SiftMove& move : last.moves) {
-    const std::string base = prefix + ".var." + std::to_string(move.var) + ".";
-    m.set_gauge(base + "start_level", static_cast<double>(move.start_level));
-    m.set_gauge(base + "end_level", static_cast<double>(move.end_level));
-    m.set_gauge(base + "node_delta", static_cast<double>(move.node_delta));
-  }
-}
-
 void write_gc_report(const Manager& mgr, std::ostream& out) {
   const std::vector<GcRecord>& log = mgr.gc_log();
   if (log.empty()) return;
-  std::size_t runs_by_trigger[3] = {0, 0, 0};
+  std::size_t runs_by_trigger[2] = {0, 0};
   std::size_t reclaimed = 0;
   double seconds = 0.0;
   for (const GcRecord& record : log) {
@@ -218,8 +178,8 @@ void write_gc_report(const Manager& mgr, std::ostream& out) {
     seconds += record.seconds;
   }
   out << "bdd gc: " << log.size() << " runs (threshold " << runs_by_trigger[0]
-      << ", explicit " << runs_by_trigger[1] << ", reorder "
-      << runs_by_trigger[2] << "), " << reclaimed << " nodes reclaimed, "
+      << ", explicit " << runs_by_trigger[1] << "), " << reclaimed
+      << " nodes reclaimed, "
       << support::format_duration(seconds);
   if (mgr.gc_log_dropped() > 0) {
     out << " (+" << mgr.gc_log_dropped() << " unrecorded runs)";

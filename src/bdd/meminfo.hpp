@@ -54,17 +54,6 @@ void write_report(const MemInfo& info, std::ostream& out,
 /// levels only).
 void record_metrics(const MemInfo& info, const std::string& prefix = "bdd.mem");
 
-/// Renders the "bdd reorder" --stats section: one line per sifting run plus
-/// the per-variable start→end level / node-delta table. Writes nothing when
-/// the manager never reordered.
-void write_reorder_report(const Manager& mgr, std::ostream& out);
-
-/// Mirrors the reorder log into `<prefix>.*` metrics (runs, passes,
-/// seconds, live before/after of the last run, and per-variable
-/// `<prefix>.var.<v>.{start_level,end_level,node_delta}` of the last run).
-void record_reorder_metrics(const Manager& mgr,
-                            const std::string& prefix = "bdd.reorder");
-
 /// Renders the "bdd gc" --stats section from the manager's structured GC
 /// log: per-trigger run counts and reclaimed totals. Writes nothing when no
 /// GC ever ran.

@@ -49,7 +49,6 @@ OrderProfile capture_profile(const Manager& mgr,
   const ManagerStats& stats = mgr.stats();
   profile.live_nodes = stats.live_nodes;
   profile.peak_nodes = stats.peak_nodes;
-  profile.reorder_runs = stats.reorder_runs;
   const std::vector<std::size_t> histogram = mgr.level_histogram();
   profile.levels.reserve(mgr.var_count());
   for (std::uint32_t level = 0; level < mgr.var_count(); ++level) {
@@ -70,7 +69,6 @@ std::string profile_to_json(const OrderProfile& profile) {
   out += "  \"source\": " + json_quote(profile.source) + ",\n";
   out += "  \"live_nodes\": " + std::to_string(profile.live_nodes) + ",\n";
   out += "  \"peak_nodes\": " + std::to_string(profile.peak_nodes) + ",\n";
-  out += "  \"reorder_runs\": " + std::to_string(profile.reorder_runs) + ",\n";
   out += "  \"levels\": [";
   for (std::size_t i = 0; i < profile.levels.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
@@ -106,10 +104,6 @@ std::optional<OrderProfile> parse_profile(std::string_view text) {
   if (const support::JsonValue* v = doc->find("peak_nodes");
       v != nullptr && v->is_number()) {
     profile.peak_nodes = static_cast<std::size_t>(v->number);
-  }
-  if (const support::JsonValue* v = doc->find("reorder_runs");
-      v != nullptr && v->is_number()) {
-    profile.reorder_runs = static_cast<std::uint64_t>(v->number);
   }
   const support::JsonValue* levels = doc->find("levels");
   if (levels == nullptr || !levels->is_array()) return std::nullopt;

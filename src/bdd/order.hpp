@@ -45,7 +45,6 @@ struct OrderProfile {
   std::string source;           ///< order mode that produced it (no paths)
   std::size_t live_nodes = 0;   ///< live nodes at capture time
   std::size_t peak_nodes = 0;   ///< manager high-water mark
-  std::uint64_t reorder_runs = 0;  ///< sifting runs during the capture run
   std::vector<ProfileLevel> levels;
 };
 

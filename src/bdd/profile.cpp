@@ -36,7 +36,6 @@ const char* op_class_name(OpClass op) noexcept {
     case OpClass::kQuantify: return "quantify";
     case OpClass::kDecide: return "decide";
     case OpClass::kPermute: return "permute";
-    case OpClass::kReorder: return "reorder";
     case OpClass::kGc: return "gc";
   }
   return "?";
@@ -256,7 +255,6 @@ void record_metrics(const Profiler& prof, const std::string& prefix) {
     registry.add(base + "quantify_calls", c.op(OpClass::kQuantify).calls);
     registry.add(base + "decide_calls", c.op(OpClass::kDecide).calls);
     registry.add(base + "permute_calls", c.op(OpClass::kPermute).calls);
-    registry.add(base + "reorder_runs", c.op(OpClass::kReorder).calls);
     registry.add(base + "gc_runs", c.gc_runs);
     registry.add(base + "steps", c.work_steps());
     registry.add(base + "created_nodes", c.created_nodes);
@@ -264,8 +262,6 @@ void record_metrics(const Profiler& prof, const std::string& prefix) {
     registry.max_gauge(base + "peak_nodes",
                        static_cast<double>(c.peak_nodes));
     registry.set_gauge(base + "seconds", c.total_seconds());
-    registry.set_gauge(base + "reorder_seconds",
-                       c.op(OpClass::kReorder).seconds);
   }
 }
 

@@ -22,10 +22,9 @@ enum class OpClass : unsigned {
   kQuantify,  ///< exists / forall / and_exists / cofactor
   kDecide,    ///< leq / disjoint (no result BDD built)
   kPermute,
-  kReorder,
   kGc,
 };
-inline constexpr std::size_t kOpClassCount = 7;
+inline constexpr std::size_t kOpClassCount = 6;
 
 [[nodiscard]] const char* op_class_name(OpClass op) noexcept;
 

@@ -1,19 +1,16 @@
-#include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <vector>
 
 #include "bdd/bdd.hpp"
-#include "bdd/profile.hpp"
-#include "support/trace.hpp"
 
-// Dynamic variable reordering (Rudell's sifting).
+// In-place exchange of adjacent levels, the primitive behind
+// bdd::order::apply_order.
 //
 // The engine separates variable *identity* (VarIndex, stable forever) from
-// variable *position* (level). Reordering exchanges adjacent levels in
-// place: a node keeps its NodeId — and therefore every external Bdd handle
-// keeps its semantics — while its (var, lo, hi) triple is rewritten. The
-// classic invariants make this safe:
+// variable *position* (level). A swap exchanges adjacent levels in place: a
+// node keeps its NodeId — and therefore every external Bdd handle keeps its
+// semantics — while its (var, lo, hi) triple is rewritten. The classic
+// invariants make this safe:
 //
 //  * only nodes of the upper variable x with a child labeled by the lower
 //    variable y need rewriting; all other nodes are untouched;
@@ -24,9 +21,8 @@
 //  * a rewritten node can never collapse (lo == hi would imply the node
 //    had no y-child in the first place).
 //
-// Operation-cache entries stay *semantically* valid (keys and values are
-// node ids whose functions are preserved), but they are cleared at the end
-// of every reordering anyway, out of caution.
+// Operation-cache entries stay valid: their keys and values are node ids
+// whose functions a swap preserves.
 
 namespace lr::bdd {
 
@@ -70,124 +66,6 @@ std::ptrdiff_t Manager::swap_adjacent_levels(std::uint32_t level) {
   std::swap(var_at_level_[level], var_at_level_[level + 1]);
   std::swap(level_of_var_[x], level_of_var_[y]);
   return static_cast<std::ptrdiff_t>(live_nodes()) - before;
-}
-
-std::size_t Manager::reorder_sifting(int max_passes) {
-  if (num_vars_ < 2) return live_nodes();
-  profile::ScopedOp profiled(*this, profile::OpClass::kReorder);
-  LR_TRACE_SPAN_NAMED(span, "bdd.sift");
-  ++stats_.reorder_runs;
-  const auto sift_start = std::chrono::steady_clock::now();
-  const std::size_t live_before = live_nodes();
-  const bool gc_was_enabled = gc_enabled_;
-  gc_enabled_ = false;  // GC timing is managed explicitly below
-  collect_garbage_impl(GcTrigger::kReorder);
-
-  ReorderRecord record;
-  record.live_before = live_before;
-
-  for (int pass = 0; pass < max_passes; ++pass) {
-    ++record.passes;
-    const std::size_t pass_start = live_nodes();
-    // Sift variables in decreasing order of their node population — the
-    // biggest offenders first (Rudell's heuristic).
-    std::vector<std::size_t> population(num_vars_, 0);
-    for (NodeId id = 2; id < nodes_.size(); ++id) {
-      const Node& n = nodes_[id];
-      if (n.var < num_vars_) ++population[n.var];
-    }
-    std::vector<VarIndex> order(num_vars_);
-    for (VarIndex v = 0; v < num_vars_; ++v) order[v] = v;
-    std::sort(order.begin(), order.end(), [&](VarIndex a, VarIndex b) {
-      return population[a] > population[b];
-    });
-
-    bool pass_moved = false;
-    for (const VarIndex v : order) {
-      // A variable with no live nodes cannot change any level's size;
-      // skipping its journey avoids 2*num_vars_ pointless swaps (each of
-      // which scans the whole pool) and keeps it where it is instead of
-      // letting the upward tie-preference bubble it to the top.
-      if (population[v] == 0) {
-        SiftMove move;
-        move.var = v;
-        move.start_level = level_of_var_[v];
-        move.end_level = level_of_var_[v];
-        move.node_delta = 0;
-        record.moves.push_back(move);
-        continue;
-      }
-      // Sweep the garbage from the previous journey so node counts are
-      // honest for this one.
-      collect_garbage_impl(GcTrigger::kReorder);
-      const std::size_t journey_start = live_nodes();
-      const std::uint32_t start_pos = level_of_var_[v];
-      const std::uint32_t bottom = num_vars_ - 1;
-      std::size_t best_size = live_nodes();
-      const std::size_t limit = best_size * 2 + 64;  // growth bound
-      std::uint32_t best_pos = start_pos;
-
-      // Down to the bottom...
-      for (std::uint32_t l = start_pos; l < bottom; ++l) {
-        swap_adjacent_levels(l);
-        if (live_nodes() < best_size) {
-          best_size = live_nodes();
-          best_pos = l + 1;
-        }
-        if (live_nodes() > limit) break;
-      }
-      // ...up to the top...
-      for (std::uint32_t l = level_of_var_[v]; l > 0; --l) {
-        swap_adjacent_levels(l - 1);
-        if (live_nodes() <= best_size) {  // prefer higher on ties
-          best_size = live_nodes();
-          best_pos = l - 1;
-        }
-        // Aborting the upward journey is safe: every best_pos recorded so
-        // far lies at or below the current position, and the settling loop
-        // only moves downward.
-        if (live_nodes() > limit) break;
-      }
-      // ...and settle at the best position seen.
-      for (std::uint32_t l = level_of_var_[v]; l < best_pos; ++l) {
-        swap_adjacent_levels(l);
-      }
-
-      SiftMove move;
-      move.var = v;
-      move.start_level = start_pos;
-      move.end_level = level_of_var_[v];
-      move.node_delta = static_cast<std::ptrdiff_t>(best_size) -
-                        static_cast<std::ptrdiff_t>(journey_start);
-      record.moves.push_back(move);
-      if (move.end_level != move.start_level || move.node_delta < 0) {
-        pass_moved = true;
-      }
-    }
-
-    collect_garbage_impl(GcTrigger::kReorder);
-    // A pass that relocated nothing and shrank nothing left the order (and
-    // therefore every journey's outcome) exactly as it found it: another
-    // pass would redo the same swaps for the same answer. Stop before the
-    // percentage check — that one compares against pass_start and would
-    // happily re-sift forever at 0% gain.
-    if (!pass_moved) break;
-    if (live_nodes() * 50 > pass_start * 49) break;  // < 2% gain: stop
-  }
-
-  std::fill(cache_.begin(), cache_.end(), CacheEntry{});
-  gc_enabled_ = gc_was_enabled;
-  record.live_after = live_nodes();
-  record.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    sift_start)
-          .count();
-  reorder_log_.push_back(std::move(record));
-  if (support::trace::enabled()) {
-    span.attr("live_before", static_cast<std::uint64_t>(live_before));
-    span.attr("live_after", static_cast<std::uint64_t>(live_nodes()));
-  }
-  return live_nodes();
 }
 
 void Manager::unlink_node(NodeId id) {

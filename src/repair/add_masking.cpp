@@ -17,16 +17,6 @@ namespace {
 /// state has a `rel`-successor inside the subset (ConstructInvariant of
 /// ref [1]).
 bdd::Bdd construct_invariant(sym::Space& space, bdd::Bdd states,
-                             const bdd::Bdd& rel) {
-  while (true) {
-    const bdd::Bdd alive = states & space.preimage(rel, states);
-    if (alive == states) return states;
-    states = alive;
-  }
-}
-
-/// Same fixpoint over a partitioned relation.
-bdd::Bdd construct_invariant(sym::Space& space, bdd::Bdd states,
                              const sym::TransitionRelation& rel) {
   while (true) {
     const bdd::Bdd alive = states & space.preimage(rel, states);
@@ -48,13 +38,9 @@ StepOneResult add_masking(prog::DistributedProgram& program,
 
   const bdd::Bdd delta_p = program.program_delta();
   const bdd::Bdd faults = program.fault_delta();
-  // Transition-relation representation (--rel): kPartition threads
-  // scheduled conjunctive/disjunctive partitions through every fixpoint
-  // below; kMono keeps the historical flat-BDD call shapes. Both compute
-  // the same canonical sets.
-  const sym::RelationMode rel_mode = resolved_relation_mode(program, options);
-  const bool rel_partitioned = rel_mode == sym::RelationMode::kPartition;
-  const sym::TransitionRelation faults_rel = fault_relation(program, rel_mode);
+  // Every fixpoint below runs over conjunctive/disjunctive partitions
+  // with early quantification (symbolic/relation.hpp).
+  const sym::TransitionRelation faults_rel = fault_relation(program);
   const bdd::Bdd valid_cur = space.valid(sym::Version::kCurrent);
   const bdd::Bdd valid_pair = space.valid_pair();
   // Nonmasking tolerance ignores the safety specification entirely: only
@@ -87,7 +73,7 @@ StepOneResult add_masking(prog::DistributedProgram& program,
     context = valid_cur;
     if (options.restrict_to_reachable) {
       context = space.forward_reachable(
-          program_fault_relation(program, rel_mode), s_orig);
+          program_fault_relation(program), s_orig);
     }
   }
   stats.reachable_states = space.count_states(context);
@@ -110,30 +96,23 @@ StepOneResult add_masking(prog::DistributedProgram& program,
   const bdd::Bdd mt = (bad_trans | space.prime(ms)) & valid_pair;
 
   // --- First guesses S1, T1 ---------------------------------------------------
-  // δ_P − mt as disjunctive pieces (partitioned mode): one per process
-  // plus the stutter completion. Subtraction distributes over the union,
-  // so the pieces' union is exactly delta_p − mt.
+  // δ_P − mt as disjunctive pieces: one per process plus the stutter
+  // completion. Subtraction distributes over the union, so the pieces'
+  // union is exactly delta_p − mt.
   std::vector<bdd::Bdd> pieces_mt;
-  if (rel_partitioned) {
-    for (const bdd::Bdd& piece : program_delta_pieces(program)) {
-      const bdd::Bdd trimmed = piece.minus(mt);
-      if (!trimmed.is_false()) pieces_mt.push_back(trimmed);
-    }
+  for (const bdd::Bdd& piece : program_delta_pieces(program)) {
+    const bdd::Bdd trimmed = piece.minus(mt);
+    if (!trimmed.is_false()) pieces_mt.push_back(trimmed);
   }
-  sym::TransitionRelation delta_mt_rel(space, rel_mode);
-  if (rel_partitioned) {
-    for (const bdd::Bdd& piece : pieces_mt) delta_mt_rel.add_part(piece);
-  } else {
-    delta_mt_rel.add_part(delta_p.minus(mt));
-  }
+  const sym::TransitionRelation delta_mt_rel =
+      sym::TransitionRelation::partitioned(space, pieces_mt);
   bdd::Bdd s1 = construct_invariant(space, s_orig.minus(ms), delta_mt_rel);
   bdd::Bdd t1 = context.minus(ms);
 
   if (s1.is_false()) return result;
 
   // --- Shrink (S1, T1) to the largest consistent pair -------------------------
-  bdd::Bdd p1;  // materialized only under kMono (and for the layer BFS)
-  sym::TransitionRelation p1_rel(space, rel_mode);
+  sym::TransitionRelation p1_rel(space);
   std::size_t shrink_rounds = 0;
   {
   LR_TRACE_SPAN("add_masking.shrink_fixpoint");
@@ -161,23 +140,16 @@ StepOneResult add_masking(prog::DistributedProgram& program,
           (writable & t1.minus(s1) & space.prime(t1) & valid_pair)
               .minus(mt)
               .minus(space.identity());
-      // P1 = (δ_P ∧ S1 ∧ S1') − mt ∪ rec_part. Partitioned, the invariant
-      // side stays one part per δ_P piece with the S1 ∧ S1' restriction as
-      // a conjunct — the product is never materialized; the combined
+      // P1 = (δ_P ∧ S1 ∧ S1') − mt ∪ rec_part. The invariant side stays
+      // one part per δ_P piece with the S1 ∧ S1' restriction as a
+      // conjunct — the product is never materialized; the combined
       // and-exists consumes the factors directly.
-      bdd::Bdd inv_cross;  // S1 ∧ S1', shared by the partitioned parts
-      p1_rel = sym::TransitionRelation(space, rel_mode);
-      if (rel_partitioned) {
-        inv_cross = s1 & space.prime(s1);
-        for (const bdd::Bdd& piece : pieces_mt) {
-          p1_rel.add_part(piece, inv_cross);
-        }
-        if (!rec_part.is_false()) p1_rel.add_part(rec_part);
-      } else {
-        const bdd::Bdd inv_part = (delta_p & s1 & space.prime(s1)).minus(mt);
-        p1 = inv_part | rec_part;
-        p1_rel.add_part(p1);
+      p1_rel = sym::TransitionRelation(space);
+      const bdd::Bdd inv_cross = s1 & space.prime(s1);
+      for (const bdd::Bdd& piece : pieces_mt) {
+        p1_rel.add_part(piece, inv_cross);
       }
+      if (!rec_part.is_false()) p1_rel.add_part(rec_part);
 
       bdd::Bdd t2 = t1;
       while (options.level != ToleranceLevel::kFailsafe) {
@@ -205,19 +177,17 @@ StepOneResult add_masking(prog::DistributedProgram& program,
       }
 
       bdd::Bdd s2 = s1 & t2;
-      if (rel_partitioned) {
+      {
         // P1 ∧ S2' without materializing the product: prime(s2) rides as
         // one more conjunct of every part.
         const bdd::Bdd s2_primed = space.prime(s2);
-        sym::TransitionRelation closure_rel(space, rel_mode);
+        sym::TransitionRelation closure_rel(space);
         for (const bdd::Bdd& piece : pieces_mt) {
           const bdd::Bdd conjuncts[3] = {piece, inv_cross, s2_primed};
           closure_rel.add_part(std::span<const bdd::Bdd>(conjuncts, 3));
         }
         if (!rec_part.is_false()) closure_rel.add_part(rec_part, s2_primed);
         s2 = construct_invariant(space, s2, closure_rel);
-      } else {
-        s2 = construct_invariant(space, s2, p1 & space.prime(s2));
       }
       if (s2.is_false()) return result;
 
@@ -252,9 +222,9 @@ StepOneResult add_masking(prog::DistributedProgram& program,
   bdd::Bdd remaining =
       options.level == ToleranceLevel::kFailsafe ? space.bdd_false() : outside;
   // The layer BFS's `added` sets need P1's transitions, not just its
-  // preimages: materialize the union once (a no-op under kMono).
-  bdd::Bdd p1_flat = p1;
-  if (rel_partitioned && !remaining.is_false()) p1_flat = p1_rel.flat();
+  // preimages: materialize the union once.
+  bdd::Bdd p1_flat;
+  if (!remaining.is_false()) p1_flat = p1_rel.flat();
   stats.recovery_layers = 0;
   {
     LR_TRACE_SPAN("add_masking.recovery_layers");

@@ -115,11 +115,9 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
   // Space::preimage, which auto-partitions large relations when enabled.
   space.enable_intra(options.intra_jobs);
 
-  // --rel resolution + partition-shape record (metrics, journal header).
-  const sym::RelationMode rel_mode = resolved_relation_mode(program, options);
-  const bool rel_partitioned = rel_mode == sym::RelationMode::kPartition;
-  record_relation_shape(program, options, options.journal);
-  const sym::TransitionRelation faults_rel = fault_relation(program, rel_mode);
+  // Partition-shape record (metrics, journal header).
+  record_relation_shape(program, options.journal);
+  const sym::TransitionRelation faults_rel = fault_relation(program);
 
   const std::size_t nproc = program.process_count();
   const bdd::Bdd delta_p = program.program_delta();
@@ -188,13 +186,11 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     LR_TRACE_SPAN_NAMED(groups_span, "cautious_repair.groups");
     const bdd::Bdd inv_zone = s1 & space.prime(s1) & ~mt;
     std::vector<bdd::Bdd> inv_j(nproc);
-    bdd::Bdd inv_all = space.bdd_false();
     for (std::size_t j = 0; j < nproc; ++j) {
       inv_j[j] = tolerant_groups(program, j, program.process_delta(j),
                                  inv_zone & program.process_delta(j),
                                  reach_ref, "analysis.invariant", options,
                                  result.stats);
-      inv_all |= inv_j[j];
     }
     // Keep original stutter loops inside the invariant.
     const bdd::Bdd inv_stutter = orig_diag & s1 & space.prime(s1);
@@ -219,20 +215,16 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     // --- Shrink (S1, T1) with the grouped transition sets -------------------------
     ++result.stats.addmasking_rounds;
     LR_TRACE_SPAN_NAMED(shrink_span, "cautious_repair.shrink");
-    // P1 as a relation: partitioned it keeps the per-process grouped sets
-    // as disjunctive parts (their supports are what early quantification
-    // schedules around); mono materializes the historical union.
-    sym::TransitionRelation p1_rel(space, rel_mode);
-    if (rel_partitioned) {
-      for (const bdd::Bdd& part : inv_j) {
-        if (!part.is_false()) p1_rel.add_part(part);
-      }
-      if (!inv_stutter.is_false()) p1_rel.add_part(inv_stutter);
-      for (const bdd::Bdd& part : rec_j) {
-        if (!part.is_false()) p1_rel.add_part(part);
-      }
-    } else {
-      p1_rel.add_part(inv_all | inv_stutter | rec_all);
+    // P1 as a relation: the per-process grouped sets stay disjunctive
+    // parts (their supports are what early quantification schedules
+    // around).
+    sym::TransitionRelation p1_rel(space);
+    for (const bdd::Bdd& part : inv_j) {
+      if (!part.is_false()) p1_rel.add_part(part);
+    }
+    if (!inv_stutter.is_false()) p1_rel.add_part(inv_stutter);
+    for (const bdd::Bdd& part : rec_j) {
+      if (!part.is_false()) p1_rel.add_part(part);
     }
     bdd::Bdd t2 = t1;
     while (true) {
@@ -256,20 +248,15 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     }
     bdd::Bdd s2 = s1 & t2;
     {
-      // Invariant closure under P1 ∧ S2': partitioned, prime(s2) rides as
-      // a conjunct of each invariant part instead of materializing the
-      // product.
-      sym::TransitionRelation closure_rel(space, rel_mode);
-      if (rel_partitioned) {
-        const bdd::Bdd s2_primed = space.prime(s2);
-        for (const bdd::Bdd& part : inv_j) {
-          if (!part.is_false()) closure_rel.add_part(part, s2_primed);
-        }
-        if (!inv_stutter.is_false()) {
-          closure_rel.add_part(inv_stutter, s2_primed);
-        }
-      } else {
-        closure_rel.add_part((inv_all | inv_stutter) & space.prime(s2));
+      // Invariant closure under P1 ∧ S2': prime(s2) rides as a conjunct
+      // of each invariant part instead of materializing the product.
+      sym::TransitionRelation closure_rel(space);
+      const bdd::Bdd s2_primed = space.prime(s2);
+      for (const bdd::Bdd& part : inv_j) {
+        if (!part.is_false()) closure_rel.add_part(part, s2_primed);
+      }
+      if (!inv_stutter.is_false()) {
+        closure_rel.add_part(inv_stutter, s2_primed);
       }
       s2 = construct_invariant(space, s2, closure_rel);
     }
@@ -292,13 +279,9 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     bdd::Bdd below = s1;
     bdd::Bdd layer_decreasing = space.bdd_false();
     bdd::Bdd remaining = t1.minus(s1);
-    sym::TransitionRelation rec_rel(space, rel_mode);
-    if (rel_partitioned) {
-      for (const bdd::Bdd& part : rec_j) {
-        if (!part.is_false()) rec_rel.add_part(part);
-      }
-    } else {
-      rec_rel.add_part(rec_all);
+    sym::TransitionRelation rec_rel(space);
+    for (const bdd::Bdd& part : rec_j) {
+      if (!part.is_false()) rec_rel.add_part(part);
     }
     result.stats.recovery_layers = 0;
     while (!remaining.is_false()) {
@@ -328,12 +311,11 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
 
     // --- Deadlock check over the program's own reachable span ----------------------
     LR_TRACE_SPAN_NAMED(dl_span, "cautious_repair.deadlock_check");
-    const bdd::Bdd realized = actions | inv_stutter;
     std::vector<bdd::Bdd> partitions = final_j;
     const std::vector<bdd::Bdd>& fault_parts = program.fault_action_deltas();
     partitions.insert(partitions.end(), fault_parts.begin(), fault_parts.end());
     const sym::TransitionRelation span_rel =
-        sym::TransitionRelation::build(space, partitions, rel_mode);
+        sym::TransitionRelation::partitioned(space, partitions);
     const bdd::Bdd span = space.forward_reachable(span_rel, s1);
     // Refinement reference: the candidate program's reach from the *full*
     // candidate invariant — the set the next round restarts from. (Using
@@ -358,15 +340,11 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     // Dead-region check: a state is alive when some successor chain stays
     // alive (stutter loops keep legitimate terminals alive); banning the
     // backward-closed dead set at once avoids one-layer-per-round peeling.
-    sym::TransitionRelation realized_rel(space, rel_mode);
-    if (rel_partitioned) {
-      for (const bdd::Bdd& part : final_j) {
-        if (!part.is_false()) realized_rel.add_part(part);
-      }
-      if (!inv_stutter.is_false()) realized_rel.add_part(inv_stutter);
-    } else {
-      realized_rel.add_part(realized);
+    sym::TransitionRelation realized_rel(space);
+    for (const bdd::Bdd& part : final_j) {
+      if (!part.is_false()) realized_rel.add_part(part);
     }
+    if (!inv_stutter.is_false()) realized_rel.add_part(inv_stutter);
     bdd::Bdd alive = span;
     while (true) {
       const bdd::Bdd shrunk = space.has_successor_in(realized_rel, alive);

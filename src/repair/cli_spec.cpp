@@ -41,20 +41,12 @@ const std::vector<support::FlagSpec>& repair_cli_flag_specs() {
        "print engine statistics (incl. BDD manager), the\n"
        "per-span BDD attribution table, the BDD memory report\n"
        "(per-level node histogram, table/cache occupancy) and\n"
-       "the GC / reorder introspection sections"},
-      {"sift", "",
-       "run one sifting reorder pass before the repair\n"
-       "(exercises the --stats reorder section)"},
-      {"rel", "MODE",
-       "transition-relation representation: auto|mono|\n"
-       "partition (default auto). partition runs the\n"
-       "image/preimage fixpoints over a scheduled\n"
-       "conjunctive/disjunctive partition with early\n"
-       "quantification; mono keeps flat BDDs. Results,\n"
-       "exports and journals are byte-identical across modes"},
+       "the GC introspection section"},
       {"order", "MODE",
-       "static initial variable order: auto|interleave|\n"
-       "adjacency|file:PATH (default: declaration order).\n"
+       "static initial variable order: decl|auto|file:PATH\n"
+       "(default decl: declaration order). auto scores the\n"
+       "interleave and adjacency heuristics against\n"
+       "declaration order and keeps the cheapest.\n"
        "file:PATH warm-starts from an --order-out profile;\n"
        "with --batch, PATH is a directory of per-model\n"
        "NAME.order.json profiles (missing ones fall back\n"

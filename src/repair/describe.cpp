@@ -143,7 +143,6 @@ std::vector<std::string> describe_stats(const Stats& stats) {
   line("bdd created nodes", count(bdd.created_nodes));
   line("bdd gc runs", count(bdd.gc_runs));
   line("bdd gc reclaimed", count(bdd.gc_reclaimed));
-  line("bdd reorder runs", count(bdd.reorder_runs));
   line("bdd live nodes", count(bdd.live_nodes));
   line("bdd peak nodes", count(bdd.peak_nodes));
   return lines;

@@ -37,7 +37,7 @@ namespace lr::repair {
 
 /// Renders a run's Stats as "name: value" lines — the paper-table numbers
 /// (step times, state counts, iteration counters) followed by the BDD
-/// engine block (cache hit rate, GC runs, peak/live nodes, reorders) from
+/// engine block (cache hit rate, GC runs, peak/live nodes) from
 /// the ManagerStats captured at the end of the run. `repair_cli --stats`
 /// prints exactly these lines.
 [[nodiscard]] std::vector<std::string> describe_stats(const Stats& stats);

@@ -125,8 +125,7 @@ class Renderer {
       : program_(program), space_(program.space()) {
     // foreach_cube enumerates DAG cubes, which depend on the variable
     // order: restore the creation order so exports are canonical no matter
-    // which --order mode (or sifting pass) the run used. Handles survive
-    // the swaps.
+    // which --order mode the run used. Handles survive the swaps.
     (void)bdd::order::restore_creation_order(space_.manager());
     // Restricted to the fault span: everything else is an unreachable
     // don't-care.

@@ -30,42 +30,25 @@ void eliminate_livelocks(prog::DistributedProgram& program,
                          const Options& options) {
   LR_TRACE_SPAN("lazy_repair.eliminate_livelocks");
   sym::Space& space = program.space();
+  // The νZ below runs monolithically on the main manager, with or without
+  // intra sharding: its iterate changes little per step, so the op cache
+  // absorbs repeat iterations almost entirely, where sharding would
+  // re-materialize every per-piece preimage each iteration. The first pass
+  // starts from the states outside the invariant; each later pass starts
+  // from the previous pass's fixpoint. Pruning only ever shrinks the
+  // deltas, so the old fixpoint over-approximates the new one and the
+  // descent reaches the same νZ from there.
   const bdd::Bdd outside = span.minus(invariant);
-  // Intra mode runs the νZ below on its own plan without changing its
-  // value (the fixpoint is canonical; the sequential path cannot be
-  // touched because its op sequence must stay byte-stable): the descent is
-  // kept monolithic on the main manager, and successive passes warm-seed
-  // from the previous fixpoint — pruning only shrinks the deltas, so each
-  // pass's greatest fixpoint is contained in the previous pass's and the
-  // descent may start there instead of from `outside`.
-  const bool sharded = space.intra_active();
-  bdd::Bdd warm_seed = outside;
+  bdd::Bdd cycle_states = outside;
   for (std::size_t pass = 0; pass < 2 * deltas.size() + 2; ++pass) {
     throw_if_cancelled(options.cancel);
     bdd::Bdd actions = space.bdd_false();
     for (const bdd::Bdd& dj : deltas) actions |= dj;
-    bdd::Bdd cycle_states = outside;
-    if (sharded) {
-      // The νZ iterate changes little per step, so the main op cache
-      // absorbs repeat iterations almost entirely; sharding would
-      // re-materialize every per-piece preimage each iteration. Run it
-      // monolithically, warm-seeded from the previous pass: pruning only
-      // ever shrinks the relation, so the old fixpoint over-approximates
-      // the new one and the descent reaches the same νZ from there.
-      bdd::Bdd z = warm_seed;
-      while (true) {
-        const bdd::Bdd shrunk = space.has_successor_in_local(actions, z);
-        if (shrunk == z) break;
-        z = shrunk;
-      }
-      cycle_states = z;
-      warm_seed = z;
-    } else {
-      while (true) {
-        const bdd::Bdd shrunk = space.has_successor_in(actions, cycle_states);
-        if (shrunk == cycle_states) break;
-        cycle_states = shrunk;
-      }
+    while (true) {
+      const bdd::Bdd shrunk =
+          space.has_successor_in_local(actions, cycle_states);
+      if (shrunk == cycle_states) break;
+      cycle_states = shrunk;
     }
     if (cycle_states.is_false()) break;
     const bdd::Bdd on_cycle = cycle_states & space.prime(cycle_states);
@@ -114,8 +97,8 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
 
   throw_if_cancelled(options.cancel);
 
-  // Static order first: everything below (compilation, sifting, intra
-  // workers mirroring the main order) must see the chosen initial order.
+  // Static order first: everything below (compilation, intra workers
+  // mirroring the main order) must see the chosen initial order.
   apply_order_options(program, options);
 
   if (options.journal != nullptr) {
@@ -123,18 +106,10 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
                                tolerance_level_name(options.level));
   }
 
-  if (options.sift_before_repair) {
-    (void)program.program_delta();  // compile everything first
-    (void)space.manager().reorder_sifting();
-  }
   space.enable_intra(options.intra_jobs);
 
-  // Resolve --rel against the program's natural partition width and record
-  // the partition shape (metrics + journal header). The shape describes
-  // the program, not the mode, so journals stay byte-identical across
-  // --rel values.
-  const sym::RelationMode rel_mode = resolved_relation_mode(program, options);
-  record_relation_shape(program, options, options.journal);
+  // Partition-shape record (metrics + journal header).
+  record_relation_shape(program, options.journal);
 
   bdd::Bdd candidate_invariant = program.invariant();
   bdd::Bdd extra_bad_trans = space.bdd_false();
@@ -147,7 +122,7 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
   if (options.restrict_to_reachable) {
     LR_TRACE_SPAN_NAMED(ctx_span, "lazy_repair.context_reach");
     context = space.forward_reachable(
-        program_fault_relation(program, rel_mode), candidate_invariant);
+        program_fault_relation(program), candidate_invariant);
     if (support::trace::enabled()) {
       ctx_span.attr("states", space.count_states(context));
     }
@@ -196,7 +171,7 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
     step1_parts.insert(step1_parts.end(), fault_parts.begin(),
                        fault_parts.end());
     const bdd::Bdd tolerance = space.forward_reachable(
-        sym::TransitionRelation::build(space, step1_parts, rel_mode),
+        sym::TransitionRelation::partitioned(space, step1_parts),
         step1.invariant);
     std::vector<bdd::Bdd> deltas =
         realize(program, step1.delta, tolerance, options, result.stats);
@@ -210,7 +185,7 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
     std::vector<bdd::Bdd> partitions = deltas;
     partitions.insert(partitions.end(), fault_parts.begin(), fault_parts.end());
     const bdd::Bdd realized_span = space.forward_reachable(
-        sym::TransitionRelation::build(space, partitions, rel_mode),
+        sym::TransitionRelation::partitioned(space, partitions),
         step1.invariant);
 
     // Deadlock check (Algorithm 1 lines 10-12), over the states the
@@ -249,7 +224,7 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
       realized_parts.insert(realized_parts.end(), deltas.begin(),
                             deltas.end());
       const sym::TransitionRelation realized_rel =
-          sym::TransitionRelation::build(space, realized_parts, rel_mode);
+          sym::TransitionRelation::partitioned(space, realized_parts);
       bdd::Bdd alive = realized_span;
       while (true) {
         const bdd::Bdd shrunk = space.has_successor_in(realized_rel, alive);

@@ -130,7 +130,6 @@ std::string options_fingerprint(const Options& options, bool cautious,
   }
   out += options.restrict_to_reachable ? "|heuristic=1" : "|heuristic=0";
   out += options.use_expand_group ? "|expand=1" : "|expand=0";
-  out += options.sift_before_repair ? "|sift=1" : "|sift=0";
   out += "|order=";
   out += sym::order::mode_name(options.order_mode);
   if (options.order_mode == sym::order::Mode::kFile) {

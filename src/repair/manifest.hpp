@@ -74,8 +74,8 @@ class Manifest {
 };
 
 /// Canonical fingerprint of everything that changes a repair's outcome:
-/// algorithm, tolerance level, group method, heuristic/ExpandGroup/sift
-/// toggles, iteration bound and whether the verifier ran. A manifest row
+/// algorithm, tolerance level, group method, heuristic/ExpandGroup
+/// toggles, static order, iteration bound and whether the verifier ran. A manifest row
 /// whose fingerprint differs from the current invocation is stale and its
 /// task re-runs. Timeout/retry/jobs settings are deliberately excluded:
 /// they bound *when* a result is produced, not *what* it is.

@@ -7,38 +7,6 @@
 
 namespace lr::repair {
 
-namespace {
-
-std::size_t natural_parts(prog::DistributedProgram& program) {
-  // One piece per process, one per fault action, plus the stutter
-  // completion (folded into the process count: it exists whenever any
-  // process does).
-  return program.process_count() + program.fault_action_deltas().size();
-}
-
-/// The shape is computed over a scheduled relation regardless of the
-/// execution mode, so every consumer (metrics, journal header, --stats)
-/// describes the same program identically under --rel=mono and
-/// --rel=partition.
-sym::RelationShape program_shape(prog::DistributedProgram& program) {
-  const std::vector<bdd::Bdd> pieces = program_delta_pieces(program);
-  sym::TransitionRelation rel(program.space(),
-                              sym::RelationMode::kPartition);
-  for (const bdd::Bdd& piece : pieces) rel.add_part(piece);
-  for (const bdd::Bdd& fault : program.fault_action_deltas()) {
-    rel.add_part(fault);
-  }
-  return rel.shape();
-}
-
-}  // namespace
-
-sym::RelationMode resolved_relation_mode(prog::DistributedProgram& program,
-                                         const Options& options) {
-  return sym::resolve_relation_mode(options.relation_mode,
-                                    natural_parts(program));
-}
-
 std::vector<bdd::Bdd> program_delta_pieces(
     prog::DistributedProgram& program) {
   std::vector<bdd::Bdd> pieces;
@@ -53,45 +21,33 @@ std::vector<bdd::Bdd> program_delta_pieces(
 }
 
 sym::TransitionRelation program_fault_relation(
-    prog::DistributedProgram& program, sym::RelationMode resolved) {
-  sym::Space& space = program.space();
-  if (resolved == sym::RelationMode::kPartition) {
-    sym::TransitionRelation rel(space, resolved);
-    for (const bdd::Bdd& piece : program_delta_pieces(program)) {
-      rel.add_part(piece);
-    }
-    for (const bdd::Bdd& fault : program.fault_action_deltas()) {
-      rel.add_part(fault);
-    }
-    return rel;
+    prog::DistributedProgram& program) {
+  sym::TransitionRelation rel(program.space());
+  for (const bdd::Bdd& piece : program_delta_pieces(program)) {
+    rel.add_part(piece);
   }
-  // Historical flat shape: process deltas + fault actions, no stutter
-  // (stutter steps add no reachability).
-  const std::vector<bdd::Bdd> parts = program.transition_partitions();
-  sym::TransitionRelation rel(space, sym::RelationMode::kMono);
-  for (const bdd::Bdd& part : parts) rel.add_part(part);
+  for (const bdd::Bdd& fault : program.fault_action_deltas()) {
+    rel.add_part(fault);
+  }
   return rel;
 }
 
-sym::TransitionRelation fault_relation(prog::DistributedProgram& program,
-                                       sym::RelationMode resolved) {
-  sym::Space& space = program.space();
-  if (resolved == sym::RelationMode::kPartition) {
-    sym::TransitionRelation rel(space, resolved);
-    for (const bdd::Bdd& fault : program.fault_action_deltas()) {
-      rel.add_part(fault);
-    }
-    if (rel.part_count() == 0) rel.add_part(space.bdd_false());
-    return rel;
+sym::TransitionRelation fault_relation(prog::DistributedProgram& program) {
+  sym::TransitionRelation rel(program.space());
+  for (const bdd::Bdd& fault : program.fault_action_deltas()) {
+    rel.add_part(fault);
   }
-  return sym::TransitionRelation::monolithic(space, program.fault_delta());
+  if (rel.part_count() == 0) rel.add_part(program.space().bdd_false());
+  return rel;
 }
 
 void record_relation_shape(prog::DistributedProgram& program,
-                           const Options& options, Journal* journal) {
-  const sym::RelationShape shape = program_shape(program);
-  const sym::RelationMode resolved =
-      resolved_relation_mode(program, options);
+                           Journal* journal) {
+  // Named, so it outlives the gauge inserts below: with the relation freed
+  // first, that allocation order alone raised lr_bench's chain-tail
+  // peak_rss_mb by 0.9 MB (EXPERIMENTS.md, "One relation representation").
+  const sym::TransitionRelation rel = program_fault_relation(program);
+  const sym::RelationShape shape = rel.shape();
   support::metrics::Registry& m = support::metrics::registry();
   m.set_gauge("bdd.relation.parts", static_cast<double>(shape.parts));
   m.set_gauge("bdd.relation.conjuncts",
@@ -105,12 +61,7 @@ void record_relation_shape(prog::DistributedProgram& program,
               static_cast<double>(shape.schedulable_bits));
   m.set_gauge("bdd.relation.total_bits",
               static_cast<double>(shape.total_bits));
-  m.set_gauge("bdd.relation.mode." +
-                  std::string(sym::relation_mode_name(resolved)),
-              1.0);
   if (journal != nullptr) {
-    // Header keys describe the program's partition shape, never the
-    // execution mode: journals must stay byte-identical across --rel.
     journal->meta("relation_parts", std::to_string(shape.parts));
     journal->meta("relation_conjuncts", std::to_string(shape.conjuncts));
     journal->meta("relation_max_support_bits",
@@ -123,16 +74,10 @@ void record_relation_shape(prog::DistributedProgram& program,
 }
 
 void write_relation_report(prog::DistributedProgram& program,
-                           const Options& options, std::ostream& out) {
-  const sym::RelationShape shape = program_shape(program);
-  const sym::RelationMode resolved =
-      resolved_relation_mode(program, options);
+                           std::ostream& out) {
+  const sym::RelationShape shape = program_fault_relation(program).shape();
   out << "transition relation:\n";
-  out << "  mode: " << sym::relation_mode_name(resolved);
-  if (options.relation_mode == sym::RelationMode::kAuto) {
-    out << " (requested auto)";
-  }
-  out << "\n";
+  out << "  mode: partition\n";
   out << "  parts: " << shape.parts << " (" << shape.conjuncts
       << " conjuncts)\n";
   out << "  support bits: min " << shape.min_support_bits << ", max "

@@ -4,19 +4,11 @@
 #include <vector>
 
 #include "program/distributed_program.hpp"
-#include "repair/types.hpp"
 #include "symbolic/relation.hpp"
 
 namespace lr::repair {
 
 class Journal;
-
-/// Options::relation_mode resolved against the program's natural partition
-/// width (process deltas + fault actions): kAuto becomes kPartition when
-/// there are >= 2 parts to schedule around, kMono otherwise. Freezes the
-/// program (the width needs the compiled deltas).
-[[nodiscard]] sym::RelationMode resolved_relation_mode(
-    prog::DistributedProgram& program, const Options& options);
 
 /// The disjunctive pieces of δ_P (Definition 18): one per process plus the
 /// stutter completion. Their union is exactly program_delta(), which is
@@ -25,30 +17,26 @@ class Journal;
 [[nodiscard]] std::vector<bdd::Bdd> program_delta_pieces(
     prog::DistributedProgram& program);
 
-/// δ_P ∪ f as a TransitionRelation: under kPartition one scheduled part
-/// per process/fault action (plus the stutter piece); under kMono the
-/// historical flat partition (transition_partitions()).
+/// δ_P ∪ f as a TransitionRelation: one part per process/fault action plus
+/// the stutter piece.
 [[nodiscard]] sym::TransitionRelation program_fault_relation(
-    prog::DistributedProgram& program, sym::RelationMode resolved);
+    prog::DistributedProgram& program);
 
-/// The fault actions as a TransitionRelation: one scheduled part per
-/// fault action under kPartition, the monolithic fault_delta() under
-/// kMono (the historical call shape of the fault fixpoints).
+/// The fault actions as a TransitionRelation: one part per fault action
+/// (a single false part when the program has none).
 [[nodiscard]] sym::TransitionRelation fault_relation(
-    prog::DistributedProgram& program, sym::RelationMode resolved);
+    prog::DistributedProgram& program);
 
 /// Records the program relation's partition shape: `bdd.relation.*`
 /// metric gauges and, when `journal` is non-null, the journal header's
-/// partition summary. The shape describes the *program* (parts, conjuncts,
-/// support widths), never the execution mode, so journals stay
-/// byte-identical across --rel modes; only the metrics record the mode.
+/// partition summary (parts, conjuncts, support widths).
 void record_relation_shape(prog::DistributedProgram& program,
-                           const Options& options, Journal* journal);
+                           Journal* journal);
 
-/// Renders the --stats "transition relation" section: the resolved mode,
-/// part/conjunct counts and the support-width distribution that bounds
-/// what early quantification can save.
+/// Renders the --stats "transition relation" section: part/conjunct counts
+/// and the support-width distribution that bounds what early
+/// quantification can save.
 void write_relation_report(prog::DistributedProgram& program,
-                           const Options& options, std::ostream& out);
+                           std::ostream& out);
 
 }  // namespace lr::repair

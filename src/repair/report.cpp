@@ -36,7 +36,6 @@ void record_run_metrics(const Stats& stats, const std::string& prefix) {
   m.add(p + "bdd.created_nodes", stats.bdd.created_nodes);
   m.add(p + "bdd.gc_runs", stats.bdd.gc_runs);
   m.add(p + "bdd.gc_reclaimed", stats.bdd.gc_reclaimed);
-  m.add(p + "bdd.reorder_runs", stats.bdd.reorder_runs);
   m.add(p + "bdd.cache_evictions", stats.bdd.cache_evictions);
   m.max_gauge(p + "bdd.live_nodes", static_cast<double>(stats.bdd.live_nodes));
   m.max_gauge(p + "bdd.peak_nodes", static_cast<double>(stats.bdd.peak_nodes));

@@ -8,7 +8,6 @@
 #include "bdd/bdd.hpp"
 #include "repair/cancel.hpp"
 #include "symbolic/order_heur.hpp"
-#include "symbolic/relation.hpp"
 
 namespace lr::repair {
 
@@ -67,12 +66,6 @@ struct Options {
 
   GroupMethod group_method = GroupMethod::kPaperLoop;
 
-  /// Run one pass of BDD variable sifting over the compiled program before
-  /// repairing. The interleaved static order is usually already good;
-  /// sifting occasionally helps models whose interaction structure does
-  /// not follow declaration order.
-  bool sift_before_repair = false;
-
   /// Static initial variable order, applied before the model is compiled
   /// (and before intra workers mirror the order): kDecl keeps declaration
   /// order, the heuristic modes compute one from the parsed structure, and
@@ -89,15 +82,6 @@ struct Options {
   /// Bound on Algorithm 1's outer repeat loop (defensive; case studies
   /// converge in 1-2 iterations).
   std::size_t max_outer_iterations = 64;
-
-  /// Transition-relation representation (--rel). kPartition runs the
-  /// image/preimage fixpoints over a scheduled conjunctive/disjunctive
-  /// partition with early quantification (see symbolic/relation.hpp);
-  /// kMono keeps the historical flat-BDD call shapes. kAuto partitions
-  /// whenever the program has >= 2 natural parts. Both representations
-  /// compute the same canonical sets, so results, exports, journals and
-  /// non-timing metrics are byte-identical across modes.
-  sym::RelationMode relation_mode = sym::RelationMode::kAuto;
 
   /// Intra-problem worker count (--par-intra). With >= 2, image/preimage
   /// computation shards the transition relation across a per-problem

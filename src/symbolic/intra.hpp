@@ -156,8 +156,8 @@ class IntraEngine {
 
  private:
   /// Re-checks that every worker's level order still matches the main
-  /// manager's (reorder_sifting may have run); realigns and drops memos
-  /// when it does not.
+  /// manager's (the export's creation-order restore swaps levels);
+  /// realigns and drops memos when it does not.
   void sync_order();
   void align_worker(Worker& w);
   void drop_pins();

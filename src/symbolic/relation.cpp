@@ -1,36 +1,9 @@
 #include "symbolic/relation.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace lr::sym {
-
-const char* relation_mode_name(RelationMode mode) noexcept {
-  switch (mode) {
-    case RelationMode::kMono:
-      return "mono";
-    case RelationMode::kPartition:
-      return "partition";
-    case RelationMode::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-std::optional<RelationMode> parse_relation_mode(
-    std::string_view name) noexcept {
-  if (name == "mono") return RelationMode::kMono;
-  if (name == "partition") return RelationMode::kPartition;
-  if (name == "auto") return RelationMode::kAuto;
-  return std::nullopt;
-}
-
-RelationMode resolve_relation_mode(RelationMode requested,
-                                   std::size_t parts) noexcept {
-  if (requested != RelationMode::kAuto) return requested;
-  return parts >= 2 ? RelationMode::kPartition : RelationMode::kMono;
-}
 
 namespace {
 
@@ -78,30 +51,9 @@ void schedule_part(Space& space, RelationPart& part) {
 
 }  // namespace
 
-TransitionRelation::TransitionRelation(Space& space, RelationMode mode)
-    : space_(&space), scheduled_(mode == RelationMode::kPartition) {
-  assert(mode != RelationMode::kAuto &&
-         "TransitionRelation: resolve kAuto before construction");
-}
-
-TransitionRelation TransitionRelation::monolithic(Space& space, bdd::Bdd rel) {
-  TransitionRelation relation(space, RelationMode::kMono);
-  relation.add_part(rel);
-  return relation;
-}
-
 TransitionRelation TransitionRelation::partitioned(
     Space& space, std::span<const bdd::Bdd> parts) {
-  TransitionRelation relation(space, RelationMode::kPartition);
-  for (const bdd::Bdd& part : parts) relation.add_part(part);
-  return relation;
-}
-
-TransitionRelation TransitionRelation::build(Space& space,
-                                             std::span<const bdd::Bdd> parts,
-                                             RelationMode mode) {
-  TransitionRelation relation(space,
-                              resolve_relation_mode(mode, parts.size()));
+  TransitionRelation relation(space);
   for (const bdd::Bdd& part : parts) relation.add_part(part);
   return relation;
 }
@@ -112,15 +64,8 @@ void TransitionRelation::add_part(std::span<const bdd::Bdd> conjuncts) {
         "TransitionRelation::add_part: a part needs at least one conjunct");
   }
   RelationPart part;
-  if (scheduled_) {
-    part.conjuncts.assign(conjuncts.begin(), conjuncts.end());
-    schedule_part(*space_, part);
-  } else {
-    // Mono keeps the historical flat shape: one materialized BDD per part.
-    bdd::Bdd flat = conjuncts[0];
-    for (std::size_t i = 1; i < conjuncts.size(); ++i) flat &= conjuncts[i];
-    part.conjuncts.push_back(std::move(flat));
-  }
+  part.conjuncts.assign(conjuncts.begin(), conjuncts.end());
+  schedule_part(*space_, part);
   parts_.push_back(std::move(part));
   // The cached flattenings are prefixes of the part list; invalidate only
   // the union (append keeps per-part entries valid).
@@ -170,14 +115,7 @@ RelationShape TransitionRelation::shape() const {
   double support_sum = 0.0;
   for (const RelationPart& part : parts_) {
     shape.conjuncts += part.conjuncts.size();
-    std::size_t support = part.support_bits;
-    if (!scheduled_) {
-      // Mono parts carry no schedule; recompute so both modes describe the
-      // same program with the same numbers.
-      const std::vector<bool> mask = support_mask(*space_, part.conjuncts);
-      support = static_cast<std::size_t>(
-          std::count(mask.begin(), mask.end(), true));
-    }
+    const std::size_t support = part.support_bits;
     shape.min_support_bits = std::min(shape.min_support_bits, support);
     shape.max_support_bits = std::max(shape.max_support_bits, support);
     support_sum += static_cast<double>(support);

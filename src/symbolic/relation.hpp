@@ -23,17 +23,13 @@
 // (order_heur's support analysis) guides how the repair layer *groups*
 // actions into parts; the cubes themselves never over-approximate.
 //
-// Representation modes: a relation is built either `scheduled` (the
-// partitioned representation above) or flat (mono) — the exact pre-refactor
-// call shapes, kept so `--rel=mono` reproduces the historical execution
-// path and the differential suite can compare the two. Both paths compute
-// the same canonical sets, so exports, journals and non-timing metrics are
-// byte-identical by construction.
+// This is the engine's one transition-relation representation. The flat
+// `bdd::Bdd` and span overloads of Space's image/preimage stay as the
+// reference the scheduled path is tested against (they compute the same
+// canonical sets).
 
 #include <cstddef>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -41,27 +37,10 @@
 
 namespace lr::sym {
 
-/// Which transition-relation representation the engine executes with.
-enum class RelationMode {
-  kMono,       ///< flat per-part BDDs, no early-quantification schedule
-  kPartition,  ///< scheduled conjunctive/disjunctive partition
-  kAuto,       ///< partition when the program has >= 2 parts, else mono
-};
-
-[[nodiscard]] const char* relation_mode_name(RelationMode mode) noexcept;
-[[nodiscard]] std::optional<RelationMode> parse_relation_mode(
-    std::string_view name) noexcept;
-
-/// Resolves kAuto against the partition width: partitioning only pays when
-/// there is more than one part to schedule around.
-[[nodiscard]] RelationMode resolve_relation_mode(RelationMode requested,
-                                                 std::size_t parts) noexcept;
-
 /// One disjunctive part: a conjunction of factors plus its
 /// early-quantification cubes. `local_*` cubes cover the state bits inside
 /// the part's support (quantified during the product), `absent_*` cubes the
 /// bits outside it (quantified out of the operand before the product).
-/// The cube handles are only populated on scheduled relations.
 struct RelationPart {
   std::vector<bdd::Bdd> conjuncts;
   bdd::Bdd local_cur_cube;
@@ -72,8 +51,6 @@ struct RelationPart {
 };
 
 /// Partition-shape summary (metrics, journal header, --stats report).
-/// Describes the *relation*, not the execution mode, so both modes report
-/// identical shapes for the same program.
 struct RelationShape {
   std::size_t parts = 0;
   std::size_t conjuncts = 0;
@@ -88,40 +65,24 @@ struct RelationShape {
 };
 
 /// A transition relation as an explicit disjunctive partition of
-/// conjunctive parts. See the file comment for the representation contract.
+/// conjunctive parts. See the file comment for the schedule.
 class TransitionRelation {
  public:
-  /// An empty relation to grow with add_part(). `mode` must already be
-  /// resolved (kMono or kPartition, not kAuto).
-  TransitionRelation(Space& space, RelationMode mode);
+  /// An empty relation to grow with add_part().
+  explicit TransitionRelation(Space& space) : space_(&space) {}
 
-  /// A single flat part, no schedule (the historical call shape).
-  [[nodiscard]] static TransitionRelation monolithic(Space& space,
-                                                     bdd::Bdd rel);
-
-  /// One scheduled part per entry of `parts`.
+  /// One part per entry of `parts`.
   [[nodiscard]] static TransitionRelation partitioned(
       Space& space, std::span<const bdd::Bdd> parts);
 
-  /// Mode-resolving factory: builds scheduled parts under kPartition (or
-  /// kAuto with >= 2 parts) and flat parts otherwise.
-  [[nodiscard]] static TransitionRelation build(Space& space,
-                                                std::span<const bdd::Bdd> parts,
-                                                RelationMode mode);
-
-  /// Appends one part. Scheduled relations keep the conjuncts separate and
-  /// compute the part's quantification cubes from the union of their
-  /// supports; mono relations conjoin them immediately (the historical
-  /// shape). Multi-factor parts are how call sites avoid materializing
-  /// products like `delta ∧ prime(invariant)`.
+  /// Appends one part. The conjuncts stay separate; the part's
+  /// quantification cubes come from the union of their supports.
+  /// Multi-factor parts are how call sites avoid materializing products
+  /// like `delta ∧ prime(invariant)`.
   void add_part(std::span<const bdd::Bdd> conjuncts);
   void add_part(const bdd::Bdd& a);
   void add_part(const bdd::Bdd& a, const bdd::Bdd& b);
 
-  [[nodiscard]] bool scheduled() const noexcept { return scheduled_; }
-  [[nodiscard]] RelationMode mode() const noexcept {
-    return scheduled_ ? RelationMode::kPartition : RelationMode::kMono;
-  }
   [[nodiscard]] const std::vector<RelationPart>& parts() const noexcept {
     return parts_;
   }
@@ -139,13 +100,11 @@ class TransitionRelation {
   /// do.
   [[nodiscard]] const bdd::Bdd& flat() const;
 
-  /// Partition-shape summary. Supports are computed on demand for mono
-  /// relations so both modes describe the same program identically.
+  /// Partition-shape summary.
   [[nodiscard]] RelationShape shape() const;
 
  private:
   Space* space_;
-  bool scheduled_;
   std::vector<RelationPart> parts_;
   mutable std::vector<bdd::Bdd> flat_parts_;
   mutable bdd::Bdd flat_;

@@ -358,7 +358,6 @@ bdd::Bdd Space::preimage_part(const RelationPart& part,
 
 bdd::Bdd Space::image(const TransitionRelation& rel, const bdd::Bdd& from) {
   freeze();
-  if (!rel.scheduled()) return image(rel.flat_parts(), from);
   if (intra_ != nullptr && rel.part_count() > 1) {
     std::vector<IntraEngine::ScheduledPiece> pieces;
     for (const RelationPart& part : rel.parts()) {
@@ -375,7 +374,6 @@ bdd::Bdd Space::image(const TransitionRelation& rel, const bdd::Bdd& from) {
 
 bdd::Bdd Space::preimage(const TransitionRelation& rel, const bdd::Bdd& to) {
   freeze();
-  if (!rel.scheduled()) return preimage(rel.flat_parts(), to);
   const bdd::Bdd to_primed = prime(to);
   if (intra_ != nullptr && rel.part_count() > 1) {
     std::vector<IntraEngine::ScheduledPiece> pieces;
@@ -439,12 +437,6 @@ bdd::Bdd Space::forward_reachable(std::span<const bdd::Bdd> rels,
 
 bdd::Bdd Space::forward_reachable(const TransitionRelation& rel,
                                   const bdd::Bdd& from) {
-  if (!rel.scheduled()) {
-    if (rel.part_count() == 1) {
-      return forward_reachable(rel.flat_parts()[0], from);
-    }
-    return forward_reachable(rel.flat_parts(), from);
-  }
   LR_TRACE_SPAN_NAMED(span, "space.forward_reachable_partitioned");
   freeze();
   std::uint64_t images = 0;

@@ -150,13 +150,11 @@ class Space {
 
   // --- Relation-aware overloads (symbolic/relation.hpp) --------------------
   //
-  // A scheduled TransitionRelation interleaves quantification with
-  // conjunction: per part, the bits outside the part's support are
-  // quantified out of the operand first, then a combined and-exists over
-  // the part's conjuncts quantifies only the support-local bits. An
-  // unscheduled (mono) relation falls through to the flat overloads above,
-  // reproducing the historical execution path exactly. Either way the
-  // results are the same canonical sets.
+  // A TransitionRelation interleaves quantification with conjunction: per
+  // part, the bits outside the part's support are quantified out of the
+  // operand first, then a combined and-exists over the part's conjuncts
+  // quantifies only the support-local bits. The results are the same
+  // canonical sets the flat overloads above compute.
 
   /// Image over a TransitionRelation (∪ over parts).
   [[nodiscard]] bdd::Bdd image(const TransitionRelation& rel,
@@ -180,8 +178,7 @@ class Space {
                                            const bdd::Bdd& from);
 
   /// Forward reachability over a TransitionRelation: chaotic per-part
-  /// saturation when the relation has several parts (scheduled or not),
-  /// breadth-first on the single part otherwise.
+  /// saturation, each part saturated in turn until a global fixpoint.
   [[nodiscard]] bdd::Bdd forward_reachable(const TransitionRelation& rel,
                                            const bdd::Bdd& from);
 
@@ -228,15 +225,8 @@ class Space {
 
   /// Pool thread count of the sharded path (1 = sequential execution —
   /// though the engine may still be active under profiling, see
-  /// enable_intra). Algorithm selection must use intra_active() instead.
+  /// enable_intra).
   [[nodiscard]] std::size_t intra_jobs() const noexcept;
-
-  /// True when the sharding engine is active, whatever its thread count.
-  /// The branch condition for sharded-vs-monolithic plans: both profiled
-  /// modes agree on it, keeping their op sequences identical.
-  [[nodiscard]] bool intra_active() const noexcept {
-    return intra_ != nullptr;
-  }
 
   /// The sharding engine, or nullptr when sequential. The repair layer
   /// uses it directly for parallel per-process group enumeration.

@@ -114,7 +114,6 @@ TEST(BddOrderTest, ProfileJsonRoundTripsExactly) {
   EXPECT_EQ(parsed->source, profile.source);
   EXPECT_EQ(parsed->live_nodes, profile.live_nodes);
   EXPECT_EQ(parsed->peak_nodes, profile.peak_nodes);
-  EXPECT_EQ(parsed->reorder_runs, profile.reorder_runs);
   ASSERT_EQ(parsed->levels.size(), profile.levels.size());
   for (std::size_t i = 0; i < profile.levels.size(); ++i) {
     EXPECT_EQ(parsed->levels[i].label, profile.levels[i].label);

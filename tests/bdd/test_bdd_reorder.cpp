@@ -1,4 +1,5 @@
-// Tests for dynamic variable reordering (sifting).
+// Tests for in-place level exchange (Manager::swap_adjacent_levels) and
+// the complete reorders built from it (bdd::order::apply_order).
 
 #include <gtest/gtest.h>
 
@@ -6,8 +7,7 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
-#include "bdd/meminfo.hpp"
-#include "support/metrics.hpp"
+#include "bdd/order.hpp"
 #include "support/rng.hpp"
 
 namespace lr::bdd {
@@ -26,6 +26,17 @@ std::vector<bool> fingerprint(const Manager& mgr, const Bdd& f,
   }
   (void)assignment;
   return table;
+}
+
+/// Imposes a seeded random permutation of every variable as the order.
+void apply_random_order(Manager& mgr, std::uint64_t seed) {
+  std::vector<VarIndex> order(mgr.var_count());
+  std::iota(order.begin(), order.end(), VarIndex{0});
+  lr::support::SplitMix64 rng(seed);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.below(i)]);
+  }
+  (void)order::apply_order(mgr, order);
 }
 
 TEST(BddReorderTest, SwapAdjacentLevelsPreservesSemantics) {
@@ -73,30 +84,6 @@ TEST(BddReorderTest, DoubleSwapIsStructuralIdentity) {
   EXPECT_EQ(again, f);
 }
 
-TEST(BddReorderTest, SiftingShrinksTheCombFunction) {
-  // f = a0·b0 + a1·b1 + ... with all a's declared before all b's: the
-  // worst-case order (exponential BDD); interleaving makes it linear.
-  constexpr std::uint32_t kPairs = 7;
-  Manager mgr;
-  std::vector<VarIndex> a(kPairs);
-  std::vector<VarIndex> b(kPairs);
-  for (auto& v : a) v = mgr.new_var();
-  for (auto& v : b) v = mgr.new_var();
-  Bdd f = mgr.bdd_false();
-  for (std::uint32_t i = 0; i < kPairs; ++i) {
-    f |= mgr.bdd_var(a[i]) & mgr.bdd_var(b[i]);
-  }
-  const std::size_t before = f.node_count();
-  EXPECT_GT(before, (1u << kPairs));  // exponential under the bad order
-
-  const auto table = fingerprint(mgr, f, 14);
-  (void)mgr.reorder_sifting(2);
-  // Semantics preserved through the same handle.
-  EXPECT_EQ(fingerprint(mgr, f, 14), table);
-  // Sifting must find (nearly) the interleaved order: linear size.
-  EXPECT_LT(f.node_count(), 6 * kPairs);
-}
-
 TEST(BddReorderTest, OperationsAfterReorderAreCanonical) {
   Manager mgr;
   std::vector<VarIndex> vars;
@@ -112,7 +99,9 @@ TEST(BddReorderTest, OperationsAfterReorderAreCanonical) {
     }
     f |= term;
   }
-  (void)mgr.reorder_sifting();
+  const auto table = fingerprint(mgr, f, 8);
+  apply_random_order(mgr, 78);
+  EXPECT_EQ(fingerprint(mgr, f, 8), table);
   // New operations must agree with a fresh manager computing in the
   // original order (semantic differential).
   const Bdd g = f ^ mgr.bdd_var(vars[3]);
@@ -142,79 +131,20 @@ TEST(BddReorderTest, SatCountInvariantUnderReordering) {
     f |= term;
   }
   const double count = mgr.sat_count(f, 10);
-  (void)mgr.reorder_sifting(2);
-  EXPECT_DOUBLE_EQ(mgr.sat_count(f, 10), count);
-}
-
-TEST(BddReorderTest, ZeroPopulationVariablesSkipTheirJourneys) {
-  // Four used variables, four that never label a node. Pre-fix, the empty
-  // variables did full 2n-swap journeys and the upward tie-preference
-  // bubbled them to the top; now they record a trivial move and stay put.
-  Manager mgr;
-  for (int i = 0; i < 8; ++i) (void)mgr.new_var();
-  const Bdd f = (mgr.bdd_var(0) & mgr.bdd_var(2)) |
-                (mgr.bdd_var(1) & mgr.bdd_var(3));
-  const auto table = fingerprint(mgr, f, 8);
-  (void)mgr.reorder_sifting(1);
-  EXPECT_EQ(fingerprint(mgr, f, 8), table);
-
-  ASSERT_FALSE(mgr.reorder_log().empty());
-  const ReorderRecord& record = mgr.reorder_log().back();
-  EXPECT_EQ(record.moves.size(), 8u) << "one move per variable, even skips";
-  for (const SiftMove& move : record.moves) {
-    if (move.var < 4) continue;
-    EXPECT_EQ(move.start_level, move.end_level)
-        << "empty variable " << move.var << " journeyed";
-    EXPECT_EQ(move.node_delta, 0);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    apply_random_order(mgr, seed);
+    EXPECT_DOUBLE_EQ(mgr.sat_count(f, 10), count) << "order seed " << seed;
   }
-  // The top level must hold live nodes: empty variables no longer float
-  // above the populated ones.
-  const std::vector<std::size_t> histogram = mgr.level_histogram();
-  EXPECT_GT(histogram[0], 0u);
-  for (std::uint32_t l = 4; l < 8; ++l) {
-    EXPECT_EQ(histogram[l], 0u) << "level " << l;
-  }
-}
-
-TEST(BddReorderTest, ResiftingAConvergedManagerStopsAfterOnePass) {
-  // Same comb function as SiftingShrinksTheCombFunction: sift once to
-  // convergence, then sift again — the second run's first pass relocates
-  // and improves nothing and must end the run (no re-sifting loops).
-  constexpr std::uint32_t kPairs = 6;
-  Manager mgr;
-  std::vector<VarIndex> a(kPairs);
-  std::vector<VarIndex> b(kPairs);
-  for (auto& v : a) v = mgr.new_var();
-  for (auto& v : b) v = mgr.new_var();
-  Bdd f = mgr.bdd_false();
-  for (std::uint32_t i = 0; i < kPairs; ++i) {
-    f |= mgr.bdd_var(a[i]) & mgr.bdd_var(b[i]);
-  }
-  (void)mgr.reorder_sifting(4);
-  const std::size_t converged = mgr.live_nodes();
-  (void)mgr.reorder_sifting(4);
-  ASSERT_EQ(mgr.reorder_log().size(), 2u);
-  const ReorderRecord& second = mgr.reorder_log().back();
-  EXPECT_EQ(second.passes, 1) << "a no-move pass must end the run early";
-  EXPECT_EQ(mgr.live_nodes(), converged);
-  EXPECT_EQ(second.live_after, second.live_before);
-
-  // The run is observable through the bdd.reorder.* metrics.
-  meminfo::record_reorder_metrics(mgr);
-  const support::metrics::Registry& m = support::metrics::registry();
-  EXPECT_EQ(m.gauge("bdd.reorder.runs"), 2.0);
-  EXPECT_EQ(m.gauge("bdd.reorder.passes"), 1.0);
-  EXPECT_EQ(m.gauge("bdd.reorder.live_before"),
-            static_cast<double>(converged));
-  EXPECT_EQ(m.gauge("bdd.reorder.live_after"),
-            static_cast<double>(converged));
 }
 
 TEST(BddReorderTest, SingleVariableIsANoOp) {
   Manager mgr;
   (void)mgr.new_var();
   const Bdd f = mgr.bdd_var(0);
-  EXPECT_EQ(mgr.reorder_sifting(), mgr.live_nodes());
+  const std::size_t live = mgr.live_nodes();
+  const VarIndex only[] = {0};
+  EXPECT_EQ(order::apply_order(mgr, only), 0u);
+  EXPECT_EQ(mgr.live_nodes(), live);
   EXPECT_EQ(f, mgr.bdd_var(0));
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for the BDD memory & structure telemetry: the per-level
 // histogram must account for exactly the live internal nodes, occupancy
-// figures must stay within their bounds, eviction/GC/reorder logs must
+// figures must stay within their bounds, eviction and GC logs must
 // record what actually happened, and the metrics mirror must carry it all.
 
 #include <gtest/gtest.h>
@@ -169,29 +169,6 @@ TEST_F(BddMeminfoTest, GcLogRecordsTriggerAndReclaim) {
   EXPECT_STREQ(gc_trigger_name(record.trigger), "explicit");
 }
 
-TEST_F(BddMeminfoTest, ReorderLogRecordsPerVariableJourneys) {
-  const Bdd f = build_workload();
-  ASSERT_TRUE(mgr_.reorder_log().empty());
-  mgr_.reorder_sifting(1);
-  ASSERT_EQ(mgr_.reorder_log().size(), 1u);
-  const ReorderRecord& record = mgr_.reorder_log().front();
-  EXPECT_EQ(record.passes, 1);
-  // One journey per variable per pass, each settling inside the order.
-  ASSERT_EQ(record.moves.size(), vars_.size());
-  for (const SiftMove& move : record.moves) {
-    EXPECT_LT(move.start_level, vars_.size());
-    EXPECT_LT(move.end_level, vars_.size());
-    EXPECT_LE(move.node_delta, 0) << "sifting never settles for worse";
-  }
-  // Sifting's internal GCs carry the reorder trigger.
-  bool saw_reorder_gc = false;
-  for (const GcRecord& gc : mgr_.gc_log()) {
-    saw_reorder_gc = saw_reorder_gc || gc.trigger == GcTrigger::kReorder;
-  }
-  EXPECT_TRUE(saw_reorder_gc);
-  (void)f;
-}
-
 TEST_F(BddMeminfoTest, WriteReportListsTopLevelsDeterministically) {
   const Bdd f = build_workload();
   mgr_.collect_garbage();
@@ -210,12 +187,10 @@ TEST_F(BddMeminfoTest, WriteReportListsTopLevelsDeterministically) {
   (void)f;
 }
 
-TEST_F(BddMeminfoTest, MetricsMirrorCarriesMemAndReorderKeys) {
+TEST_F(BddMeminfoTest, MetricsMirrorCarriesMemKeys) {
   const Bdd f = build_workload();
-  mgr_.reorder_sifting(1);
   const meminfo::MemInfo info = meminfo::collect(mgr_);
   meminfo::record_metrics(info, "meminfotest.mem");
-  meminfo::record_reorder_metrics(mgr_, "meminfotest.reorder");
   support::metrics::Registry& m = support::metrics::registry();
   EXPECT_EQ(m.gauge("meminfotest.mem.live_nodes"),
             static_cast<double>(info.live_nodes));
@@ -228,14 +203,6 @@ TEST_F(BddMeminfoTest, MetricsMirrorCarriesMemAndReorderKeys) {
             static_cast<double>(info.cache_cap));
   EXPECT_EQ(m.gauge("meminfotest.mem.cache_resizes"),
             static_cast<double>(info.cache_resizes));
-  EXPECT_EQ(m.gauge("meminfotest.reorder.runs"), 1.0);
-  const SiftMove& first = mgr_.reorder_log().back().moves.front();
-  const std::string base =
-      "meminfotest.reorder.var." + std::to_string(first.var) + ".";
-  EXPECT_EQ(m.gauge(base + "start_level"),
-            static_cast<double>(first.start_level));
-  EXPECT_EQ(m.gauge(base + "end_level"),
-            static_cast<double>(first.end_level));
   // Per-level histogram gauges exist for populated levels.
   bool found_level = false;
   for (std::size_t level = 0; level < info.level_histogram.size(); ++level) {

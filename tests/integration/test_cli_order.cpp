@@ -1,7 +1,9 @@
 // Drives the real repair_cli binary through the --order / --order-out
 // surface: warm-start fixpoint byte-stability, the committed golden
-// profile for the chain-4 case study, export canonicality across modes,
-// and the exit-2 error paths for malformed order arguments.
+// profile for the chain-4 case study, export canonicality across orders,
+// and the exit-2 error paths for malformed order arguments. The CLI only
+// offers decl, auto and file:PATH; the forced heuristic orders these
+// tests need are planned through the API and handed over as profiles.
 //
 // Regenerate the golden profile after an intentional format change with
 //   LR_UPDATE_GOLDEN=1 ./test_cli_order
@@ -12,10 +14,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
+#include "bdd/order.hpp"
+#include "casestudies/chain.hpp"
+#include "repair/lazy.hpp"
+#include "repair/order_setup.hpp"
+
 namespace {
+
+using lr::sym::order::Mode;
 
 std::string cli_path() { return LR_REPAIR_CLI; }
 
@@ -54,18 +64,34 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
+std::unique_ptr<lr::prog::DistributedProgram> make_chain(std::size_t length) {
+  lr::cs::ChainOptions chain;
+  chain.length = length;
+  return lr::cs::make_chain(chain);
+}
+
+/// Saves the order `mode` plans for the chain of `length` as a profile at
+/// `path` (source = the mode name), ready for --order=file:PATH.
+void save_planned_profile(std::size_t length, Mode mode,
+                          const std::string& path) {
+  const auto program = make_chain(length);
+  lr::repair::Options options;
+  options.order_mode = mode;
+  lr::repair::apply_order_options(*program, options);
+  ASSERT_TRUE(lr::bdd::order::save_profile(
+      lr::repair::capture_order_profile(*program, options), path));
+}
+
 TEST(CliOrderTest, WarmStartReachesAByteStableFixpoint) {
-  // run1 --order=adjacency --order-out=a; run2 file:a -> b; run3 file:b ->
-  // c. b and c must be byte-identical: the profile's source field records
-  // the mode only, never the path, so the warm start is a fixpoint.
+  // a: the adjacency plan; run1 file:a -> b; run2 file:b -> c. b and c
+  // must be byte-identical: the profile's source field records the mode
+  // only, never the path, so the warm start is a fixpoint.
   const std::string a = temp_path("cli_order_a.json");
   const std::string b = temp_path("cli_order_b.json");
   const std::string c = temp_path("cli_order_c.json");
-  CliRun run =
-      run_cli("--chain=4 --order=adjacency --order-out=" + a + " --no-verify");
-  ASSERT_EQ(run.exit_code, 0) << run.output;
-  run = run_cli("--chain=4 --order=file:" + a + " --order-out=" + b +
-                " --no-verify");
+  save_planned_profile(4, Mode::kAdjacency, a);
+  CliRun run = run_cli("--chain=4 --order=file:" + a + " --order-out=" + b +
+                       " --no-verify");
   ASSERT_EQ(run.exit_code, 0) << run.output;
   run = run_cli("--chain=4 --order=file:" + b + " --order-out=" + c +
                 " --no-verify");
@@ -86,13 +112,16 @@ TEST(CliOrderTest, WarmStartReachesAByteStableFixpoint) {
 }
 
 TEST(CliOrderTest, ChainProfileMatchesCommittedGolden) {
-  const std::string path = temp_path("cli_order_golden.json");
-  const CliRun run = run_cli("--chain=4 --order=adjacency --order-out=" +
-                             path + " --no-verify");
-  ASSERT_EQ(run.exit_code, 0) << run.output;
-  const std::string actual = read_file(path);
-  ASSERT_FALSE(actual.empty());
-  std::remove(path.c_str());
+  // The end-of-run profile of a chain-4 repair under the adjacency order,
+  // captured the way --order-out captures it.
+  const auto program = make_chain(4);
+  lr::repair::Options options;
+  options.order_mode = Mode::kAdjacency;
+  const lr::repair::RepairResult result =
+      lr::repair::lazy_repair(*program, options);
+  ASSERT_TRUE(result.success) << result.failure_reason;
+  const std::string actual = lr::bdd::order::profile_to_json(
+      lr::repair::capture_order_profile(*program, options));
 
   const std::string golden_path = golden_dir() + "/chain4.order.json";
   if (std::getenv("LR_UPDATE_GOLDEN") != nullptr) {
@@ -117,23 +146,33 @@ TEST(CliOrderTest, ExportsAreByteIdenticalAcrossOrderModes) {
   const std::string baseline = read_file(base);
   ASSERT_FALSE(baseline.empty());
   std::remove(base.c_str());
-  for (const char* mode : {"decl", "auto", "interleave", "adjacency"}) {
-    const std::string path =
-        temp_path(std::string("cli_order_export_") + mode + ".lr");
-    run = run_cli("--chain=3 --order=" + std::string(mode) +
-                  " --export=" + path + " --no-verify");
+  const std::string interleave = temp_path("cli_order_interleave.json");
+  const std::string adjacency = temp_path("cli_order_adjacency.json");
+  save_planned_profile(3, Mode::kInterleave, interleave);
+  save_planned_profile(3, Mode::kAdjacency, adjacency);
+  for (const std::string& order :
+       {std::string("decl"), std::string("auto"), "file:" + interleave,
+        "file:" + adjacency}) {
+    const std::string path = temp_path("cli_order_export.lr");
+    run = run_cli("--chain=3 --order=" + order + " --export=" + path +
+                  " --no-verify");
     ASSERT_EQ(run.exit_code, 0) << run.output;
-    EXPECT_EQ(read_file(path), baseline) << "--order=" << mode;
+    EXPECT_EQ(read_file(path), baseline) << "--order=" << order;
     std::remove(path.c_str());
   }
+  std::remove(interleave.c_str());
+  std::remove(adjacency.c_str());
 }
 
 TEST(CliOrderTest, StatsPrintsTheOrderSectionOnlyWhenAsked) {
-  const CliRun with_order =
-      run_cli("--chain=3 --order=interleave --stats --no-verify");
+  const std::string profile = temp_path("cli_order_stats.json");
+  save_planned_profile(3, Mode::kInterleave, profile);
+  const CliRun with_order = run_cli("--chain=3 --order=file:" + profile +
+                                    " --stats --no-verify");
+  std::remove(profile.c_str());
   ASSERT_EQ(with_order.exit_code, 0) << with_order.output;
   EXPECT_NE(with_order.output.find("bdd order:"), std::string::npos);
-  EXPECT_NE(with_order.output.find("mode: interleave"), std::string::npos);
+  EXPECT_NE(with_order.output.find("mode: file"), std::string::npos);
 
   // Default runs must not grow a new stats section (golden stability).
   const CliRun without = run_cli("--chain=3 --stats --no-verify");
@@ -143,6 +182,9 @@ TEST(CliOrderTest, StatsPrintsTheOrderSectionOnlyWhenAsked) {
 
 TEST(CliOrderTest, BadOrderArgumentsExitTwo) {
   EXPECT_EQ(run_cli("--chain=3 --order=sideways").exit_code, 2);
+  // The heuristics are auto's candidates, not modes of their own.
+  EXPECT_EQ(run_cli("--chain=3 --order=interleave").exit_code, 2);
+  EXPECT_EQ(run_cli("--chain=3 --order=adjacency").exit_code, 2);
   EXPECT_EQ(run_cli("--chain=3 --order=file:").exit_code, 2);
   EXPECT_EQ(run_cli("--chain=3 --order=file:/no/such/profile.json").exit_code,
             2);

@@ -126,7 +126,7 @@ TEST(ManifestTest, EraseSimulatesATruncatedSweep) {
 TEST(ManifestTest, FingerprintCoversEveryOutcomeRelevantOption) {
   Options base;
   const std::string fp = options_fingerprint(base, false, true);
-  EXPECT_EQ(fp, "lazy|paperloop|masking|heuristic=1|expand=1|sift=0|"
+  EXPECT_EQ(fp, "lazy|paperloop|masking|heuristic=1|expand=1|"
                 "order=decl|maxouter=64|verify=1");
   EXPECT_NE(fp, options_fingerprint(base, true, true));   // algorithm
   EXPECT_NE(fp, options_fingerprint(base, false, false)); // verify
@@ -143,13 +143,10 @@ TEST(ManifestTest, FingerprintCoversEveryOutcomeRelevantOption) {
   changed.use_expand_group = false;
   EXPECT_NE(fp, options_fingerprint(changed, false, true));
   changed = base;
-  changed.sift_before_repair = true;
-  EXPECT_NE(fp, options_fingerprint(changed, false, true));
-  changed = base;
   changed.max_outer_iterations = 7;
   EXPECT_NE(fp, options_fingerprint(changed, false, true));
   changed = base;
-  changed.order_mode = sym::order::Mode::kAdjacency;
+  changed.order_mode = sym::order::Mode::kAuto;
   EXPECT_NE(fp, options_fingerprint(changed, false, true));
   // Two different warm-start profiles are two different orders: the path
   // must be part of a kFile fingerprint.
