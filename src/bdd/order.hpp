@@ -21,7 +21,7 @@ std::size_t apply_order(Manager& mgr, std::span<const VarIndex> target);
 
 /// Restores the creation order (variable v at level v). The .lr exporter
 /// calls this before enumerating cubes so exported models are byte-identical
-/// whatever static order or sifting run preceded them.
+/// whatever static order preceded them.
 std::size_t restore_creation_order(Manager& mgr);
 
 /// Schema tag of the persisted order-profile JSON document.

@@ -170,7 +170,7 @@ class Profiler {
 /// RAII hook placed at every public Manager operation entry. Snapshots the
 /// manager's counters, and on destruction charges the delta (and elapsed
 /// time) to the call path active on this thread. Nested hooks (a GC fired
-/// from inside an apply, the sifting loop's GCs) do not charge: the
+/// from inside an apply) do not charge: the
 /// outermost operation owns the whole delta, so nothing is counted twice.
 class ScopedOp {
  public:
