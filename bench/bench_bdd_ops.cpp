@@ -20,7 +20,7 @@ using lr::bdd::VarIndex;
 
 Manager::Options small_manager() {
   Manager::Options options;
-  options.cache_log2 = 16;
+  options.cache_bytes = std::size_t{1} << 20;  // 65,536 entries
   options.initial_capacity = 1u << 14;
   return options;
 }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lr::bdd {
@@ -35,6 +36,58 @@ inline constexpr NodeId kTrueId = 1;
 inline constexpr VarIndex kTerminalVar = 0xffffffffu;
 
 class Manager;
+
+namespace detail {
+
+/// One operation-cache entry: the key (op, a, b, c) and its result in four
+/// 32-bit words. Node ids stay below 2^28 (kMaxNodes), so the 16-bit op
+/// code rides in the four spare top nibbles, its most significant nibble in
+/// `a`. All zeros is the empty entry (op 0).
+struct CacheEntry {
+  std::uint32_t a = 0, b = 0, c = 0, result = 0;
+};
+static_assert(sizeof(CacheEntry) == 16);
+
+inline constexpr unsigned kCacheIdBits = 28;
+inline constexpr std::uint32_t kCacheIdMask = (1u << kCacheIdBits) - 1;
+/// Exclusive bound on node ids, so on the node pool's length.
+inline constexpr std::size_t kMaxNodes = std::size_t{1} << kCacheIdBits;
+
+/// `id` with nibble `k` of `op` (0 = least significant) above its id bits.
+constexpr std::uint32_t with_op_nibble(NodeId id, std::uint32_t op,
+                                       unsigned k) noexcept {
+  return id | (((op >> (4 * k)) & 0xfu) << kCacheIdBits);
+}
+
+constexpr CacheEntry pack_entry(std::uint32_t op, NodeId a, NodeId b,
+                                NodeId c, NodeId result) noexcept {
+  return {with_op_nibble(a, op, 3), with_op_nibble(b, op, 2),
+          with_op_nibble(c, op, 1), with_op_nibble(result, op, 0)};
+}
+
+constexpr std::uint32_t entry_op(const CacheEntry& e) noexcept {
+  return (e.a >> kCacheIdBits) << 12 | (e.b >> kCacheIdBits) << 8 |
+         (e.c >> kCacheIdBits) << 4 | e.result >> kCacheIdBits;
+}
+
+constexpr NodeId entry_id(std::uint32_t word) noexcept {
+  return word & kCacheIdMask;
+}
+
+/// True when two entries hold the same key (op, a, b, c).
+constexpr bool same_key(const CacheEntry& x, const CacheEntry& y) noexcept {
+  return x.a == y.a && x.b == y.b && x.c == y.c &&
+         ((x.result ^ y.result) >> kCacheIdBits) == 0;
+}
+
+static_assert(entry_op(pack_entry(0xffff, kMaxNodes - 1, 0, 0, 0)) == 0xffff);
+static_assert(entry_id(pack_entry(0xffff, 0, 0, 0, kMaxNodes - 1).result) ==
+              kMaxNodes - 1);
+static_assert(entry_id(pack_entry(0xffff, kMaxNodes - 1, 0, 0, 0).a) ==
+              kMaxNodes - 1);
+static_assert(entry_op(pack_entry(0x8421, 0, 0, 0, 0)) == 0x8421);
+
+}  // namespace detail
 
 /// Reference-counted handle to a BDD node.
 ///
@@ -129,7 +182,7 @@ struct ManagerStats {
   std::uint64_t cache_lookups = 0;   ///< operation cache probes
   std::uint64_t cache_hits = 0;      ///< operation cache hits
   std::uint64_t cache_evictions = 0; ///< live cache entries overwritten
-  std::uint64_t cache_resizes = 0;   ///< operation cache doublings
+  std::uint64_t cache_resizes = 0;   ///< operation cache growth steps
   std::size_t peak_bytes = 0;        ///< high-water mark of pool+table+cache bytes
 };
 
@@ -156,18 +209,25 @@ struct GcRecord {
 ///  * No complement edges. This costs a constant factor on negation-heavy
 ///    workloads but keeps canonicity trivially simple; negation results are
 ///    memoized so repeated NOT is cheap.
-///  * Nodes are pool indices, the unique table is a chained hash over the
-///    pool, and the operation cache is a direct-mapped array keyed by
-///    (op, a, b, c). The cache starts at 2^12 entries and doubles, up to
-///    2^Options::cache_log2, whenever the evictions since its last resize
+///  * Nodes are pool indices (below 2^28), the unique table is a chained
+///    hash over the pool, and the operation cache is a direct-mapped array
+///    of 16-byte entries keyed by (op, a, b, c), the 16-bit op code packed
+///    into the ids' spare top bits (detail::CacheEntry). A key's slot is
+///    its mixed hash range-reduced by multiply-shift (Lemire 2016), so the
+///    size need not be a power of two. The cache starts at 2^12 entries and
+///    doubles, up to Options::cache_bytes / 16 entries (the last step lands
+///    exactly on that cap), whenever the evictions since its last resize
 ///    reach a quarter of its slots (CUDD-style growth under pressure), so a
 ///    small repair never pays for a large cache. Its full capacity is
-///    reserved up front and a doubling rehashes in place, so a resize never
-///    holds two arrays. Entries survive GC unless they name a freed node;
-///    those are dropped in the same collection, before any slot is reused,
-///    so a recycled slot can never alias a stale entry (slots are only
-///    recycled by the GC itself). A level swap leaves the cache alone:
-///    it rewrites nodes in place without changing any node's function.
+///    reserved up front and a resize rehashes in place, so it never holds
+///    two arrays. The three-conjunct and_exists has four operands, so its
+///    key names the root cube by an op code of its own (the manager interns
+///    each such cube and keeps it alive). Entries survive GC unless they
+///    name a freed node; those are dropped in the same collection, before
+///    any slot is reused, so a recycled slot can never alias a stale entry
+///    (slots are only recycled by the GC itself). A level swap leaves the
+///    cache alone: it rewrites nodes in place without changing any node's
+///    function.
 ///  * Garbage collection is mark-and-sweep from externally referenced
 ///    nodes. It runs only at public operation entry points, never inside a
 ///    recursion, so intermediate results need no protection.
@@ -179,10 +239,12 @@ class Manager {
   struct Options {
     /// Initial node pool capacity (grows on demand).
     std::size_t initial_capacity = 1u << 16;
-    /// log2 of the *maximum* operation-cache entry count. The cache starts
-    /// at min(2^12, 2^cache_log2) entries and grows under eviction
-    /// pressure until it reaches this cap.
-    unsigned cache_log2 = 20;
+    /// Bytes the operation cache may grow to. Its entry cap is
+    /// cache_bytes / 16 (at least 1, at most 2^32 entries, or the
+    /// constructor throws std::invalid_argument); the default 20 MiB holds
+    /// 1,310,720 entries. The cache starts at min(2^12, cap) entries and
+    /// grows under eviction pressure until it reaches the cap.
+    std::size_t cache_bytes = std::size_t{20} << 20;
     /// GC triggers when live nodes exceed this (adapts upward when GC
     /// reclaims too little).
     std::size_t gc_threshold = 1u << 18;
@@ -260,7 +322,9 @@ class Manager {
   /// ∃ cube. (f ∧ g ∧ h) in one pass — the three-conjunct relational
   /// product used by partitioned transition relations, whose parts keep
   /// their factors (e.g. a process delta and a primed invariant) separate
-  /// so the intermediate product is never materialized.
+  /// so the intermediate product is never materialized. The manager keeps
+  /// every distinct cube passed here alive (it keys the op cache); a
+  /// manager takes at most 32,768 of them, then throws std::length_error.
   [[nodiscard]] Bdd and_exists(const Bdd& f, const Bdd& g, const Bdd& h,
                                const Bdd& cube);
 
@@ -268,6 +332,8 @@ class Manager {
   /// Registers the permutation mapping variable v to perm[v]. `perm` must
   /// have one entry per existing variable and be a bijection. Returns an id
   /// usable with permute(); register each permutation once and reuse it.
+  /// Throws std::length_error past 32,756 permutations (the op codes they
+  /// key the cache with are spent).
   PermId register_permutation(std::span<const VarIndex> perm);
 
   /// Applies a registered permutation to f.
@@ -344,7 +410,7 @@ class Manager {
 
   /// Operation-cache shape: current entries (the cache grows under
   /// eviction pressure, so this changes over a run), the cap it may grow
-  /// to (2^Options::cache_log2), and occupied entries (one walk).
+  /// to (Options::cache_bytes / 16), and occupied entries (one walk).
   [[nodiscard]] std::size_t cache_entry_count() const noexcept {
     return cache_.size();
   }
@@ -409,15 +475,11 @@ class Manager {
     std::uint32_t refs; // external references only
   };
 
-  struct CacheEntry {
-    std::uint32_t op = 0;  // 0 = empty
-    NodeId a = 0, b = 0, c = 0;
-    NodeId result = 0;
-  };
+  using CacheEntry = detail::CacheEntry;
 
   static constexpr VarIndex kFreeVar = 0xfffffffeu;
 
-  // Operation codes for the cache.
+  // Operation codes for the cache (16 bits; see detail::CacheEntry).
   enum Op : std::uint32_t {
     kOpNone = 0,
     kOpAnd,
@@ -431,14 +493,12 @@ class Manager {
     kOpAndExists,
     kOpLeq,
     kOpDisjoint,
-    kOpPermBase  // kOpPermBase + perm id
+    kOpPermBase,  // kOpPermBase + perm id, below kOpAndExists3Base
+    // Three-conjunct and_exists: kOpAndExists3Base + how many root cubes
+    // were interned before its own (and_exists3_ops_), up to 0xffff.
+    kOpAndExists3Base = 0x8000,
+    kOpLimit = 0x10000
   };
-
-  /// Cache-key op for the three-conjunct and_exists: four operands must fit
-  /// a (op, a, b, c) entry, so the cube's node id is packed into the op
-  /// field under this flag. Sound because neither kOpPermBase + perm ids
-  /// nor node ids ever reach 2^31.
-  static constexpr std::uint32_t kOpAndExists3Flag = 0x80000000u;
 
   void init_pool(std::size_t capacity);
   NodeId make_node(VarIndex var, NodeId lo, NodeId hi);
@@ -470,10 +530,21 @@ class Manager {
   void dec_ref(NodeId id) noexcept;
   [[nodiscard]] Bdd wrap(NodeId id) noexcept { return Bdd(this, id); }
 
+  /// A probed key, packed and hashed once by cache_get so that the
+  /// cache_put after a miss reuses both.
+  struct CacheKey {
+    CacheEntry entry;        // the key; its result bits are zero
+    std::uint64_t hash = 0;  // the slot follows from it and the size
+  };
   [[nodiscard]] bool cache_get(std::uint32_t op, NodeId a, NodeId b, NodeId c,
-                               NodeId& out);
-  void cache_put(std::uint32_t op, NodeId a, NodeId b, NodeId c, NodeId result);
+                               CacheKey& key, NodeId& out);
+  void cache_put(const CacheKey& key, NodeId result);
+  [[nodiscard]] std::size_t cache_slot(std::uint64_t hash) const noexcept;
   void grow_cache();
+
+  /// Op code keying and_exists3_rec's entries for a root cube, interning
+  /// (and referencing) the cube on first use.
+  std::uint32_t and_exists3_op(NodeId cube);
 
   NodeId and_rec(NodeId f, NodeId g);
   NodeId or_rec(NodeId f, NodeId g);
@@ -484,7 +555,8 @@ class Manager {
   NodeId exists_rec(NodeId f, NodeId cube);
   NodeId forall_rec(NodeId f, NodeId cube);
   NodeId and_exists_rec(NodeId f, NodeId g, NodeId cube);
-  NodeId and_exists3_rec(NodeId f, NodeId g, NodeId h, NodeId cube);
+  NodeId and_exists3_rec(NodeId f, NodeId g, NodeId h, NodeId cube,
+                         std::uint32_t op);
   bool leq_rec(NodeId f, NodeId g);
   bool disjoint_rec(NodeId f, NodeId g);
   NodeId permute_rec(NodeId f, PermId perm);
@@ -502,7 +574,6 @@ class Manager {
   bool has_free_ = false;
 
   std::vector<CacheEntry> cache_;  // capacity reserved to cache_cap_ up front
-  std::size_t cache_mask_ = 0;
   std::size_t cache_cap_ = 0;
   std::size_t cache_evictions_since_resize_ = 0;
 
@@ -510,6 +581,8 @@ class Manager {
   std::vector<std::uint32_t> level_of_var_;  // var -> level
   std::vector<VarIndex> var_at_level_;       // level -> var
   std::vector<std::vector<VarIndex>> permutations_;
+  /// (cube, op) of the and_exists roots interned so far, sorted by cube.
+  std::vector<std::pair<NodeId, std::uint32_t>> and_exists3_ops_;
 
   std::size_t gc_threshold_;
 

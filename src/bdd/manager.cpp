@@ -22,13 +22,24 @@ inline std::size_t hash_triple(VarIndex var, NodeId lo, NodeId hi) noexcept {
   return static_cast<std::size_t>(h ^ (h >> 32));
 }
 
-inline std::size_t hash_cache(std::uint32_t op, NodeId a, NodeId b,
-                              NodeId c) noexcept {
+/// murmur3's fmix64 finalizer.
+inline std::uint64_t fmix64(std::uint64_t h) noexcept {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  return h ^ (h >> 33);
+}
+
+/// Mixes an op-cache key. Multiply-shift slots read the high bits, which
+/// the last `+ c` reaches only through carries, so fmix64 finishes it.
+inline std::uint64_t hash_cache(std::uint32_t op, NodeId a, NodeId b,
+                                NodeId c) noexcept {
   std::uint64_t h = op;
   h = h * 0x9e3779b97f4a7c15ull + a;
   h = (h ^ (h >> 31)) * 0xbf58476d1ce4e5b9ull + b;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebull + c;
-  return static_cast<std::size_t>(h ^ (h >> 33));
+  return fmix64(h ^ (h >> 33));
 }
 
 /// Operation-cache entries a fresh manager starts with (see Manager).
@@ -131,13 +142,20 @@ Manager::Manager() : Manager(Options{}) {}
 
 Manager::Manager(const Options& options)
     : gc_threshold_(options.gc_threshold) {
-  // Reserve the cap once so every later doubling stays inside this one
+  // Multiply-shift slots need the size to fit 32 bits.
+  cache_cap_ = options.cache_bytes / sizeof(CacheEntry);
+  if (cache_cap_ == 0 || cache_cap_ > (std::size_t{1} << 32)) {
+    throw std::invalid_argument(
+        "bdd::Manager: cache_bytes must hold 1 to 2^32 cache entries");
+  }
+  // Reserve the cap once so every later resize stays inside this one
   // allocation; only the pages actually resized into get touched.
-  cache_cap_ = std::size_t{1} << options.cache_log2;
   cache_.reserve(cache_cap_);
-  const std::size_t cache_size = std::min(kInitialCacheEntries, cache_cap_);
-  cache_.resize(cache_size);
-  cache_mask_ = cache_size - 1;
+  cache_.resize(std::min(kInitialCacheEntries, cache_cap_));
+  // A run interns one cube or a few. Growing this table mid-run, between
+  // the pool's large blocks, cost Sc^31 d8 1 MB of peak RSS through heap
+  // placement (glibc malloc with mmap off, as lr_bench runs it).
+  and_exists3_ops_.reserve(64);
   init_pool(options.initial_capacity < 64 ? 64 : options.initial_capacity);
   note_peak_bytes();
 }
@@ -198,6 +216,10 @@ NodeId Manager::alloc_node() {
     --free_count_;
     has_free_ = free_count_ > 0;
     return id;
+  }
+  // Cache entries pack the op code above 28-bit node ids.
+  if (nodes_.size() == detail::kMaxNodes) {
+    throw std::length_error("bdd::Manager: node pool is full (2^28 nodes)");
   }
   nodes_.push_back(Node{});
   if (nodes_.size() > buckets_.size()) grow_buckets();
@@ -342,16 +364,16 @@ void Manager::collect_garbage_impl(GcTrigger trigger) {
   }
   // Op-cache entries whose operands and result all survived stay valid:
   // a live node is never rewritten by a collection. Drop the rest now,
-  // before any freed slot can be reused and alias them.
-  const auto is_live = [&live](NodeId id) {
+  // before any freed slot can be reused and alias them. (An and_exists3
+  // op names a cube the manager references, so it is always live; empty
+  // entries name only node 0.)
+  const auto is_live = [&live](std::uint32_t word) {
+    const NodeId id = detail::entry_id(word);
     return ((live[id >> 6] >> (id & 63)) & 1u) != 0;
   };
   for (CacheEntry& e : cache_) {
-    if (e.op == kOpNone) continue;
-    const NodeId packed_cube =
-        (e.op & kOpAndExists3Flag) != 0 ? e.op & ~kOpAndExists3Flag : kFalseId;
     if (!is_live(e.a) || !is_live(e.b) || !is_live(e.c) ||
-        !is_live(e.result) || !is_live(packed_cube)) {
+        !is_live(e.result)) {
       e = CacheEntry{};
     }
   }
@@ -397,35 +419,44 @@ std::size_t Manager::unique_buckets_used() const {
 
 std::size_t Manager::cache_entries_used() const {
   std::size_t used = 0;
-  for (const CacheEntry& e : cache_) used += e.op != kOpNone ? 1 : 0;
+  for (const CacheEntry& e : cache_) {
+    used += detail::entry_op(e) != kOpNone ? 1 : 0;
+  }
   return used;
 }
 
 // --- Operation cache -----------------------------------------------------------
 
+std::size_t Manager::cache_slot(std::uint64_t hash) const noexcept {
+  // Multiply-shift range reduction (Lemire 2016): the high 32 hash bits
+  // scaled to [0, size). Monotone in the size, which grow_cache relies on.
+  return static_cast<std::size_t>(((hash >> 32) * cache_.size()) >> 32);
+}
+
 bool Manager::cache_get(std::uint32_t op, NodeId a, NodeId b, NodeId c,
-                        NodeId& out) {
+                        CacheKey& key, NodeId& out) {
   ++stats_.cache_lookups;
-  const CacheEntry& e = cache_[hash_cache(op, a, b, c) & cache_mask_];
-  if (e.op == op && e.a == a && e.b == b && e.c == c) {
+  key.entry = detail::pack_entry(op, a, b, c, 0);
+  key.hash = hash_cache(op, a, b, c);
+  const CacheEntry& e = cache_[cache_slot(key.hash)];
+  if (detail::same_key(e, key.entry)) {
     ++stats_.cache_hits;
-    out = e.result;
+    out = detail::entry_id(e.result);
     return true;
   }
   return false;
 }
 
-void Manager::cache_put(std::uint32_t op, NodeId a, NodeId b, NodeId c,
-                        NodeId result) {
-  CacheEntry& e = cache_[hash_cache(op, a, b, c) & cache_mask_];
+void Manager::cache_put(const CacheKey& key, NodeId result) {
+  // The recursion since cache_get may have resized the cache, so the slot
+  // is taken afresh from the hash.
+  CacheEntry& e = cache_[cache_slot(key.hash)];
+  CacheEntry fresh = key.entry;
+  fresh.result |= result;
   // Direct-mapped: a different live key dying here is an eviction.
   const bool evicted =
-      e.op != kOpNone && (e.op != op || e.a != a || e.b != b || e.c != c);
-  e.op = op;
-  e.a = a;
-  e.b = b;
-  e.c = c;
-  e.result = result;
+      detail::entry_op(e) != kOpNone && !detail::same_key(e, fresh);
+  e = fresh;
   if (!evicted) return;
   ++stats_.cache_evictions;
   // Grow once the evictions since the last resize reach a quarter of the
@@ -437,22 +468,44 @@ void Manager::cache_put(std::uint32_t op, NodeId a, NodeId b, NodeId c,
 }
 
 void Manager::grow_cache() {
-  // Doubling adds one hash bit, so the entry in slot i belongs at i or at
-  // i + old; the upper half starts empty, so the moves never collide.
+  // Slots are monotone in the size, so an entry stays or moves up; walking
+  // down, a move never lands on an entry that has yet to move. A doubling
+  // sends slot i to 2i or 2i + 1, so no two entries meet; the last, shorter
+  // step onto the cap can send two to one slot, and the one there stays.
   const std::size_t old_size = cache_.size();
-  cache_.resize(old_size * 2);  // within the reserved capacity: no realloc
-  cache_mask_ = cache_.size() - 1;
-  for (std::size_t i = 0; i < old_size; ++i) {
+  cache_.resize(std::min(old_size * 2, cache_cap_));  // no realloc: reserved
+  for (std::size_t i = old_size; i-- > 0;) {
     CacheEntry& e = cache_[i];
-    if (e.op == kOpNone) continue;
-    if ((hash_cache(e.op, e.a, e.b, e.c) & cache_mask_) != i) {
-      cache_[i + old_size] = e;
-      e = CacheEntry{};
-    }
+    const std::uint32_t op = detail::entry_op(e);
+    if (op == kOpNone) continue;
+    const std::size_t slot =
+        cache_slot(hash_cache(op, detail::entry_id(e.a), detail::entry_id(e.b),
+                              detail::entry_id(e.c)));
+    assert(slot >= i);
+    if (slot == i) continue;
+    if (detail::entry_op(cache_[slot]) == kOpNone) cache_[slot] = e;
+    e = CacheEntry{};
   }
   cache_evictions_since_resize_ = 0;
   ++stats_.cache_resizes;
   note_peak_bytes();
+}
+
+std::uint32_t Manager::and_exists3_op(NodeId cube) {
+  const auto found = std::lower_bound(
+      and_exists3_ops_.begin(), and_exists3_ops_.end(), cube,
+      [](const auto& entry, NodeId id) { return entry.first < id; });
+  if (found != and_exists3_ops_.end() && found->first == cube) {
+    return found->second;
+  }
+  const std::size_t op = kOpAndExists3Base + and_exists3_ops_.size();
+  if (op >= kOpLimit) {
+    throw std::length_error(
+        "bdd::Manager: and_exists takes at most 32768 distinct cubes");
+  }
+  inc_ref(cube);  // keeps the id, and so the entries keyed by it, valid
+  and_exists3_ops_.emplace(found, cube, static_cast<std::uint32_t>(op));
+  return static_cast<std::uint32_t>(op);
 }
 
 }  // namespace lr::bdd

@@ -29,7 +29,7 @@ struct MemInfo {
 
   std::size_t cache_entries = 0;    ///< current entries (grows under pressure)
   std::size_t cache_cap = 0;        ///< entries the cache may grow to
-  std::uint64_t cache_resizes = 0;  ///< doublings so far
+  std::uint64_t cache_resizes = 0;  ///< growth steps so far
   std::size_t cache_entries_used = 0;
   double cache_occupancy = 0.0;     ///< used / current entries
   std::uint64_t cache_lookups = 0;

@@ -75,8 +75,9 @@ NodeId Manager::and_rec(NodeId f, NodeId g) {
   if (f == kTrueId) return g;
   if (g == kTrueId || f == g) return f;
   if (f > g) std::swap(f, g);
+  CacheKey key;
   NodeId out;
-  if (cache_get(kOpAnd, f, g, 0, out)) return out;
+  if (cache_get(kOpAnd, f, g, 0, key, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
   const std::uint32_t lf = node_level(nf.var);
@@ -89,7 +90,7 @@ NodeId Manager::and_rec(NodeId f, NodeId g) {
   const NodeId lo = and_rec(flo, glo);
   const NodeId hi = and_rec(fhi, ghi);
   const NodeId r = make_node(top, lo, hi);
-  cache_put(kOpAnd, f, g, 0, r);
+  cache_put(key, r);
   return r;
 }
 
@@ -98,8 +99,9 @@ NodeId Manager::or_rec(NodeId f, NodeId g) {
   if (f == kFalseId) return g;
   if (g == kFalseId || f == g) return f;
   if (f > g) std::swap(f, g);
+  CacheKey key;
   NodeId out;
-  if (cache_get(kOpOr, f, g, 0, out)) return out;
+  if (cache_get(kOpOr, f, g, 0, key, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
   const std::uint32_t lf = node_level(nf.var);
@@ -112,7 +114,7 @@ NodeId Manager::or_rec(NodeId f, NodeId g) {
   const NodeId lo = or_rec(flo, glo);
   const NodeId hi = or_rec(fhi, ghi);
   const NodeId r = make_node(top, lo, hi);
-  cache_put(kOpOr, f, g, 0, r);
+  cache_put(key, r);
   return r;
 }
 
@@ -123,8 +125,9 @@ NodeId Manager::xor_rec(NodeId f, NodeId g) {
   if (f == kTrueId) return not_rec(g);
   if (g == kTrueId) return not_rec(f);
   if (f > g) std::swap(f, g);
+  CacheKey key;
   NodeId out;
-  if (cache_get(kOpXor, f, g, 0, out)) return out;
+  if (cache_get(kOpXor, f, g, 0, key, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
   const std::uint32_t lf = node_level(nf.var);
@@ -137,7 +140,7 @@ NodeId Manager::xor_rec(NodeId f, NodeId g) {
   const NodeId lo = xor_rec(flo, glo);
   const NodeId hi = xor_rec(fhi, ghi);
   const NodeId r = make_node(top, lo, hi);
-  cache_put(kOpXor, f, g, 0, r);
+  cache_put(key, r);
   return r;
 }
 
@@ -145,8 +148,9 @@ NodeId Manager::diff_rec(NodeId f, NodeId g) {
   if (f == kFalseId || g == kTrueId || f == g) return kFalseId;
   if (g == kFalseId) return f;
   if (f == kTrueId) return not_rec(g);
+  CacheKey key;
   NodeId out;
-  if (cache_get(kOpDiff, f, g, 0, out)) return out;
+  if (cache_get(kOpDiff, f, g, 0, key, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
   const std::uint32_t lf = node_level(nf.var);
@@ -159,18 +163,19 @@ NodeId Manager::diff_rec(NodeId f, NodeId g) {
   const NodeId lo = diff_rec(flo, glo);
   const NodeId hi = diff_rec(fhi, ghi);
   const NodeId r = make_node(top, lo, hi);
-  cache_put(kOpDiff, f, g, 0, r);
+  cache_put(key, r);
   return r;
 }
 
 NodeId Manager::not_rec(NodeId f) {
   if (f == kFalseId) return kTrueId;
   if (f == kTrueId) return kFalseId;
+  CacheKey key;
   NodeId out;
-  if (cache_get(kOpNot, f, 0, 0, out)) return out;
+  if (cache_get(kOpNot, f, 0, 0, key, out)) return out;
   const Node nf = nodes_[f];
   const NodeId r = make_node(nf.var, not_rec(nf.lo), not_rec(nf.hi));
-  cache_put(kOpNot, f, 0, 0, r);
+  cache_put(key, r);
   return r;
 }
 
@@ -185,8 +190,9 @@ NodeId Manager::ite_rec(NodeId f, NodeId g, NodeId h) {
   if (g == kFalseId) return diff_rec(h, f);
   if (h == kFalseId) return and_rec(f, g);
   if (h == kTrueId) return or_rec(not_rec(f), g);
+  CacheKey key;
   NodeId out;
-  if (cache_get(kOpIte, f, g, h, out)) return out;
+  if (cache_get(kOpIte, f, g, h, key, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
   const Node nh = nodes_[h];
@@ -203,7 +209,7 @@ NodeId Manager::ite_rec(NodeId f, NodeId g, NodeId h) {
   const NodeId lo = ite_rec(flo, glo, hlo);
   const NodeId hi = ite_rec(fhi, ghi, hhi);
   const NodeId r = make_node(top, lo, hi);
-  cache_put(kOpIte, f, g, h, r);
+  cache_put(key, r);
   return r;
 }
 
@@ -219,8 +225,9 @@ bool Manager::leq_rec(NodeId f, NodeId g) {
   if (f == kFalseId || g == kTrueId || f == g) return true;
   if (g == kFalseId) return false;  // f != 0 here
   if (f == kTrueId) return false;   // g != 1 here
+  CacheKey key;
   NodeId out;
-  if (cache_get(kOpLeq, f, g, 0, out)) return out == kTrueId;
+  if (cache_get(kOpLeq, f, g, 0, key, out)) return out == kTrueId;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
   const std::uint32_t lf = node_level(nf.var);
@@ -230,7 +237,7 @@ bool Manager::leq_rec(NodeId f, NodeId g) {
   const NodeId glo = lg <= lf ? ng.lo : g;
   const NodeId ghi = lg <= lf ? ng.hi : g;
   const bool r = leq_rec(flo, glo) && leq_rec(fhi, ghi);
-  cache_put(kOpLeq, f, g, 0, r ? kTrueId : kFalseId);
+  cache_put(key, r ? kTrueId : kFalseId);
   return r;
 }
 
@@ -246,8 +253,9 @@ bool Manager::disjoint_rec(NodeId f, NodeId g) {
   if (g == kTrueId) return false;  // f != 0 here
   if (f == g) return false;
   if (f > g) std::swap(f, g);
+  CacheKey key;
   NodeId out;
-  if (cache_get(kOpDisjoint, f, g, 0, out)) return out == kTrueId;
+  if (cache_get(kOpDisjoint, f, g, 0, key, out)) return out == kTrueId;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
   const std::uint32_t lf = node_level(nf.var);
@@ -257,7 +265,7 @@ bool Manager::disjoint_rec(NodeId f, NodeId g) {
   const NodeId glo = lg <= lf ? ng.lo : g;
   const NodeId ghi = lg <= lf ? ng.hi : g;
   const bool r = disjoint_rec(flo, glo) && disjoint_rec(fhi, ghi);
-  cache_put(kOpDisjoint, f, g, 0, r ? kTrueId : kFalseId);
+  cache_put(key, r ? kTrueId : kFalseId);
   return r;
 }
 
@@ -290,8 +298,9 @@ Bdd Manager::and_exists(const Bdd& f, const Bdd& g, const Bdd& h,
   check_same_manager(this, f, g);
   check_same_manager(this, h, cube);
   ScopedOp profiled(*this, OpClass::kQuantify);
+  const std::uint32_t op = and_exists3_op(cube.id());
   maybe_gc();
-  return wrap(and_exists3_rec(f.id(), g.id(), h.id(), cube.id()));
+  return wrap(and_exists3_rec(f.id(), g.id(), h.id(), cube.id(), op));
 }
 
 NodeId Manager::exists_rec(NodeId f, NodeId cube) {
@@ -303,8 +312,9 @@ NodeId Manager::exists_rec(NodeId f, NodeId cube) {
     cube = nodes_[cube].hi;
   }
   if (cube == kTrueId) return f;
+  CacheKey key;
   NodeId out;
-  if (cache_get(kOpExists, f, cube, 0, out)) return out;
+  if (cache_get(kOpExists, f, cube, 0, key, out)) return out;
   const Node nf = nodes_[f];
   NodeId r;
   if (nodes_[cube].var == nf.var) {
@@ -314,7 +324,7 @@ NodeId Manager::exists_rec(NodeId f, NodeId cube) {
   } else {
     r = make_node(nf.var, exists_rec(nf.lo, cube), exists_rec(nf.hi, cube));
   }
-  cache_put(kOpExists, f, cube, 0, r);
+  cache_put(key, r);
   return r;
 }
 
@@ -325,8 +335,9 @@ NodeId Manager::forall_rec(NodeId f, NodeId cube) {
     cube = nodes_[cube].hi;
   }
   if (cube == kTrueId) return f;
+  CacheKey key;
   NodeId out;
-  if (cache_get(kOpForall, f, cube, 0, out)) return out;
+  if (cache_get(kOpForall, f, cube, 0, key, out)) return out;
   const Node nf = nodes_[f];
   NodeId r;
   if (nodes_[cube].var == nf.var) {
@@ -336,7 +347,7 @@ NodeId Manager::forall_rec(NodeId f, NodeId cube) {
   } else {
     r = make_node(nf.var, forall_rec(nf.lo, cube), forall_rec(nf.hi, cube));
   }
-  cache_put(kOpForall, f, cube, 0, r);
+  cache_put(key, r);
   return r;
 }
 
@@ -352,8 +363,9 @@ NodeId Manager::and_exists_rec(NodeId f, NodeId g, NodeId cube) {
     cube = nodes_[cube].hi;
   }
   if (cube == kTrueId) return and_rec(f, g);
+  CacheKey key;
   NodeId out;
-  if (cache_get(kOpAndExists, f, g, cube, out)) return out;
+  if (cache_get(kOpAndExists, f, g, cube, key, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
   const NodeId flo = nf.var == top ? nf.lo : f;
@@ -370,11 +382,15 @@ NodeId Manager::and_exists_rec(NodeId f, NodeId g, NodeId cube) {
     r = make_node(top, and_exists_rec(flo, glo, cube),
                   and_exists_rec(fhi, ghi, cube));
   }
-  cache_put(kOpAndExists, f, g, cube, r);
+  cache_put(key, r);
   return r;
 }
 
-NodeId Manager::and_exists3_rec(NodeId f, NodeId g, NodeId h, NodeId cube) {
+// Entries are keyed by the root cube's `op`, not by `cube`. Sound: the
+// result is ∃cube.(f ∧ g ∧ h), and the root cube's variables above `cube`
+// are not in the support of f ∧ g ∧ h, so it equals ∃root.(f ∧ g ∧ h).
+NodeId Manager::and_exists3_rec(NodeId f, NodeId g, NodeId h, NodeId cube,
+                                std::uint32_t op) {
   if (f == kFalseId || g == kFalseId || h == kFalseId) return kFalseId;
   // Sort the conjuncts (AND is commutative) so permutations share cache
   // entries, then strip trivial/duplicate conjuncts down to the two-way op.
@@ -394,11 +410,9 @@ NodeId Manager::and_exists3_rec(NodeId f, NodeId g, NodeId h, NodeId cube) {
     cube = nodes_[cube].hi;
   }
   if (cube == kTrueId) return and_rec(f, and_rec(g, h));
+  CacheKey key;
   NodeId out;
-  // Four operands on a three-slot cache entry: the cube id rides in the op
-  // field under kOpAndExists3Flag (see bdd.hpp).
-  const std::uint32_t op = kOpAndExists3Flag | cube;
-  if (cache_get(op, f, g, h, out)) return out;
+  if (cache_get(op, f, g, h, key, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
   const Node nh = nodes_[h];
@@ -411,14 +425,14 @@ NodeId Manager::and_exists3_rec(NodeId f, NodeId g, NodeId h, NodeId cube) {
   NodeId r;
   if (nodes_[cube].var == top) {
     const NodeId rest = nodes_[cube].hi;
-    const NodeId lo = and_exists3_rec(flo, glo, hlo, rest);
+    const NodeId lo = and_exists3_rec(flo, glo, hlo, rest, op);
     r = (lo == kTrueId) ? kTrueId
-                        : or_rec(lo, and_exists3_rec(fhi, ghi, hhi, rest));
+                        : or_rec(lo, and_exists3_rec(fhi, ghi, hhi, rest, op));
   } else {
-    r = make_node(top, and_exists3_rec(flo, glo, hlo, cube),
-                  and_exists3_rec(fhi, ghi, hhi, cube));
+    r = make_node(top, and_exists3_rec(flo, glo, hlo, cube, op),
+                  and_exists3_rec(fhi, ghi, hhi, cube, op));
   }
-  cache_put(op, f, g, h, r);
+  cache_put(key, r);
   return r;
 }
 
@@ -428,6 +442,9 @@ PermId Manager::register_permutation(std::span<const VarIndex> perm) {
   if (perm.size() != num_vars_) {
     throw std::invalid_argument(
         "register_permutation: permutation size must equal variable count");
+  }
+  if (kOpPermBase + permutations_.size() >= kOpAndExists3Base) {
+    throw std::length_error("register_permutation: no op codes left");
   }
 #ifndef NDEBUG
   std::vector<bool> seen(num_vars_, false);
@@ -450,8 +467,9 @@ Bdd Manager::permute(const Bdd& f, PermId perm) {
 NodeId Manager::permute_rec(NodeId f, PermId perm) {
   if (f <= kTrueId) return f;
   const std::uint32_t op = kOpPermBase + perm;
+  CacheKey key;
   NodeId out;
-  if (cache_get(op, f, 0, 0, out)) return out;
+  if (cache_get(op, f, 0, 0, key, out)) return out;
   const Node nf = nodes_[f];
   const NodeId lo = permute_rec(nf.lo, perm);
   const NodeId hi = permute_rec(nf.hi, perm);
@@ -460,7 +478,7 @@ NodeId Manager::permute_rec(NodeId f, PermId perm) {
   // cofactors, so rebuild with ITE rather than make_node.
   const NodeId vnode = make_node(nv, kFalseId, kTrueId);
   const NodeId r = ite_rec(vnode, hi, lo);
-  cache_put(op, f, 0, 0, r);
+  cache_put(key, r);
   return r;
 }
 

@@ -1,7 +1,8 @@
 // Differential tests: the same computation executed in managers with very
 // different cache and pool geometries (one small enough to force many
-// garbage collections, and the default growing cache under the same GC
-// pressure so resizes and collections interleave) must produce
+// garbage collections, the default growing cache under the same GC
+// pressure so resizes and collections interleave, and a cap that is not a
+// power of two so the last resize is not a doubling) must produce
 // semantically identical results. This guards against operation-cache
 // aliasing, in-place cache rehashing and GC interactions that unit tests
 // cannot reach.
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -100,32 +102,40 @@ class BddDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BddDifferentialTest, GeometriesAgree) {
   Manager::Options big;
-  big.cache_log2 = 20;
+  big.cache_bytes = std::size_t{16} << 20;
   big.initial_capacity = 1u << 16;
   big.gc_threshold = 1u << 20;
 
   Manager::Options tiny;
-  tiny.cache_log2 = 8;          // heavy cache eviction
+  tiny.cache_bytes = 256 * 16;  // heavy cache eviction
   tiny.initial_capacity = 256;  // forced pool growth
   tiny.gc_threshold = 2048;     // frequent garbage collections
 
   Manager::Options growing;     // default cache: starts small, grows
   growing.gc_threshold = 2048;  // GCs interleave with the resizes
 
+  Manager::Options odd;         // grows 4096 -> 5120: a non-doubling step
+  odd.cache_bytes = 5120 * 16;
+  odd.gc_threshold = 2048;
+
   const std::vector<double> reference =
       run_workload(big, GetParam()).fingerprint;
   const WorkloadRun stressed = run_workload(tiny, GetParam());
   const WorkloadRun grown = run_workload(growing, GetParam());
-  for (const WorkloadRun* run : {&stressed, &grown}) {
+  const WorkloadRun capped = run_workload(odd, GetParam());
+  const std::pair<const WorkloadRun*, const char*> runs[] = {
+      {&stressed, "tiny"}, {&grown, "growing"}, {&capped, "5120 entries"}};
+  for (const auto& [run, name] : runs) {
     ASSERT_EQ(reference.size(), run->fingerprint.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
       ASSERT_DOUBLE_EQ(reference[i], run->fingerprint[i])
-          << "step " << i << (run == &grown ? " (growing)" : " (tiny)");
+          << "step " << i << " (" << name << ")";
     }
     // Without collections the geometries would not be stressed at all.
-    EXPECT_GT(run->stats.gc_runs, 0u);
+    EXPECT_GT(run->stats.gc_runs, 0u) << name;
   }
   EXPECT_GT(grown.stats.cache_resizes, 0u);
+  EXPECT_EQ(capped.stats.cache_resizes, 1u) << "the one step onto the cap";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddDifferentialTest,

@@ -204,6 +204,39 @@ TEST(BddGcTest, ReusedSlotNeverReturnsTheOldResult) {
   }
 }
 
+TEST(BddGcTest, EntryWhoseThirdOperandDiedIsDropped) {
+  // ite(x1, x3, x1 ∧ x2) is x1 ∧ x3: the result lives on without the third
+  // operand, so only that operand's liveness can drop the entry.
+  constexpr int kVars = 8;
+  Manager mgr;
+  for (int i = 0; i < kVars; ++i) (void)mgr.new_var();
+  const Bdd f = mgr.bdd_var(1);
+  const Bdd g = mgr.bdd_var(3);
+  NodeId old_id = 0;
+  Bdd result;
+  {
+    const Bdd h = f & mgr.bdd_var(2);
+    old_id = h.id();
+    result = f.ite(g, h);
+  }
+  ASSERT_EQ(result, f & g);
+  mgr.collect_garbage();
+
+  // Single-node functions of the untouched variables refill the freed
+  // slots; one of them lands on old_id.
+  std::vector<Bdd> kept;
+  for (VarIndex v = 4; v < kVars; ++v) {
+    kept.push_back(mgr.bdd_var(v));
+    kept.push_back(mgr.bdd_nvar(v));
+  }
+  bool reused = false;
+  for (const Bdd& h : kept) reused = reused || h.id() == old_id;
+  ASSERT_TRUE(reused) << "the freed slot was not reused";
+  for (const Bdd& h : kept) {
+    EXPECT_EQ(f.ite(g, h), (f & g) | (~f & h)) << "stale entry answered";
+  }
+}
+
 TEST(BddGcTest, AutomaticGcTriggersUnderPressure) {
   Manager::Options opts;
   opts.gc_threshold = 2048;  // tiny threshold to force automatic GC

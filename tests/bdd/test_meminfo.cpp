@@ -7,6 +7,7 @@
 
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -72,7 +73,7 @@ TEST_F(BddMeminfoTest, CollectSnapshotsOccupancyWithinBounds) {
 
 TEST_F(BddMeminfoTest, TinyCacheCountsEvictions) {
   Manager::Options options;
-  options.cache_log2 = 4;  // 16 entries: collisions guaranteed
+  options.cache_bytes = 16 * 16;  // 16 entries: collisions guaranteed
   Manager small(options);
   std::vector<VarIndex> vars;
   for (int i = 0; i < 10; ++i) vars.push_back(small.new_var());
@@ -103,8 +104,8 @@ void churn_cache(Manager& mgr) {
 TEST(BddMeminfoCacheTest, CacheStartsSmallAndGrowsUnderEvictionPressure) {
   Manager mgr;
   EXPECT_EQ(mgr.cache_entry_count(), 4096u);
-  EXPECT_EQ(mgr.cache_entry_cap(), std::size_t{1}
-                                       << Manager::Options{}.cache_log2);
+  EXPECT_EQ(Manager::Options{}.cache_bytes, std::size_t{20} << 20);
+  EXPECT_EQ(mgr.cache_entry_cap(), 1310720u) << "20 MiB of 16-byte entries";
   EXPECT_EQ(mgr.stats().cache_resizes, 0u);
   const std::size_t fresh_peak = mgr.stats().peak_bytes;
 
@@ -116,8 +117,8 @@ TEST(BddMeminfoCacheTest, CacheStartsSmallAndGrowsUnderEvictionPressure) {
   // The watermark follows the growth: it covers the grown cache.
   EXPECT_GE(stats.peak_bytes, mgr.allocated_bytes());
   EXPECT_GE(stats.peak_bytes - fresh_peak,
-            (mgr.cache_entry_count() - 4096) * 20)
-      << "a cache entry is five 32-bit words";
+            (mgr.cache_entry_count() - 4096) * 16)
+      << "a cache entry is four 32-bit words";
 
   const meminfo::MemInfo info = meminfo::collect(mgr);
   EXPECT_EQ(info.cache_entries, mgr.cache_entry_count());
@@ -125,29 +126,53 @@ TEST(BddMeminfoCacheTest, CacheStartsSmallAndGrowsUnderEvictionPressure) {
   EXPECT_EQ(info.cache_resizes, stats.cache_resizes);
   std::ostringstream out;
   meminfo::write_report(info, out);
-  EXPECT_NE(out.str().find("(cap 1048576, " +
+  EXPECT_NE(out.str().find("(cap 1310720, " +
                            std::to_string(stats.cache_resizes) + " resize"),
             std::string::npos)
       << out.str();
 }
 
+TEST(BddMeminfoCacheTest, CacheCapIsCacheBytesOverEntrySize) {
+  for (const std::size_t bytes : {std::size_t{16}, std::size_t{16 * 5000 + 15},
+                                  std::size_t{3} << 20}) {
+    Manager::Options options;
+    options.cache_bytes = bytes;
+    const Manager mgr(options);
+    EXPECT_EQ(mgr.cache_entry_cap(), bytes / 16) << bytes;
+  }
+  Manager::Options none;
+  none.cache_bytes = 15;
+  EXPECT_THROW(Manager{none}, std::invalid_argument) << "room for no entry";
+}
+
 TEST(BddMeminfoCacheTest, CacheGrowthStopsAtTheCap) {
   Manager::Options options;
-  options.cache_log2 = 13;  // cap 8192: one doubling allowed
+  options.cache_bytes = 8192 * 16;  // cap 8192: one doubling allowed
   Manager mgr(options);
   churn_cache(mgr);
   EXPECT_EQ(mgr.cache_entry_count(), 8192u);
   EXPECT_EQ(mgr.stats().cache_resizes, 1u);
 }
 
+TEST(BddMeminfoCacheTest, CacheGrowthStopsOnANonPowerOfTwoCap) {
+  Manager::Options options;
+  options.cache_bytes = 10000 * 16;  // 4096 -> 8192 -> 10000
+  Manager mgr(options);
+  churn_cache(mgr);
+  EXPECT_EQ(mgr.cache_entry_count(), 10000u);
+  EXPECT_EQ(mgr.cache_entry_cap(), 10000u);
+  EXPECT_EQ(mgr.stats().cache_resizes, 2u);
+  EXPECT_LE(mgr.cache_entries_used(), 10000u);
+}
+
 TEST(BddMeminfoCacheTest, CacheAtOrBelowInitialSizeNeverGrows) {
-  for (const unsigned log2 : {4u, 12u}) {
+  for (const std::size_t entries : {16u, 3000u, 4096u}) {
     Manager::Options options;
-    options.cache_log2 = log2;
+    options.cache_bytes = entries * 16;
     Manager mgr(options);
-    EXPECT_EQ(mgr.cache_entry_count(), std::size_t{1} << log2);
+    EXPECT_EQ(mgr.cache_entry_count(), entries);
     churn_cache(mgr);
-    EXPECT_EQ(mgr.cache_entry_count(), std::size_t{1} << log2);
+    EXPECT_EQ(mgr.cache_entry_count(), entries);
     EXPECT_EQ(mgr.stats().cache_resizes, 0u);
     EXPECT_GT(mgr.stats().cache_evictions, 0u) << "pressure was there";
   }
