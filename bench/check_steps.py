@@ -1,0 +1,52 @@
+#!/usr/bin/env python3
+"""Compares lr_bench step counts against the committed ledger.
+
+Usage, from the root of a checkout:
+
+    python3 lr_bench/run.py --workload chain-tail --seed 1 --seconds 0 \\
+        > chain-tail.json
+    python3 bench/check_steps.py bench/lr_bench_steps.json \\
+        chain-tail=chain-tail.json [WORKLOAD=RESULT.json ...]
+
+Each RESULT.json is the JSON line lr_bench/run.py prints. Step counts are
+exact for a seed (the ledger names it), so every ratio against the ledger
+is printed. The check fails when a ledger workload has no result, a result
+claims an unverified success or failed instances, or a counted metric
+exceeds the ledger's max_ratio. A change that moves the counts on purpose
+refreshes the ledger.
+"""
+
+import json
+import sys
+
+
+def main(argv):
+    if len(argv) < 3 or any("=" not in arg for arg in argv[2:]):
+        print(__doc__, file=sys.stderr)
+        return 2
+    with open(argv[1]) as handle:
+        ledger = json.load(handle)
+    limit = ledger["max_ratio"]
+    results = dict(arg.split("=", 1) for arg in argv[2:])
+    missing = sorted(set(ledger["workloads"]) - set(results))
+    failed = bool(missing)
+    if missing:
+        print("no result for " + ", ".join(missing))
+    for workload, path in results.items():
+        with open(path) as handle:
+            result = json.loads(handle.read().strip().splitlines()[-1])
+        if not result["correct"] or result["failed"]:
+            print(f"{workload}: unverified success or failed instances")
+            failed = True
+        for metric, want in ledger["workloads"][workload].items():
+            got = result["metrics"][metric]["value"]
+            ratio = got / want
+            verdict = "FAIL" if ratio > limit else "ok"
+            print(f"{workload:12} {metric:13} {got:>12,} / {want:>12,} = "
+                  f"{ratio:.4f}  {verdict}")
+            failed = failed or ratio > limit
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

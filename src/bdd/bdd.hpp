@@ -40,9 +40,11 @@ class Manager;
 namespace detail {
 
 /// One operation-cache entry: the key (op, a, b, c) and its result in four
-/// 32-bit words. Node ids stay below 2^28 (kMaxNodes), so the 16-bit op
-/// code rides in the four spare top nibbles, its most significant nibble in
-/// `a`. All zeros is the empty entry (op 0).
+/// 32-bit words. Node ids stay below 2^28 (kMaxNodes), so the 15-bit op
+/// code rides in the four spare top nibbles, its most significant three
+/// bits in `a`. The top bit of `a` is the entry's reference bit
+/// (kCacheRefBit), set when a lookup hits it; it is not part of the key.
+/// All zeros is the empty entry (op 0).
 struct CacheEntry {
   std::uint32_t a = 0, b = 0, c = 0, result = 0;
 };
@@ -52,6 +54,8 @@ inline constexpr unsigned kCacheIdBits = 28;
 inline constexpr std::uint32_t kCacheIdMask = (1u << kCacheIdBits) - 1;
 /// Exclusive bound on node ids, so on the node pool's length.
 inline constexpr std::size_t kMaxNodes = std::size_t{1} << kCacheIdBits;
+/// The reference bit, in CacheEntry::a above the op code's top bits.
+inline constexpr std::uint32_t kCacheRefBit = 1u << 31;
 
 /// `id` with nibble `k` of `op` (0 = least significant) above its id bits.
 constexpr std::uint32_t with_op_nibble(NodeId id, std::uint32_t op,
@@ -59,6 +63,7 @@ constexpr std::uint32_t with_op_nibble(NodeId id, std::uint32_t op,
   return id | (((op >> (4 * k)) & 0xfu) << kCacheIdBits);
 }
 
+/// Packs an unreferenced entry; `op` must be below 0x8000.
 constexpr CacheEntry pack_entry(std::uint32_t op, NodeId a, NodeId b,
                                 NodeId c, NodeId result) noexcept {
   return {with_op_nibble(a, op, 3), with_op_nibble(b, op, 2),
@@ -66,26 +71,30 @@ constexpr CacheEntry pack_entry(std::uint32_t op, NodeId a, NodeId b,
 }
 
 constexpr std::uint32_t entry_op(const CacheEntry& e) noexcept {
-  return (e.a >> kCacheIdBits) << 12 | (e.b >> kCacheIdBits) << 8 |
-         (e.c >> kCacheIdBits) << 4 | e.result >> kCacheIdBits;
+  return ((e.a & ~kCacheRefBit) >> kCacheIdBits) << 12 |
+         (e.b >> kCacheIdBits) << 8 | (e.c >> kCacheIdBits) << 4 |
+         e.result >> kCacheIdBits;
 }
 
 constexpr NodeId entry_id(std::uint32_t word) noexcept {
   return word & kCacheIdMask;
 }
 
-/// True when two entries hold the same key (op, a, b, c).
+/// True when two entries hold the same key (op, a, b, c), whatever their
+/// reference bits.
 constexpr bool same_key(const CacheEntry& x, const CacheEntry& y) noexcept {
-  return x.a == y.a && x.b == y.b && x.c == y.c &&
+  return ((x.a ^ y.a) & ~kCacheRefBit) == 0 && x.b == y.b && x.c == y.c &&
          ((x.result ^ y.result) >> kCacheIdBits) == 0;
 }
 
-static_assert(entry_op(pack_entry(0xffff, kMaxNodes - 1, 0, 0, 0)) == 0xffff);
-static_assert(entry_id(pack_entry(0xffff, 0, 0, 0, kMaxNodes - 1).result) ==
+static_assert(entry_op(pack_entry(0x7fff, kMaxNodes - 1, 0, 0, 0)) == 0x7fff);
+static_assert(entry_id(pack_entry(0x7fff, 0, 0, 0, kMaxNodes - 1).result) ==
               kMaxNodes - 1);
-static_assert(entry_id(pack_entry(0xffff, kMaxNodes - 1, 0, 0, 0).a) ==
+static_assert(entry_id(pack_entry(0x7fff, kMaxNodes - 1, 0, 0, 0).a) ==
               kMaxNodes - 1);
-static_assert(entry_op(pack_entry(0x8421, 0, 0, 0, 0)) == 0x8421);
+static_assert((pack_entry(0x7fff, kMaxNodes - 1, 0, 0, 0).a & kCacheRefBit) ==
+              0);
+static_assert(entry_op(pack_entry(0x4321, 0, 0, 0, 0)) == 0x4321);
 
 }  // namespace detail
 
@@ -181,7 +190,7 @@ struct ManagerStats {
   std::uint64_t unique_hits = 0;     ///< make_node found existing node
   std::uint64_t cache_lookups = 0;   ///< operation cache probes
   std::uint64_t cache_hits = 0;      ///< operation cache hits
-  std::uint64_t cache_evictions = 0; ///< live cache entries overwritten
+  std::uint64_t cache_evictions = 0; ///< cached results lost at a collision
   std::uint64_t cache_resizes = 0;   ///< operation cache growth steps
   std::size_t peak_bytes = 0;        ///< high-water mark of pool+table+cache bytes
 };
@@ -211,23 +220,28 @@ struct GcRecord {
 ///    memoized so repeated NOT is cheap.
 ///  * Nodes are pool indices (below 2^28), the unique table is a chained
 ///    hash over the pool, and the operation cache is a direct-mapped array
-///    of 16-byte entries keyed by (op, a, b, c), the 16-bit op code packed
-///    into the ids' spare top bits (detail::CacheEntry). A key's slot is
-///    its mixed hash range-reduced by multiply-shift (Lemire 2016), so the
-///    size need not be a power of two. The cache starts at 2^12 entries and
-///    doubles, up to Options::cache_bytes / 16 entries (the last step lands
-///    exactly on that cap), whenever the evictions since its last resize
-///    reach a quarter of its slots (CUDD-style growth under pressure), so a
-///    small repair never pays for a large cache. Its full capacity is
-///    reserved up front and a resize rehashes in place, so it never holds
-///    two arrays. The three-conjunct and_exists has four operands, so its
-///    key names the root cube by an op code of its own (the manager interns
-///    each such cube and keeps it alive). Entries survive GC unless they
-///    name a freed node; those are dropped in the same collection, before
-///    any slot is reused, so a recycled slot can never alias a stale entry
-///    (slots are only recycled by the GC itself). A level swap leaves the
-///    cache alone: it rewrites nodes in place without changing any node's
-///    function.
+///    of 16-byte entries keyed by (op, a, b, c), the 15-bit op code and a
+///    reference bit packed into the ids' spare top bits
+///    (detail::CacheEntry). A key's slot is its mixed hash range-reduced by
+///    multiply-shift (Lemire 2016), so the size need not be a power of two.
+///    The cache starts at 2^12 entries and doubles, up to
+///    Options::cache_bytes / 16 entries (the last step lands exactly on
+///    that cap), whenever the evictions since its last resize reach a
+///    quarter of its slots (CUDD-style growth under pressure), so a small
+///    repair never pays for a large cache. Its full capacity is reserved up
+///    front and a resize rehashes in place, so it never holds two arrays.
+///    Once at the cap, a slot gives its entry a second chance (CLOCK,
+///    Corbató 1968): a hit sets the entry's reference bit, and a colliding
+///    store clears a set bit and drops the newcomer instead of overwriting.
+///    So an entry that every fixpoint iteration hits outlives the cold
+///    entries stored once between two of its hits. The three-conjunct
+///    and_exists has four operands, so its key names the root cube by an
+///    op code of its own (the manager interns each such cube and keeps it
+///    alive). Entries survive GC unless they name a freed node, referenced
+///    or not; those are dropped in the same collection, before any slot is
+///    reused, so a recycled slot can never alias a stale entry (slots are
+///    only recycled by the GC itself). A level swap leaves the cache alone:
+///    it rewrites nodes in place without changing any node's function.
 ///  * Garbage collection is mark-and-sweep from externally referenced
 ///    nodes. It runs only at public operation entry points, never inside a
 ///    recursion, so intermediate results need no protection.
@@ -324,7 +338,7 @@ class Manager {
   /// their factors (e.g. a process delta and a primed invariant) separate
   /// so the intermediate product is never materialized. The manager keeps
   /// every distinct cube passed here alive (it keys the op cache); a
-  /// manager takes at most 32,768 of them, then throws std::length_error.
+  /// manager takes at most 16,384 of them, then throws std::length_error.
   [[nodiscard]] Bdd and_exists(const Bdd& f, const Bdd& g, const Bdd& h,
                                const Bdd& cube);
 
@@ -332,7 +346,7 @@ class Manager {
   /// Registers the permutation mapping variable v to perm[v]. `perm` must
   /// have one entry per existing variable and be a bijection. Returns an id
   /// usable with permute(); register each permutation once and reuse it.
-  /// Throws std::length_error past 32,756 permutations (the op codes they
+  /// Throws std::length_error past 16,372 permutations (the op codes they
   /// key the cache with are spent).
   PermId register_permutation(std::span<const VarIndex> perm);
 
@@ -479,7 +493,7 @@ class Manager {
 
   static constexpr VarIndex kFreeVar = 0xfffffffeu;
 
-  // Operation codes for the cache (16 bits; see detail::CacheEntry).
+  // Operation codes for the cache (15 bits; see detail::CacheEntry).
   enum Op : std::uint32_t {
     kOpNone = 0,
     kOpAnd,
@@ -495,9 +509,9 @@ class Manager {
     kOpDisjoint,
     kOpPermBase,  // kOpPermBase + perm id, below kOpAndExists3Base
     // Three-conjunct and_exists: kOpAndExists3Base + how many root cubes
-    // were interned before its own (and_exists3_ops_), up to 0xffff.
-    kOpAndExists3Base = 0x8000,
-    kOpLimit = 0x10000
+    // were interned before its own (and_exists3_ops_), up to 0x7fff.
+    kOpAndExists3Base = 0x4000,
+    kOpLimit = 0x8000
   };
 
   void init_pool(std::size_t capacity);

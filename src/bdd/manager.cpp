@@ -438,9 +438,11 @@ bool Manager::cache_get(std::uint32_t op, NodeId a, NodeId b, NodeId c,
   ++stats_.cache_lookups;
   key.entry = detail::pack_entry(op, a, b, c, 0);
   key.hash = hash_cache(op, a, b, c);
-  const CacheEntry& e = cache_[cache_slot(key.hash)];
+  CacheEntry& e = cache_[cache_slot(key.hash)];
   if (detail::same_key(e, key.entry)) {
     ++stats_.cache_hits;
+    // Written only when clear, so a hot line is not dirtied on every hit.
+    if ((e.a & detail::kCacheRefBit) == 0) e.a |= detail::kCacheRefBit;
     out = detail::entry_id(e.result);
     return true;
   }
@@ -453,10 +455,17 @@ void Manager::cache_put(const CacheKey& key, NodeId result) {
   CacheEntry& e = cache_[cache_slot(key.hash)];
   CacheEntry fresh = key.entry;
   fresh.result |= result;
-  // Direct-mapped: a different live key dying here is an eviction.
+  // Direct-mapped: a different live key here loses its result, or, at the
+  // cap, the newcomer does when the resident was hit since it was stored
+  // or last spared (second chance).
   const bool evicted =
       detail::entry_op(e) != kOpNone && !detail::same_key(e, fresh);
-  e = fresh;
+  if (evicted && (e.a & detail::kCacheRefBit) != 0 &&
+      cache_.size() == cache_cap_) {
+    e.a &= ~detail::kCacheRefBit;
+  } else {
+    e = fresh;
+  }
   if (!evicted) return;
   ++stats_.cache_evictions;
   // Grow once the evictions since the last resize reach a quarter of the
@@ -471,7 +480,8 @@ void Manager::grow_cache() {
   // Slots are monotone in the size, so an entry stays or moves up; walking
   // down, a move never lands on an entry that has yet to move. A doubling
   // sends slot i to 2i or 2i + 1, so no two entries meet; the last, shorter
-  // step onto the cap can send two to one slot, and the one there stays.
+  // step onto the cap can send two to one slot, and a referenced entry
+  // wins it, else the one there stays. Entries move with their bits.
   const std::size_t old_size = cache_.size();
   cache_.resize(std::min(old_size * 2, cache_cap_));  // no realloc: reserved
   for (std::size_t i = old_size; i-- > 0;) {
@@ -483,7 +493,11 @@ void Manager::grow_cache() {
                               detail::entry_id(e.c)));
     assert(slot >= i);
     if (slot == i) continue;
-    if (detail::entry_op(cache_[slot]) == kOpNone) cache_[slot] = e;
+    CacheEntry& there = cache_[slot];
+    if (detail::entry_op(there) == kOpNone ||
+        (e.a & ~there.a & detail::kCacheRefBit) != 0) {
+      there = e;
+    }
     e = CacheEntry{};
   }
   cache_evictions_since_resize_ = 0;
@@ -501,7 +515,7 @@ std::uint32_t Manager::and_exists3_op(NodeId cube) {
   const std::size_t op = kOpAndExists3Base + and_exists3_ops_.size();
   if (op >= kOpLimit) {
     throw std::length_error(
-        "bdd::Manager: and_exists takes at most 32768 distinct cubes");
+        "bdd::Manager: and_exists takes at most 16384 distinct cubes");
   }
   inc_ref(cube);  // keeps the id, and so the entries keyed by it, valid
   and_exists3_ops_.emplace(found, cube, static_cast<std::uint32_t>(op));

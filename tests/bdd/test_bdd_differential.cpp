@@ -1,8 +1,9 @@
 // Differential tests: the same computation executed in managers with very
 // different cache and pool geometries (one small enough to force many
 // garbage collections, the default growing cache under the same GC
-// pressure so resizes and collections interleave, and a cap that is not a
-// power of two so the last resize is not a doubling) must produce
+// pressure so resizes and collections interleave, a cap that is not a
+// power of two so the last resize is not a doubling, and a one-entry cache
+// whose every miss meets the second-chance rule) must produce
 // semantically identical results. This guards against operation-cache
 // aliasing, in-place cache rehashing and GC interactions that unit tests
 // cannot reach.
@@ -118,13 +119,19 @@ TEST_P(BddDifferentialTest, GeometriesAgree) {
   odd.cache_bytes = 5120 * 16;
   odd.gc_threshold = 2048;
 
+  Manager::Options single;      // every key shares slot 0, at the cap
+  single.cache_bytes = 16;
+  single.gc_threshold = 2048;
+
   const std::vector<double> reference =
       run_workload(big, GetParam()).fingerprint;
   const WorkloadRun stressed = run_workload(tiny, GetParam());
   const WorkloadRun grown = run_workload(growing, GetParam());
   const WorkloadRun capped = run_workload(odd, GetParam());
+  const WorkloadRun one = run_workload(single, GetParam());
   const std::pair<const WorkloadRun*, const char*> runs[] = {
-      {&stressed, "tiny"}, {&grown, "growing"}, {&capped, "5120 entries"}};
+      {&stressed, "tiny"}, {&grown, "growing"}, {&capped, "5120 entries"},
+      {&one, "one entry"}};
   for (const auto& [run, name] : runs) {
     ASSERT_EQ(reference.size(), run->fingerprint.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -136,6 +143,7 @@ TEST_P(BddDifferentialTest, GeometriesAgree) {
   }
   EXPECT_GT(grown.stats.cache_resizes, 0u);
   EXPECT_EQ(capped.stats.cache_resizes, 1u) << "the one step onto the cap";
+  EXPECT_GT(one.stats.cache_hits, 0u) << "no hit, so no store was refused";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddDifferentialTest,

@@ -155,6 +155,34 @@ TEST(BddGcTest, CacheEntryNamingAFreedNodeIsDropped) {
   EXPECT_FALSE(mgr.eval(again, std::array<bool, 2>{true, false}));
 }
 
+TEST(BddGcTest, ReferencedEntryNamingAFreedNodeIsDropped) {
+  // A one-entry cache is at its cap, so a hit entry refuses the next
+  // colliding store; the GC must still drop it once its result dies.
+  Manager::Options options;
+  options.cache_bytes = 16;
+  Manager mgr(options);
+  for (int i = 0; i < 4; ++i) (void)mgr.new_var();
+  const Bdd x0 = mgr.bdd_var(0);
+  const Bdd x1 = mgr.bdd_var(1);
+  {
+    const Bdd dead = x0 & x1;
+    const std::uint64_t hits = mgr.stats().cache_hits;
+    EXPECT_EQ(x0 & x1, dead);
+    ASSERT_EQ(mgr.stats().cache_hits, hits + 1) << "the entry is referenced";
+  }
+  mgr.collect_garbage();
+  EXPECT_EQ(mgr.stats().gc_reclaimed, 1u);
+  EXPECT_EQ(mgr.cache_entries_used(), 0u) << "the referenced entry survived";
+
+  // The slot is empty, so the next store neither evicts nor is refused.
+  const std::uint64_t evictions = mgr.stats().cache_evictions;
+  const Bdd other = mgr.bdd_var(2) & mgr.bdd_var(3);
+  EXPECT_EQ(mgr.stats().cache_evictions, evictions);
+  const std::uint64_t hits = mgr.stats().cache_hits;
+  EXPECT_EQ(mgr.bdd_var(2) & mgr.bdd_var(3), other);
+  EXPECT_EQ(mgr.stats().cache_hits, hits + 1);
+}
+
 TEST(BddGcTest, ReusedSlotNeverReturnsTheOldResult) {
   // One manager computes x ∧ s, frees x and the result, and refills the
   // freed slots with other single-node functions; a second manager that
