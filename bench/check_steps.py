@@ -11,9 +11,9 @@ Usage, from the root of a checkout:
 Each RESULT.json is the JSON line lr_bench/run.py prints. Step counts are
 exact for a seed (the ledger names it), so every ratio against the ledger
 is printed. The check fails when a ledger workload has no result, a result
-claims an unverified success or failed instances, or a counted metric
-exceeds the ledger's max_ratio. A change that moves the counts on purpose
-refreshes the ledger.
+names a workload the ledger lacks, a result claims an unverified success
+or failed instances, or a counted metric exceeds the ledger's max_ratio.
+A change that moves the counts on purpose refreshes the ledger.
 """
 
 import json
@@ -29,10 +29,15 @@ def main(argv):
     limit = ledger["max_ratio"]
     results = dict(arg.split("=", 1) for arg in argv[2:])
     missing = sorted(set(ledger["workloads"]) - set(results))
-    failed = bool(missing)
+    unknown = sorted(set(results) - set(ledger["workloads"]))
+    failed = bool(missing or unknown)
     if missing:
         print("no result for " + ", ".join(missing))
+    if unknown:
+        print("not in the ledger " + argv[1] + ": " + ", ".join(unknown))
     for workload, path in results.items():
+        if workload in unknown:
+            continue
         with open(path) as handle:
             result = json.loads(handle.read().strip().splitlines()[-1])
         if not result["correct"] or result["failed"]:

@@ -16,6 +16,71 @@
 
 namespace lr::repair {
 
+bool livelock_free_by_layers(prog::DistributedProgram& program,
+                             const bdd::Bdd& outside,
+                             std::span<const bdd::Bdd> deltas) {
+  sym::Space& space = program.space();
+  const std::size_t processes = deltas.size();
+  const std::size_t variables = space.variable_count();
+  // in_view[j][v]: v ∈ V_j = reads_j ∪ writes_j.
+  std::vector<std::vector<bool>> in_view(processes,
+                                         std::vector<bool>(variables, false));
+  for (std::size_t j = 0; j < processes; ++j) {
+    const prog::Process& process = program.process(j);
+    for (const sym::VarId v : process.reads) in_view[j][v] = true;
+    for (const sym::VarId v : process.writes) in_view[j][v] = true;
+  }
+  // Edge k → j when P_k writes a variable of V_j. Kahn's algorithm: a
+  // cycle leaves some process with a positive in-degree.
+  std::vector<std::vector<std::size_t>> successors(processes);
+  std::vector<std::size_t> in_degree(processes, 0);
+  for (std::size_t k = 0; k < processes; ++k) {
+    const std::vector<sym::VarId>& writes = program.process(k).writes;
+    for (std::size_t j = 0; j < processes; ++j) {
+      if (k == j) continue;
+      if (std::any_of(writes.begin(), writes.end(),
+                      [&](sym::VarId v) { return in_view[j][v]; })) {
+        successors[k].push_back(j);
+        ++in_degree[j];
+      }
+    }
+  }
+  std::vector<std::size_t> ready;
+  for (std::size_t j = 0; j < processes; ++j) {
+    if (in_degree[j] == 0) ready.push_back(j);
+  }
+  std::size_t ordered = 0;
+  while (!ready.empty()) {
+    const std::size_t k = ready.back();
+    ready.pop_back();
+    ++ordered;
+    for (const std::size_t j : successors[k]) {
+      if (--in_degree[j] == 0) ready.push_back(j);
+    }
+  }
+  if (ordered != processes) return false;
+
+  // Each process alone, projected onto V_j, must not cycle inside the
+  // projection of `outside`.
+  bdd::Manager& mgr = space.manager();
+  for (std::size_t j = 0; j < processes; ++j) {
+    std::vector<sym::VarId> hidden;
+    for (sym::VarId v = 0; v < variables; ++v) {
+      if (!in_view[j][v]) hidden.push_back(v);
+    }
+    const bdd::Bdd local = mgr.exists(deltas[j], space.cube_pair_of(hidden));
+    bdd::Bdd z =
+        mgr.exists(outside, space.cube_of(hidden, sym::Version::kCurrent));
+    while (true) {
+      const bdd::Bdd shrunk = space.has_successor_in_local(local, z);
+      if (shrunk == z) break;
+      z = shrunk;
+    }
+    if (!z.is_false()) return false;
+  }
+  return true;
+}
+
 namespace {
 
 /// Removes, group-wise, the transitions that let executions spin outside
@@ -24,12 +89,20 @@ namespace {
 /// realized program may cycle between kept original groups and synthesized
 /// recovery groups; whole groups are removed (synthesized ones first,
 /// original behavior as a last resort) so realizability is preserved.
+///
+/// The layered proof (livelock_free_by_layers) runs first; when it shows
+/// that no cycle exists, the global νZ is skipped.
 void eliminate_livelocks(prog::DistributedProgram& program,
                          const bdd::Bdd& invariant, const bdd::Bdd& span,
                          std::vector<bdd::Bdd>& deltas,
                          const Options& options) {
-  LR_TRACE_SPAN("lazy_repair.eliminate_livelocks");
+  LR_TRACE_SPAN_NAMED(livelock_span, "lazy_repair.eliminate_livelocks");
   sym::Space& space = program.space();
+  const bdd::Bdd outside = span.minus(invariant);
+  if (livelock_free_by_layers(program, outside, deltas)) {
+    livelock_span.attr("proof", "layers");
+    return;
+  }
   // The νZ below runs monolithically on the main manager, with or without
   // intra sharding: its iterate changes little per step, so the op cache
   // absorbs repeat iterations almost entirely, where sharding would
@@ -38,13 +111,21 @@ void eliminate_livelocks(prog::DistributedProgram& program,
   // from the previous pass's fixpoint. Pruning only ever shrinks the
   // deltas, so the old fixpoint over-approximates the new one and the
   // descent reaches the same νZ from there.
-  const bdd::Bdd outside = span.minus(invariant);
+  //
+  // The passes stop only when the νZ is empty. That terminates: a
+  // non-empty νZ puts some transition of some δ_j on the cycle states, and
+  // every pass removes at least one transition. Either some synthesized
+  // group is dropped (drop ≠ ∅ needs synthesized ≠ ∅), or every δ_j loses
+  // the groups of its transitions on the cycle states, and some δ_j has
+  // one. The deltas are finite, so the passes are too.
   bdd::Bdd cycle_states = outside;
-  for (std::size_t pass = 0; pass < 2 * deltas.size() + 2; ++pass) {
+  std::uint64_t iterations = 0;
+  while (true) {
     throw_if_cancelled(options.cancel);
     bdd::Bdd actions = space.bdd_false();
     for (const bdd::Bdd& dj : deltas) actions |= dj;
     while (true) {
+      ++iterations;
       const bdd::Bdd shrunk =
           space.has_successor_in_local(actions, cycle_states);
       if (shrunk == cycle_states) break;
@@ -77,6 +158,8 @@ void eliminate_livelocks(prog::DistributedProgram& program,
       deltas[j] = kept;
     }
   }
+  livelock_span.attr("proof", "nu_z");
+  livelock_span.attr("iterations", iterations);
 }
 
 }  // namespace

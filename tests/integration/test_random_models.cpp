@@ -33,6 +33,7 @@
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "../support/model_gen.hpp"
+#include "../support/realized_round.hpp"
 
 namespace lr::repair {
 namespace {
@@ -170,6 +171,41 @@ TEST(ShardedFuzzTest, FailsafeSuccessesAreSound) {
   });
   failures.flush();
   EXPECT_GT(successes.load(), 0) << "base seed " << base;
+}
+
+/// The layered livelock proof against the global νZ, on each model's
+/// realized deltas before livelock elimination: whenever the proof says
+/// that no run stays outside the invariant forever, the νZ over those
+/// states must be empty.
+TEST(ShardedFuzzTest, LayeredLivelockProofAgreesWithTheNuZ) {
+  const std::uint64_t base = base_seed() ^ 0x1A7E125ull;
+  const std::size_t count = sweep_models(512);
+  FailureLog failures("Layered");
+  std::atomic<int> proofs{0};
+  support::parallel_for(count, sweep_jobs(), [&](std::size_t i) {
+    const std::uint64_t seed = testgen::model_seed(base, i);
+    support::SplitMix64 rng(seed);
+    auto program = testgen::random_program(rng);
+    const testgen::RealizedRound round = testgen::realize_first_round(*program);
+    if (!round.ok ||
+        !livelock_free_by_layers(*program, round.outside, round.deltas)) {
+      return;
+    }
+    proofs.fetch_add(1, std::memory_order_relaxed);
+    if (!testgen::livelock_states(program->space(), round.deltas,
+                                  round.outside)
+             .is_false()) {
+      failures.record(seed, "layered proof missed a livelock the νZ found");
+    }
+  });
+  failures.flush();
+  // A directed ring's process graph is always cyclic, so the proof must
+  // never hold there; every other topology must exercise it.
+  if (testgen::topology_from_env() == testgen::Topology::kRing) {
+    EXPECT_EQ(proofs.load(), 0) << "base seed " << base;
+  } else {
+    EXPECT_GT(proofs.load(), 0) << "base seed " << base;
+  }
 }
 
 /// The sweep must be reproducible: the same base seed produces the same

@@ -5,12 +5,15 @@
 
 #include "casestudies/byzantine.hpp"
 #include "casestudies/chain.hpp"
+#include "casestudies/token_ring.hpp"
+#include "lang/parser.hpp"
 #include "repair/lazy.hpp"
 #include "repair/report.hpp"
 #include "repair/verify.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
+#include "../support/realized_round.hpp"
 
 namespace lr::repair {
 namespace {
@@ -102,6 +105,128 @@ TEST(LazyRepairTest, RunEmitsSpansAndMetrics) {
   }
   EXPECT_GE(gauges->find("repair.invariant_states")->number, 1.0);
   EXPECT_GE(counters->find("repair.outer_iterations")->number, 1.0);
+}
+
+// --- The layered livelock proof --------------------------------------------
+
+TEST(LivelockProofTest, ChainIsProvedAndLazyRepairMatchesTheNuZ) {
+  for (const std::size_t length : {3u, 5u, 8u}) {
+    auto program = cs::make_chain({.length = length, .domain = 4});
+    const testgen::RealizedRound round = testgen::realize_first_round(*program);
+    ASSERT_TRUE(round.ok);
+    EXPECT_TRUE(livelock_free_by_layers(*program, round.outside, round.deltas))
+        << "Sc^" << length;
+    // The νZ finds no cycle either, so it would prune nothing: the νZ path
+    // returns realize()'s deltas, and so must lazy repair.
+    EXPECT_TRUE(testgen::livelock_states(program->space(), round.deltas,
+                                         round.outside)
+                    .is_false());
+    const RepairResult result = lazy_repair(*program);
+    expect_verified(*program, result);
+    ASSERT_EQ(result.stats.outer_iterations, 1u);
+    ASSERT_EQ(result.process_deltas.size(), round.deltas.size());
+    for (std::size_t j = 0; j < round.deltas.size(); ++j) {
+      EXPECT_TRUE(result.process_deltas[j] == round.deltas[j])
+          << "Sc^" << length << " process " << j;
+    }
+  }
+}
+
+TEST(LivelockProofTest, CyclicProcessGraphsFailWithoutBddWork) {
+  auto ring = cs::make_token_ring({});
+  auto mutex =
+      lang::parse_program_file(std::string(LR_SOURCE_DIR) + "/models/mutex_ring.lr");
+  for (prog::DistributedProgram* program : {ring.get(), mutex.get()}) {
+    sym::Space& space = program->space();
+    std::vector<bdd::Bdd> deltas;
+    for (std::size_t j = 0; j < program->process_count(); ++j) {
+      deltas.push_back(program->process_delta(j));
+    }
+    const bdd::Bdd outside =
+        space.valid(sym::Version::kCurrent).minus(program->invariant());
+    const std::uint64_t lookups = space.manager().stats().cache_lookups;
+    EXPECT_FALSE(livelock_free_by_layers(*program, outside, deltas))
+        << program->name();
+    EXPECT_EQ(space.manager().stats().cache_lookups, lookups)
+        << program->name();
+  }
+}
+
+TEST(LivelockProofTest, TwoWritersOfOneVariableFail) {
+  // Neither process cycles alone, but together they toggle x forever:
+  // only the graph's cycle p -> q -> p sees it.
+  auto program = lang::parse_program(R"(
+    program two_writers;
+    var x : 0..1;
+    process p { reads x; writes x; action up: x == 0 -> x := 1; }
+    process q { reads x; writes x; action down: x == 1 -> x := 0; }
+    invariant x == 0;
+  )");
+  sym::Space& space = program->space();
+  const std::vector<bdd::Bdd> deltas{program->process_delta(0),
+                                     program->process_delta(1)};
+  const bdd::Bdd everywhere = space.valid(sym::Version::kCurrent);
+  EXPECT_FALSE(
+      testgen::livelock_states(space, deltas, everywhere).is_false());
+  EXPECT_FALSE(livelock_free_by_layers(*program, everywhere, deltas));
+}
+
+TEST(LivelockProofTest, DownstreamLocalCycleFailsAndIsStillPruned) {
+  // The graph up -> down is acyclic, but down toggles b while a == 0: a
+  // cycle of down alone outside the invariant. Step 1 keeps that original
+  // behavior, so the proof must fail and the νZ must prune it.
+  auto program = lang::parse_program(R"(
+    program downstream_toggle;
+    var a : 0..1;
+    var b : 0..2;
+    process up { reads a; writes a; action settle: a == 1 -> a := 0; }
+    process down {
+      reads a, b;
+      writes b;
+      action toggle: a == 0 && b != 2 -> b := ite(b == 0, 1, 0);
+    }
+    fault drop: b == 2 -> b := 0;
+    invariant b == 2;
+  )");
+  const testgen::RealizedRound round = testgen::realize_first_round(*program);
+  ASSERT_TRUE(round.ok);
+  EXPECT_FALSE(testgen::livelock_states(program->space(), round.deltas,
+                                        round.outside)
+                   .is_false());
+  EXPECT_FALSE(
+      livelock_free_by_layers(*program, round.outside, round.deltas));
+  const RepairResult result = lazy_repair(*program);
+  expect_verified(*program, result);
+}
+
+TEST(LivelockProofTest, SpanSaysWhichPathDecided) {
+  const auto livelock_args = [](prog::DistributedProgram& program) {
+    support::trace::start();
+    const RepairResult result = lazy_repair(program);
+    support::trace::stop();
+    EXPECT_TRUE(result.success) << result.failure_reason;
+    auto doc = support::json_parse(support::trace::to_chrome_json());
+    if (!doc.has_value()) return support::JsonValue{};
+    for (const support::JsonValue& event : doc->find("traceEvents")->array) {
+      const support::JsonValue* name = event.find("name");
+      if (name != nullptr && name->string == "lazy_repair.eliminate_livelocks") {
+        return *event.find("args");
+      }
+    }
+    return support::JsonValue{};
+  };
+  auto chain = cs::make_chain({.length = 4, .domain = 3});
+  const support::JsonValue proved = livelock_args(*chain);
+  ASSERT_NE(proved.find("proof"), nullptr);
+  EXPECT_EQ(proved.find("proof")->string, "layers");
+  EXPECT_EQ(proved.find("iterations"), nullptr);
+
+  auto ring = cs::make_token_ring({.processes = 3, .domain = 3});
+  const support::JsonValue searched = livelock_args(*ring);
+  ASSERT_NE(searched.find("proof"), nullptr);
+  EXPECT_EQ(searched.find("proof")->string, "nu_z");
+  ASSERT_NE(searched.find("iterations"), nullptr);
+  EXPECT_GE(searched.find("iterations")->number, 1.0);
 }
 
 }  // namespace

@@ -297,6 +297,37 @@ TEST(RealizeBatchTest, CaseStudiesMatchOneGroupAtATime) {
   EXPECT_GT(rejections, 0u);
 }
 
+// The layered livelock proof (livelock_free_by_layers) relies on every δ_j
+// changing only writes_j. Algorithm 2 ensures it; this pins it down.
+TEST(RealizeTest, CaseStudyDeltasChangeOnlyTheirWrites) {
+  using Factory = std::function<std::unique_ptr<prog::DistributedProgram>()>;
+  const auto model_file = [](const char* name) -> Factory {
+    return [name] { return lang::parse_program_file(model_path(name)); };
+  };
+  const std::vector<std::pair<std::string, Factory>> cases = {
+      {"tmr", [] { return cs::make_tmr({}); }},
+      {"token_ring", [] { return cs::make_token_ring({}); }},
+      {"byzantine", [] { return cs::make_byzantine({}); }},
+      {"byzantine fail-stop",
+       [] { return cs::make_byzantine({.fail_stop = true}); }},
+      {"Sc^5 d3", [] { return cs::make_chain({.length = 5, .domain = 3}); }},
+      {"mutex_ring", model_file("mutex_ring.lr")},
+      {"quickstart", model_file("quickstart.lr")},
+  };
+  for (const auto& [name, make] : cases) {
+    for (const GroupMethod method :
+         {GroupMethod::kPaperLoop, GroupMethod::kOneShot}) {
+      const std::unique_ptr<prog::DistributedProgram> p = make();
+      const Realized r = realize_case(*p, method);
+      ASSERT_EQ(r.deltas.size(), p->process_count()) << name;
+      for (std::size_t j = 0; j < r.deltas.size(); ++j) {
+        EXPECT_TRUE(r.deltas[j].leq(p->respects_write(j)))
+            << name << " process " << j;
+      }
+    }
+  }
+}
+
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
