@@ -18,9 +18,9 @@
 // restricts the sweep to one paper table. CI sweeps --order=auto against
 // the committed BENCH_order.json baseline.
 //
-// --par-intra shards image/preimage and group enumeration *inside* each
-// task across K workers (repair::Options::intra_jobs); jobs * K is clamped
-// to the machine by the batch executor.
+// --par-intra shards image/preimage *inside* each task across K workers
+// (repair::Options::intra_jobs); jobs * K is clamped to the machine by the
+// batch executor.
 
 #include <algorithm>
 #include <cstdio>

@@ -85,10 +85,8 @@ struct Options {
 
   /// Intra-problem worker count (--par-intra). With >= 2, image/preimage
   /// computation shards the transition relation across a per-problem
-  /// worker pool and realize() enumerates per-process groups in parallel;
-  /// results, journals and exports are bit-identical to the sequential
-  /// path (BDD canonicity; decisions commit in canonical order). 1 or 0
-  /// means fully sequential.
+  /// worker pool; results, journals and exports are bit-identical to the
+  /// sequential path (BDD canonicity). 1 or 0 means fully sequential.
   std::size_t intra_jobs = 1;
 
   /// Cooperative cancellation: when set, the lazy/cautious/add_masking/

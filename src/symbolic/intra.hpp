@@ -2,17 +2,14 @@
 
 // Intra-problem work sharding: one persistent worker pool whose threads
 // each own a private bdd::Manager mirroring the main manager's variable
-// order. The engine shards partitioned image/preimage computation (and any
-// caller-supplied per-item work, e.g. realize's per-process group
-// enumeration) across the workers and reduces the partial results back
-// into the main manager in a fixed partition order.
+// order. The engine shards partitioned image/preimage computation across
+// the workers and reduces the partial results back into the main manager
+// in a fixed partition order.
 //
 // Determinism: BDDs are canonical, so a worker whose manager has the same
 // variable *level order* as the main manager computes bit-identical node
-// structures for the same functions — pick_minterm, leq, exists, all
-// decide identically to the sequential path. The reduction therefore
-// yields the exact BDD the sequential loop would, and worker-side
-// accept/reject decisions match the sequential ones one-for-one.
+// structures for the same functions. The reduction therefore yields the
+// exact BDD the sequential loop would.
 //
 // Concurrency protocol (see also bdd/transfer.hpp):
 //   * main thread pins every main-manager root it hands to workers
@@ -41,23 +38,6 @@ namespace lr::sym {
 
 class IntraEngine {
  public:
-  /// One worker thread's private state. `mgr` mirrors the main manager's
-  /// variable count and level order; `memo` caches main->worker imports
-  /// (valid while the engine's pin set is intact).
-  struct Worker {
-    bdd::Manager mgr;
-    bdd::ImportMemo memo;
-    bdd::ImportMemo export_memo;
-    /// Roots every function ever exported through `export_memo`: the memo's
-    /// keys are worker node ids, which stay valid only while their nodes are
-    /// externally referenced (the worker's GC could otherwise recycle them).
-    std::vector<bdd::Bdd> export_roots;
-    bdd::Bdd cube_cur;
-    bdd::Bdd cube_next;
-    bdd::PermId swap = 0;
-    std::exception_ptr error;
-  };
-
   /// Number of worker contexts (private managers). Fixed — NOT the thread
   /// count — so the work-to-context assignment, each context's op
   /// sequence, and therefore every profiler counter are identical no
@@ -89,27 +69,6 @@ class IntraEngine {
 
   /// Pool threads executing the contexts.
   [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
-
-  /// Main thread only: keeps `f` (and thus every node reachable from it)
-  /// alive and id-stable so workers may import it. Pins accumulate across
-  /// calls and are released wholesale (with all worker memos) when the pin
-  /// set grows past an internal bound.
-  bdd::NodeId pin(const bdd::Bdd& f);
-
-  /// Runs `fn(w, worker)` once per worker on the pool and joins. Worker
-  /// exceptions are captured and rethrown here, lowest worker index first.
-  /// When profiling is enabled, each task runs under the span that was
-  /// current on the dispatching thread, and the worker managers' profiles
-  /// are merged into the main manager's profiler after the join.
-  void run(const std::function<void(std::size_t, Worker&)>& fn);
-
-  /// Worker-thread side: imports a pinned main-manager node into worker
-  /// `w`'s manager (memoized).
-  bdd::Bdd import(std::size_t w, bdd::NodeId id);
-
-  /// Main thread, workers quiescent: transfers a worker result back into
-  /// the main manager.
-  bdd::Bdd export_to_main(std::size_t w, const bdd::Bdd& f);
 
   /// Sharded OR-reduction of per-partition image: pieces are main-manager
   /// transition relations; returns ∪_i unprime(∃cur. piece_i ∧ from).
@@ -155,6 +114,44 @@ class IntraEngine {
   static constexpr std::size_t kSplitThreshold = 256;
 
  private:
+  /// One worker thread's private state. `mgr` mirrors the main manager's
+  /// variable count and level order; `memo` caches main->worker imports
+  /// (valid while the engine's pin set is intact).
+  struct Worker {
+    bdd::Manager mgr;
+    bdd::ImportMemo memo;
+    bdd::ImportMemo export_memo;
+    /// Roots every function ever exported through `export_memo`: the memo's
+    /// keys are worker node ids, which stay valid only while their nodes are
+    /// externally referenced (the worker's GC could otherwise recycle them).
+    std::vector<bdd::Bdd> export_roots;
+    bdd::Bdd cube_cur;
+    bdd::Bdd cube_next;
+    bdd::PermId swap = 0;
+    std::exception_ptr error;
+  };
+
+  /// Main thread only: keeps `f` (and thus every node reachable from it)
+  /// alive and id-stable so workers may import it. Pins accumulate across
+  /// calls and are released wholesale (with all worker memos) when the pin
+  /// set grows past an internal bound.
+  bdd::NodeId pin(const bdd::Bdd& f);
+
+  /// Runs `fn(w, worker)` once per worker on the pool and joins. Worker
+  /// exceptions are captured and rethrown here, lowest worker index first.
+  /// When profiling is enabled, each task runs under the span that was
+  /// current on the dispatching thread, and the worker managers' profiles
+  /// are merged into the main manager's profiler after the join.
+  void run(const std::function<void(std::size_t, Worker&)>& fn);
+
+  /// Worker-thread side: imports a pinned main-manager node into worker
+  /// `w`'s manager (memoized).
+  bdd::Bdd import(std::size_t w, bdd::NodeId id);
+
+  /// Main thread, workers quiescent: transfers a worker result back into
+  /// the main manager.
+  bdd::Bdd export_to_main(std::size_t w, const bdd::Bdd& f);
+
   /// Re-checks that every worker's level order still matches the main
   /// manager's (the export's creation-order restore swaps levels);
   /// realigns and drops memos when it does not.

@@ -228,10 +228,6 @@ class Space {
   /// enable_intra).
   [[nodiscard]] std::size_t intra_jobs() const noexcept;
 
-  /// The sharding engine, or nullptr when sequential. The repair layer
-  /// uses it directly for parallel per-process group enumeration.
-  [[nodiscard]] IntraEngine* intra() noexcept { return intra_.get(); }
-
   // --- Counting and enumeration -----------------------------------------------------
 
   /// Number of valid states in a state predicate.

@@ -1,10 +1,9 @@
 // Differential equivalence suite for intra-problem parallelism
-// (Options::intra_jobs / --par-intra): the sharded image computation and
-// the parallel group enumeration promise *bit-identical* results to the
-// sequential engine — same exported model text, same journal byte stream,
-// same non-timing repair metrics. This suite locks that contract down on
-// every case study and on a sweep of random models across every
-// LR_FUZZ_TOPOLOGY value.
+// (Options::intra_jobs / --par-intra): the sharded image/preimage
+// computation promises *bit-identical* results to the sequential engine —
+// same exported model text, same journal byte stream, same non-timing
+// repair metrics. This suite locks that contract down on every case study
+// and on a sweep of random models across every LR_FUZZ_TOPOLOGY value.
 //
 // Environment knobs (fuzz sweep):
 //   LR_FUZZ_SEED=N     base seed (model i uses seed N+i); default 20160523

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "bdd/profile.hpp"
 #include "casestudies/byzantine.hpp"
 #include "casestudies/chain.hpp"
 #include "casestudies/tmr.hpp"
@@ -98,9 +99,14 @@ TEST(RealizeTest, ExpandGroupDoesNotChangeTheResult) {
         p1->space().count_transitions(with.deltas[j] & with.tolerance),
         p2->space().count_transitions(without.deltas[j] & without.tolerance));
   }
-  // With expansion, strictly fewer loop iterations on this model.
-  EXPECT_LT(with.stats.group_iterations, without.stats.group_iterations);
   EXPECT_GT(with.stats.expand_successes, 0u);
+  // Without expansion no widening is tried and U is empty, so each
+  // process's loop ends at its first rejection, where the rest of the
+  // worklist is accepted in one step: on this model that leaves fewer
+  // iterations than the loop that keeps widening inside U.
+  EXPECT_EQ(without.stats.expand_successes + without.stats.expand_failures,
+            0u);
+  EXPECT_LT(without.stats.group_iterations, with.stats.group_iterations);
 }
 
 TEST(RealizeTest, KeepsOriginalRealizableBehavior) {
@@ -144,12 +150,25 @@ using AcceptedEvent = std::tuple<std::size_t, double, std::size_t>;
 
 /// Test-only reference: lines 1-22 of Algorithm 2 as printed, rejecting
 /// one group per iteration. `realize` batches every rejection of a process
-/// into one step; this is the loop it must agree with.
+/// into one step and then accepts at once every group that ExpandGroup can
+/// never widen; this is the loop it must agree with.
+///
+/// At a process's first rejection the reference computes the closed pool
+/// P and U = ∪_v (P ∧ ∀(v,v′). (unchanged(v) ⇒ P)) over the expandable v.
+/// The groups it accepts from then on split into those inside U, which
+/// `realize`'s loop picks one by one, and those outside U, which it
+/// accepts in one bulk step. `accepted` lists the events `realize` must
+/// journal, and the counters count only the picks it makes.
 struct Reference {
   std::vector<bdd::Bdd> deltas;
-  std::vector<AcceptedEvent> accepted;  ///< (process, transitions, nodes)
+  /// (process, transitions, nodes): the accepted groups up to the first
+  /// rejection, then the bulk (union of the groups outside U) if it is
+  /// not empty, then the groups inside U, in pick order.
+  std::vector<AcceptedEvent> accepted;
   std::size_t rejections = 0;
   std::size_t processes_with_rejections = 0;
+  std::size_t bulk_groups = 0;  ///< groups outside U, over all processes
+  std::size_t bulk_events = 0;  ///< processes with a non-empty bulk
   std::size_t expand_successes = 0;
   std::size_t expand_failures = 0;
 };
@@ -170,50 +189,88 @@ Reference realize_one_at_a_time(prog::DistributedProgram& program,
     const prog::Process& proc = program.process(j);
     const std::unordered_set<sym::VarId> writes(proc.writes.begin(),
                                                 proc.writes.end());
+    std::vector<sym::VarId> expandable;
+    for (const sym::VarId v : proc.reads) {
+      if (expand && writes.count(v) == 0) expandable.push_back(v);
+    }
     bdd::Bdd pool = proper & program.respects_write(j);
     bdd::Bdd worklist = pool & tolerance;
     bdd::Bdd accepted = space.bdd_false();
     bool rejected_any = false;
+    bdd::Bdd widenable;  // U, set at the first rejection
+    bdd::Bdd bulk = space.bdd_false();
+    std::vector<AcceptedEvent> inside;  // groups in U, after the rejection
     while (!worklist.is_false()) {
       bdd::Bdd group = program.group(j, mgr.pick_minterm(worklist, all_bits));
       if (!group.leq(pool)) {
         ++ref.rejections;
-        rejected_any = true;
+        if (!rejected_any) {
+          rejected_any = true;
+          const bdd::Bdd closed = program.realizable_subset(j, pool);
+          widenable = space.bdd_false();
+          for (const sym::VarId v : expandable) {
+            const sym::VarId vs[1] = {v};
+            widenable |=
+                closed & mgr.forall(space.unchanged(v).implies(closed),
+                                    space.cube_pair_of(vs));
+          }
+        }
         pool = pool.minus(group);
         worklist = worklist.minus(group);
         continue;
       }
-      for (const sym::VarId v : proc.reads) {
-        if (!expand || writes.count(v) != 0) continue;
+      // U is group-closed: a group lies wholly inside it or outside it.
+      const bool in_loop = !rejected_any || group.leq(widenable);
+      EXPECT_TRUE(in_loop || group.disjoint(widenable))
+          << "process " << j << ": a group straddles U";
+      for (const sym::VarId v : expandable) {
         const sym::VarId vs[1] = {v};
         const bdd::Bdd widened =
             mgr.exists(group, space.cube_pair_of(vs)) & space.unchanged(v);
         if (widened.leq(pool)) {
+          // A widened set lies in U, so no group outside U is ever widened.
+          EXPECT_TRUE(!rejected_any || widened.leq(widenable))
+              << "process " << j << ": a widening leaves U";
           group = widened;
-          ++ref.expand_successes;
-        } else {
+          if (in_loop) ++ref.expand_successes;
+        } else if (in_loop) {
           ++ref.expand_failures;
         }
       }
-      ref.accepted.emplace_back(j, space.count_transitions(group),
+      const AcceptedEvent event(j, space.count_transitions(group),
                                 group.node_count());
+      if (!rejected_any) {
+        ref.accepted.push_back(event);
+      } else if (in_loop) {
+        inside.push_back(event);
+      } else {
+        ++ref.bulk_groups;
+        bulk |= group;
+      }
       accepted |= group;
       pool = pool.minus(group);
       worklist = worklist.minus(group);
     }
+    if (!bulk.is_false()) {
+      ++ref.bulk_events;
+      ref.accepted.emplace_back(j, space.count_transitions(bulk),
+                                bulk.node_count());
+    }
+    ref.accepted.insert(ref.accepted.end(), inside.begin(), inside.end());
     if (rejected_any) ++ref.processes_with_rejections;
     ref.deltas.push_back(std::move(accepted));
   }
   return ref;
 }
 
-/// Runs Step 1 on `p`, then `realize` (sequential, and through the intra
-/// engine's parallel group enumeration) beside the reference loop, with
+/// Runs Step 1 on `p`, then `realize` beside the reference loop, with
 /// ExpandGroup on and off. Returns false when Step 1 fails (nothing to
-/// compare); adds to `rejections` the reference's rejected groups.
+/// compare); adds to `rejections` the reference's rejected groups and to
+/// `bulk_groups` the groups it accepted outside U.
 bool expect_batched_matches_reference(prog::DistributedProgram& p,
                                       const std::string& what,
-                                      std::size_t& rejections) {
+                                      std::size_t& rejections,
+                                      std::size_t& bulk_groups) {
   Options options;
   Stats step1_stats;
   const StepOneResult step1 = add_masking(
@@ -229,47 +286,43 @@ bool expect_batched_matches_reference(prog::DistributedProgram& p,
     const Reference ref =
         realize_one_at_a_time(p, step1.delta, tolerance, expand);
     rejections += ref.rejections;
-    for (const std::size_t intra_jobs : {1u, 2u}) {
-      const std::string config = what + (expand ? " expand" : " no-expand") +
-                                 " intra_jobs=" + std::to_string(intra_jobs);
-      p.space().enable_intra(intra_jobs);
-      Journal journal;
-      journal.begin_run(p, "lazy", "masking");
-      options.use_expand_group = expand;
-      options.journal = &journal;
-      Stats stats;
-      const std::vector<bdd::Bdd> deltas =
-          realize(p, step1.delta, tolerance, options, stats);
-      p.space().enable_intra(1);
+    bulk_groups += ref.bulk_groups;
+    const std::string config = what + (expand ? " expand" : " no-expand");
+    Journal journal;
+    journal.begin_run(p, "lazy", "masking");
+    options.use_expand_group = expand;
+    options.journal = &journal;
+    Stats stats;
+    const std::vector<bdd::Bdd> deltas =
+        realize(p, step1.delta, tolerance, options, stats);
 
-      if (deltas.size() != ref.deltas.size()) {
-        ADD_FAILURE() << config << ": " << deltas.size()
-                      << " deltas, reference " << ref.deltas.size();
-        return true;
-      }
-      for (std::size_t j = 0; j < deltas.size(); ++j) {
-        EXPECT_TRUE(deltas[j] == ref.deltas[j])
-            << config << ": process " << j << " delta differs";
-      }
-      std::vector<AcceptedEvent> accepted;
-      for (const JournalEvent& event : journal.events()) {
-        if (event.kind != "group" || event.text.at("decision") != "accepted") {
-          continue;
-        }
-        accepted.emplace_back(
-            static_cast<std::size_t>(event.num.at("process")),
-            event.num.at("trans"),
-            static_cast<std::size_t>(event.num.at("nodes")));
-      }
-      EXPECT_EQ(accepted, ref.accepted) << config << ": accepted events";
-      EXPECT_EQ(stats.expand_successes, ref.expand_successes) << config;
-      EXPECT_EQ(stats.expand_failures, ref.expand_failures) << config;
-      // One iteration per accepted group, plus the one that triggers each
-      // process's batch.
-      EXPECT_EQ(stats.group_iterations,
-                ref.accepted.size() + ref.processes_with_rejections)
-          << config;
+    if (deltas.size() != ref.deltas.size()) {
+      ADD_FAILURE() << config << ": " << deltas.size()
+                    << " deltas, reference " << ref.deltas.size();
+      return true;
     }
+    for (std::size_t j = 0; j < deltas.size(); ++j) {
+      EXPECT_TRUE(deltas[j] == ref.deltas[j])
+          << config << ": process " << j << " delta differs";
+    }
+    std::vector<AcceptedEvent> accepted;
+    for (const JournalEvent& event : journal.events()) {
+      if (event.kind != "group" || event.text.at("decision") != "accepted") {
+        continue;
+      }
+      accepted.emplace_back(
+          static_cast<std::size_t>(event.num.at("process")),
+          event.num.at("trans"),
+          static_cast<std::size_t>(event.num.at("nodes")));
+    }
+    EXPECT_EQ(accepted, ref.accepted) << config << ": accepted events";
+    EXPECT_EQ(stats.expand_successes, ref.expand_successes) << config;
+    EXPECT_EQ(stats.expand_failures, ref.expand_failures) << config;
+    // One iteration per group the loop picks and accepts, plus the one
+    // that triggers each process's batch; a bulk step is not a pick.
+    EXPECT_EQ(stats.group_iterations, ref.accepted.size() - ref.bulk_events +
+                                          ref.processes_with_rejections)
+        << config;
   }
   return true;
 }
@@ -288,13 +341,17 @@ TEST(RealizeBatchTest, CaseStudiesMatchOneGroupAtATime) {
       {"quickstart", model_file("quickstart.lr")},
   };
   std::size_t rejections = 0;
+  std::size_t bulk_groups = 0;
   for (const auto& [name, make] : cases) {
     const std::unique_ptr<prog::DistributedProgram> p = make();
-    EXPECT_TRUE(expect_batched_matches_reference(*p, name, rejections))
+    EXPECT_TRUE(
+        expect_batched_matches_reference(*p, name, rejections, bulk_groups))
         << name << ": Step 1 failed";
   }
-  // mutex_ring rejects groups, so the batch was exercised.
+  // mutex_ring rejects groups, so the batch and the bulk step were
+  // exercised.
   EXPECT_GT(rejections, 0u);
+  EXPECT_GT(bulk_groups, 0u);
 }
 
 // The layered livelock proof (livelock_free_by_layers) relies on every δ_j
@@ -340,6 +397,7 @@ TEST(RealizeBatchTest, RandomModelsMatchOneGroupAtATime) {
       static_cast<std::size_t>(env_u64("LR_FUZZ_MODELS", 64));
   std::size_t compared = 0;
   std::size_t rejections = 0;
+  std::size_t bulk_groups = 0;
   for (const char* topology : {"random", "ring", "tree", "star"}) {
     for (const char* faults : {"havoc", "corrupt"}) {
       ::setenv("LR_FUZZ_TOPOLOGY", topology, 1);
@@ -351,7 +409,8 @@ TEST(RealizeBatchTest, RandomModelsMatchOneGroupAtATime) {
             testgen::random_program(rng);
         const std::string what = std::string(topology) + "/" + faults +
                                  " seed " + std::to_string(seed);
-        if (expect_batched_matches_reference(*p, what, rejections)) {
+        if (expect_batched_matches_reference(*p, what, rejections,
+                                             bulk_groups)) {
           ++compared;
         }
         if (::testing::Test::HasFailure()) {
@@ -374,11 +433,14 @@ TEST(RealizeBatchTest, RandomModelsMatchOneGroupAtATime) {
   // compares nothing interesting.
   EXPECT_GT(compared, per_shard);
   EXPECT_GT(rejections, 0u);
+  EXPECT_GT(bulk_groups, 0u);
 }
 
 TEST(RealizeTest, GroupIterationsAreCounted) {
-  // mutex_ring rejects groups in two processes: the batched loop spends one
-  // iteration per accepted group plus at most one per process.
+  // mutex_ring rejects groups in two processes. The loop spends one
+  // iteration per group it picks and accepts, plus the one that triggers
+  // each process's batch; the bulk step after it is an accepted event but
+  // not an iteration, and a process has at most one.
   auto p = lang::parse_program_file(model_path("mutex_ring.lr"));
   Journal journal;
   journal.begin_run(*p, "lazy", "masking");
@@ -400,12 +462,54 @@ TEST(RealizeTest, GroupIterationsAreCounted) {
     (event.text.at("decision") == "accepted" ? accepted : rejected) += 1;
   }
   EXPECT_GT(rejected, 0u) << "mutex_ring must exercise a rejection";
-  EXPECT_GT(stats.group_iterations, accepted);
-  EXPECT_LE(stats.group_iterations, accepted + p->process_count());
+  EXPECT_LE(rejected, p->process_count());
+  EXPECT_GE(stats.group_iterations, accepted);
+  EXPECT_LE(stats.group_iterations, accepted + rejected);
 
   auto p2 = cs::make_chain({.length = 3, .domain = 2});
   const Realized o = realize_case(*p2, GroupMethod::kOneShot);
   EXPECT_EQ(o.stats.group_iterations, 0u);
+}
+
+TEST(RealizeTest, ProfilingDoesNotChangeThePlan) {
+  // Profiling engages the intra engine even at one job; realize must still
+  // run the same sequential loop on the main manager, op for op.
+  struct Run {
+    std::vector<std::pair<double, std::size_t>> deltas;  // (trans, nodes)
+    std::uint64_t lookups = 0;
+  };
+  const auto run = [](bool profiled) {
+    auto p = lang::parse_program_file(model_path("mutex_ring.lr"));
+    Options options;
+    Stats stats;
+    const StepOneResult step1 =
+        add_masking(*p, p->invariant(), p->space().bdd_false(), bdd::Bdd(),
+                    options, stats);
+    EXPECT_TRUE(step1.success);
+    std::vector<bdd::Bdd> parts{step1.delta};
+    for (const bdd::Bdd& f : p->fault_action_deltas()) parts.push_back(f);
+    const bdd::Bdd tolerance =
+        p->space().forward_reachable(parts, step1.invariant);
+    bdd::profile::set_enabled(profiled);
+    p->space().enable_intra(1);
+    bdd::Manager& mgr = p->space().manager();
+    const std::uint64_t before = mgr.stats().cache_lookups;
+    const std::vector<bdd::Bdd> deltas =
+        realize(*p, step1.delta, tolerance, options, stats);
+    Run out;
+    out.lookups = mgr.stats().cache_lookups - before;
+    bdd::profile::set_enabled(false);
+    for (const bdd::Bdd& d : deltas) {
+      out.deltas.emplace_back(p->space().count_transitions(d),
+                              d.node_count());
+    }
+    return out;
+  };
+  const Run plain = run(false);
+  const Run profiled = run(true);
+  EXPECT_GT(plain.lookups, 0u);
+  EXPECT_EQ(profiled.lookups, plain.lookups);
+  EXPECT_EQ(profiled.deltas, plain.deltas);
 }
 
 }  // namespace
