@@ -211,6 +211,47 @@ sym::order::Structure DistributedProgram::order_structure() const {
   return structure;
 }
 
+bool DistributedProgram::writes_into(std::size_t k, std::size_t j) const {
+  if (k == j) return false;
+  const std::vector<sym::VarId>& reads = processes_.at(j).reads;
+  const std::vector<sym::VarId>& writes = processes_.at(k).writes;
+  return std::any_of(writes.begin(), writes.end(), [&reads](sym::VarId v) {
+    return std::find(reads.begin(), reads.end(), v) != reads.end();
+  });
+}
+
+std::optional<std::vector<std::size_t>> DistributedProgram::process_order()
+    const {
+  // Kahn's algorithm: a cycle leaves some process with a positive in-degree.
+  const std::size_t processes = processes_.size();
+  std::vector<std::vector<std::size_t>> successors(processes);
+  std::vector<std::size_t> in_degree(processes, 0);
+  for (std::size_t k = 0; k < processes; ++k) {
+    for (std::size_t j = 0; j < processes; ++j) {
+      if (writes_into(k, j)) {
+        successors[k].push_back(j);
+        ++in_degree[j];
+      }
+    }
+  }
+  std::vector<std::size_t> ready;
+  for (std::size_t j = 0; j < processes; ++j) {
+    if (in_degree[j] == 0) ready.push_back(j);
+  }
+  std::vector<std::size_t> order;
+  order.reserve(processes);
+  while (!ready.empty()) {
+    const std::size_t k = ready.back();
+    ready.pop_back();
+    order.push_back(k);
+    for (const std::size_t j : successors[k]) {
+      if (--in_degree[j] == 0) ready.push_back(j);
+    }
+  }
+  if (order.size() != processes) return std::nullopt;
+  return order;
+}
+
 const bdd::Bdd& DistributedProgram::respects_write(std::size_t j) {
   compile();
   return respects_write_.at(j);

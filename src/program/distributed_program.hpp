@@ -134,6 +134,15 @@ class DistributedProgram {
   /// the program — exactly what applying an initial order requires.
   [[nodiscard]] sym::order::Structure order_structure() const;
 
+  /// Whether the process graph has the edge k → j: k ≠ j and P_k writes a
+  /// variable of V_j = R_j ∪ W_j (which is R_j, since W_j ⊆ R_j).
+  [[nodiscard]] bool writes_into(std::size_t k, std::size_t j) const;
+
+  /// A topological order of the process graph (every edge k → j puts k
+  /// before j), or nullopt when the graph has a cycle. Built from the
+  /// declarations alone: no BDD work, and the program is not frozen.
+  [[nodiscard]] std::optional<std::vector<std::size_t>> process_order() const;
+
   // --- Realizability machinery (Section III-B) --------------------------------------
 
   /// Transition predicate "respects W_j": every variable outside W_j is

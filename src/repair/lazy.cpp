@@ -19,58 +19,17 @@ namespace lr::repair {
 bool livelock_free_by_layers(prog::DistributedProgram& program,
                              const bdd::Bdd& outside,
                              std::span<const bdd::Bdd> deltas) {
-  sym::Space& space = program.space();
-  const std::size_t processes = deltas.size();
-  const std::size_t variables = space.variable_count();
-  // in_view[j][v]: v ∈ V_j = reads_j ∪ writes_j.
-  std::vector<std::vector<bool>> in_view(processes,
-                                         std::vector<bool>(variables, false));
-  for (std::size_t j = 0; j < processes; ++j) {
-    const prog::Process& process = program.process(j);
-    for (const sym::VarId v : process.reads) in_view[j][v] = true;
-    for (const sym::VarId v : process.writes) in_view[j][v] = true;
-  }
-  // Edge k → j when P_k writes a variable of V_j. Kahn's algorithm: a
-  // cycle leaves some process with a positive in-degree.
-  std::vector<std::vector<std::size_t>> successors(processes);
-  std::vector<std::size_t> in_degree(processes, 0);
-  for (std::size_t k = 0; k < processes; ++k) {
-    const std::vector<sym::VarId>& writes = program.process(k).writes;
-    for (std::size_t j = 0; j < processes; ++j) {
-      if (k == j) continue;
-      if (std::any_of(writes.begin(), writes.end(),
-                      [&](sym::VarId v) { return in_view[j][v]; })) {
-        successors[k].push_back(j);
-        ++in_degree[j];
-      }
-    }
-  }
-  std::vector<std::size_t> ready;
-  for (std::size_t j = 0; j < processes; ++j) {
-    if (in_degree[j] == 0) ready.push_back(j);
-  }
-  std::size_t ordered = 0;
-  while (!ready.empty()) {
-    const std::size_t k = ready.back();
-    ready.pop_back();
-    ++ordered;
-    for (const std::size_t j : successors[k]) {
-      if (--in_degree[j] == 0) ready.push_back(j);
-    }
-  }
-  if (ordered != processes) return false;
+  if (!program.process_order()) return false;
 
   // Each process alone, projected onto V_j, must not cycle inside the
-  // projection of `outside`.
+  // projection of `outside`. V_j = R_j, so the hidden bits are exactly the
+  // unreadable ones.
+  sym::Space& space = program.space();
   bdd::Manager& mgr = space.manager();
-  for (std::size_t j = 0; j < processes; ++j) {
-    std::vector<sym::VarId> hidden;
-    for (sym::VarId v = 0; v < variables; ++v) {
-      if (!in_view[j][v]) hidden.push_back(v);
-    }
-    const bdd::Bdd local = mgr.exists(deltas[j], space.cube_pair_of(hidden));
-    bdd::Bdd z =
-        mgr.exists(outside, space.cube_of(hidden, sym::Version::kCurrent));
+  for (std::size_t j = 0; j < deltas.size(); ++j) {
+    const bdd::Bdd& hidden = program.unreadable_cube(j);
+    const bdd::Bdd local = mgr.exists(deltas[j], hidden);
+    bdd::Bdd z = mgr.exists(outside, hidden);
     while (true) {
       const bdd::Bdd shrunk = space.has_successor_in_local(local, z);
       if (shrunk == z) break;

@@ -13,18 +13,23 @@ namespace lr::repair {
 namespace {
 
 /// ExpandGroup's loop invariants for process j: (cube_pair_of({v}),
-/// unchanged(v)) for every v in R_j − W_j, in reads order.
+/// unchanged(v) ∧ valid_pair) for every v in R_j − W_j, in reads order.
+/// The validity conjunct keeps a widening inside the valid encodings of a
+/// non-power-of-two domain, whose out-of-domain variants are never in the
+/// pool (DESIGN.md §6 item 6).
 std::vector<std::pair<bdd::Bdd, bdd::Bdd>> expand_inputs(
     prog::DistributedProgram& program, std::size_t j) {
   sym::Space& space = program.space();
   const prog::Process& proc = program.process(j);
   const std::unordered_set<sym::VarId> writes(proc.writes.begin(),
                                               proc.writes.end());
+  const bdd::Bdd valid_pair = space.valid_pair();
   std::vector<std::pair<bdd::Bdd, bdd::Bdd>> expand;
   for (const sym::VarId v : proc.reads) {
     if (writes.count(v) != 0) continue;
     const sym::VarId vs[1] = {v};
-    expand.emplace_back(space.cube_pair_of(vs), space.unchanged(v));
+    expand.emplace_back(space.cube_pair_of(vs),
+                        space.unchanged(v) & valid_pair);
   }
   return expand;
 }

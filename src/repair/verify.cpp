@@ -4,10 +4,91 @@
 
 namespace lr::repair {
 
+namespace {
+
+/// r(x′) < r(x) for the rank given by `ranks`: a state of rank i steps to
+/// a state of some rank below i.
+bdd::Bdd falls(sym::Space& space, std::span<const bdd::Bdd> ranks) {
+  bdd::Bdd below = space.bdd_false();
+  bdd::Bdd result = space.bdd_false();
+  for (const bdd::Bdd& rank : ranks) {
+    result |= rank.minus(below) & space.prime(below);
+    below |= rank;
+  }
+  return result;
+}
+
+}  // namespace
+
+std::optional<LivelockCertificate> find_livelock_certificate(
+    prog::DistributedProgram& program, const bdd::Bdd& outside,
+    std::span<const bdd::Bdd> deltas) {
+  std::optional<std::vector<std::size_t>> order = program.process_order();
+  if (!order) return std::nullopt;
+  sym::Space& space = program.space();
+  bdd::Manager& mgr = space.manager();
+  LivelockCertificate cert{std::move(*order), {}};
+  cert.ranks.resize(deltas.size());
+  for (std::size_t j = 0; j < deltas.size(); ++j) {
+    // V_j = R_j, so the bits outside V_j are the unreadable ones.
+    const bdd::Bdd& hidden = program.unreadable_cube(j);
+    const bdd::Bdd local = mgr.exists(deltas[j], hidden);
+    bdd::Bdd z = mgr.exists(outside, hidden);
+    // Rank i: the states peeled at step i, whose local successors in z all
+    // have a rank below i.
+    while (!z.is_false()) {
+      const bdd::Bdd shrunk = space.has_successor_in_local(local, z);
+      if (shrunk == z) return std::nullopt;
+      cert.ranks[j].push_back(z.minus(shrunk));
+      z = shrunk;
+    }
+  }
+  return cert;
+}
+
+bool check_livelock_certificate(prog::DistributedProgram& program,
+                                const bdd::Bdd& outside,
+                                const bdd::Bdd& enabled,
+                                std::span<const bdd::Bdd> deltas,
+                                const LivelockCertificate& cert) {
+  const std::size_t processes = program.process_count();
+  if (deltas.size() != processes || cert.order.size() != processes ||
+      cert.ranks.size() != processes) {
+    return false;
+  }
+  std::vector<std::size_t> position(processes, processes);
+  for (std::size_t i = 0; i < processes; ++i) {
+    const std::size_t j = cert.order[i];
+    if (j >= processes || position[j] != processes) return false;
+    position[j] = i;
+  }
+  for (std::size_t k = 0; k < processes; ++k) {
+    for (std::size_t j = 0; j < processes; ++j) {
+      if (program.writes_into(k, j) && position[k] > position[j]) return false;
+    }
+  }
+  if (!outside.leq(enabled)) return false;
+  for (std::size_t j = 0; j < processes; ++j) {
+    if (!deltas[j].leq(program.respects_write(j))) return false;
+  }
+  sym::Space& space = program.space();
+  bdd::Manager& mgr = space.manager();
+  const bdd::Bdd next_cube = space.cube(sym::Version::kNext);
+  const bdd::Bdd stays = outside & space.prime(outside);
+  for (std::size_t j = 0; j < processes; ++j) {
+    const bdd::Bdd foreign = program.unreadable_cube(j) & next_cube;
+    for (const bdd::Bdd& rank : cert.ranks[j]) {
+      if (mgr.exists(rank, foreign) != rank) return false;
+    }
+    if (!(deltas[j] & stays).leq(falls(space, cert.ranks[j]))) return false;
+  }
+  return true;
+}
+
 VerifyReport verify_masking(prog::DistributedProgram& program,
                             const RepairResult& result,
                             ToleranceLevel level) {
-  LR_TRACE_SPAN("verify_masking");
+  LR_TRACE_SPAN_NAMED(verify_span, "verify_masking");
   VerifyReport report;
   sym::Space& space = program.space();
   bdd::Manager& mgr = space.manager();
@@ -83,17 +164,30 @@ VerifyReport verify_masking(prog::DistributedProgram& program,
        stuck.leq(s_new) && (stuck & identity).leq(delta_orig),
        "a reachable state deadlocks outside a legitimate terminal state");
 
-  // Livelock freedom: νZ. (span − S') ∩ pre(δ', Z) must be empty, i.e. no
-  // infinite execution stays outside the invariant (faults are finite by
-  // Definition 13, so program transitions alone must converge).
+  // Livelock freedom: no infinite execution stays in O = span − S' (faults
+  // are finite by Definition 13, so program transitions alone must
+  // converge). A ranking certificate decides it without a global fixpoint
+  // when one applies (DESIGN.md §6 item 11); otherwise the νZ does, and
+  // (span − S') ∩ pre(δ', Z) must be empty. Failsafe checks no recovery,
+  // so its O is empty.
   bdd::Bdd z = level == ToleranceLevel::kFailsafe ? space.bdd_false()
                                                    : span.minus(s_new);
-  while (true) {
+  if (level != ToleranceLevel::kFailsafe) {
+    const std::optional<LivelockCertificate> cert =
+        find_livelock_certificate(program, z, result.process_deltas);
+    report.livelock_certified =
+        cert.has_value() && check_livelock_certificate(program, z, enabled,
+                                                       result.process_deltas,
+                                                       *cert);
+  }
+  verify_span.attr("livelock_proof",
+                   report.livelock_certified ? "certificate" : "nu_z");
+  while (!report.livelock_certified) {
     const bdd::Bdd shrunk = space.has_successor_in(delta, z);
     if (shrunk == z) break;
     z = shrunk;
   }
-  fail(report.livelock_free, z.is_false(),
+  fail(report.livelock_free, report.livelock_certified || z.is_false(),
        "an infinite execution can avoid the invariant (recovery fails)");
 
   // Realizability of each process delta (Definition 19) and of the program

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,17 +25,48 @@ struct VerifyReport {
   bool safety_under_faults = false;   ///< no bad state/transition reachable
   bool deadlock_free = false;         ///< stuck states are legit terminals in S'
   bool livelock_free = false;         ///< no infinite run avoiding S'
+  bool livelock_certified = false;    ///< a ranking certificate decided it
   bool realizable = false;            ///< Definitions 19/20 hold for each δ_j
   bool span_covers_reachable = false; ///< reported T' ⊇ Reach(S', δ' ∪ f)
 
   double reachable_span_states = -1.0;
 };
 
+/// A ranking certificate that no run of the stutter-completed ∪_j δ_j stays
+/// in a set O forever (DESIGN.md §6 item 11).
+struct LivelockCertificate {
+  /// Every process once; each process-graph edge k → j puts k before j.
+  std::vector<std::size_t> order;
+  /// ranks[j][i]: the states of rank i for process j, over the current
+  /// copy of V_j. A state's rank is the least i whose set holds it.
+  std::vector<std::vector<bdd::Bdd>> ranks;
+};
+
+/// The verifier's certificate for `deltas` over `outside`: the process
+/// graph's topological order, and for each j the peel index of the local
+/// νZ of ∃-projected δ_j over ∃-projected `outside`. nullopt when the graph
+/// is cyclic (no BDD work) or some local νZ is non-empty.
+[[nodiscard]] std::optional<LivelockCertificate> find_livelock_certificate(
+    prog::DistributedProgram& program, const bdd::Bdd& outside,
+    std::span<const bdd::Bdd> deltas);
+
+/// Checks `cert` on the global deltas. True proves that no run of
+/// stutter_completion(∪_j δ_j) stays in `outside` forever; `enabled` must
+/// be ∃x′. ∪_j δ_j. The checks: the order is a topological order of the
+/// process graph; `outside` ⊆ `enabled` (no stutter step in it); every
+/// δ_j ⊆ respects_write(j); every rank set depends on V_j only; and
+/// δ_j ∧ outside ∧ outside′ ⊆ r_j(x′) < r_j(x).
+[[nodiscard]] bool check_livelock_certificate(
+    prog::DistributedProgram& program, const bdd::Bdd& outside,
+    const bdd::Bdd& enabled, std::span<const bdd::Bdd> deltas,
+    const LivelockCertificate& cert);
+
 /// Independently verifies that a repair result is a *realizable masking
 /// f-tolerant* program (Theorems 1 and 2): re-derives the fault span from
 /// scratch and checks closure, safety, recovery (deadlock + livelock
-/// freedom via a νZ fixpoint), the no-new-behavior condition, and the
-/// read/write realizability of every process delta.
+/// freedom, by a ranking certificate or else a νZ fixpoint), the
+/// no-new-behavior condition, and the read/write realizability of every
+/// process delta.
 ///
 /// The program's Definition-18 semantics (stuttering at states with no
 /// enabled action) is applied to the result's process deltas before

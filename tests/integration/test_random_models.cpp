@@ -208,6 +208,61 @@ TEST(ShardedFuzzTest, LayeredLivelockProofAgreesWithTheNuZ) {
   }
 }
 
+/// The verifier's livelock certificate against the νZ it stands in for, on
+/// each lazy success and on each model's realized deltas before livelock
+/// elimination (which may livelock): a certified verification must have an
+/// empty νZ, and every verdict must be the νZ's.
+TEST(ShardedFuzzTest, LivelockCertificateAgreesWithTheNuZ) {
+  const std::uint64_t base = base_seed() ^ 0xCE271F1ull;
+  const std::size_t count = sweep_models(512);
+  FailureLog failures("Certificate");
+  std::atomic<int> certified{0};
+  support::parallel_for(count, sweep_jobs(), [&](std::size_t i) {
+    const std::uint64_t seed = testgen::model_seed(base, i);
+    support::SplitMix64 rng(seed);
+    auto program = testgen::random_program(rng);
+    const auto check = [&](const RepairResult& result, const char* what) {
+      const VerifyReport report = verify_masking(*program, result);
+      const bool nu_z_free =
+          testgen::stuttering_livelock_states(
+              *program, result.process_deltas,
+              testgen::verifier_outside(*program, result.process_deltas,
+                                        result.invariant))
+              .is_false();
+      if (report.livelock_certified) {
+        certified.fetch_add(1, std::memory_order_relaxed);
+        if (!nu_z_free) {
+          failures.record(seed, std::string(what) +
+                                    ": certified, but the νZ is not empty");
+        }
+      }
+      if (report.livelock_free != nu_z_free) {
+        failures.record(seed, std::string(what) +
+                                  ": livelock verdict differs from the νZ");
+      }
+    };
+    const testgen::RealizedRound round = testgen::realize_first_round(*program);
+    if (round.ok) {
+      RepairResult realized;
+      realized.success = true;
+      realized.invariant = round.invariant;
+      realized.fault_span = round.tolerance;
+      realized.process_deltas = round.deltas;
+      check(realized, "realized round");
+    }
+    const RepairResult result = lazy_repair(*program);
+    if (result.success) check(result, "lazy success");
+  });
+  failures.flush();
+  // A directed ring's process graph is always cyclic, so the certificate
+  // never applies there; every other topology must exercise it.
+  if (testgen::topology_from_env() == testgen::Topology::kRing) {
+    EXPECT_EQ(certified.load(), 0) << "base seed " << base;
+  } else {
+    EXPECT_GT(certified.load(), 0) << "base seed " << base;
+  }
+}
+
 /// The sweep must be reproducible: the same base seed produces the same
 /// models, so a shard's failure replays exactly from the printed command.
 TEST(ShardedFuzzTest, ShardingIsDeterministic) {

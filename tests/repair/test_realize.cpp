@@ -154,7 +154,8 @@ using AcceptedEvent = std::tuple<std::size_t, double, std::size_t>;
 /// never widen; this is the loop it must agree with.
 ///
 /// At a process's first rejection the reference computes the closed pool
-/// P and U = ∪_v (P ∧ ∀(v,v′). (unchanged(v) ⇒ P)) over the expandable v.
+/// P and U = ∪_v (P ∧ ∀(v,v′). (unchanged(v) ∧ valid ⇒ P)) over the
+/// expandable v.
 /// The groups it accepts from then on split into those inside U, which
 /// `realize`'s loop picks one by one, and those outside U, which it
 /// accepts in one bulk step. `accepted` lists the events `realize` must
@@ -184,6 +185,10 @@ Reference realize_one_at_a_time(prog::DistributedProgram& program,
   const bdd::Bdd proper = with_outside.minus(space.identity());
   const bdd::Bdd all_bits =
       space.cube(sym::Version::kCurrent) & space.cube(sym::Version::kNext);
+  // A widening along v ranges over v's valid values only.
+  const auto unchanged_valid = [&space](sym::VarId v) {
+    return space.unchanged(v) & space.valid_pair();
+  };
   Reference ref;
   for (std::size_t j = 0; j < program.process_count(); ++j) {
     const prog::Process& proc = program.process(j);
@@ -210,9 +215,8 @@ Reference realize_one_at_a_time(prog::DistributedProgram& program,
           widenable = space.bdd_false();
           for (const sym::VarId v : expandable) {
             const sym::VarId vs[1] = {v};
-            widenable |=
-                closed & mgr.forall(space.unchanged(v).implies(closed),
-                                    space.cube_pair_of(vs));
+            widenable |= closed & mgr.forall(unchanged_valid(v).implies(closed),
+                                             space.cube_pair_of(vs));
           }
         }
         pool = pool.minus(group);
@@ -226,7 +230,7 @@ Reference realize_one_at_a_time(prog::DistributedProgram& program,
       for (const sym::VarId v : expandable) {
         const sym::VarId vs[1] = {v};
         const bdd::Bdd widened =
-            mgr.exists(group, space.cube_pair_of(vs)) & space.unchanged(v);
+            mgr.exists(group, space.cube_pair_of(vs)) & unchanged_valid(v);
         if (widened.leq(pool)) {
           // A widened set lies in U, so no group outside U is ever widened.
           EXPECT_TRUE(!rejected_any || widened.leq(widenable))
@@ -352,6 +356,31 @@ TEST(RealizeBatchTest, CaseStudiesMatchOneGroupAtATime) {
   // exercised.
   EXPECT_GT(rejections, 0u);
   EXPECT_GT(bulk_groups, 0u);
+}
+
+TEST(RealizeTest, ExpandGroupWidensAlongNonPowerOfTwoDomains) {
+  // p reads y and ignores it, so ExpandGroup widens its one group along y
+  // to every value of y. A 3-valued y has out-of-domain encodings, which
+  // are never in the pool; the widening must not ask for them.
+  for (const char* domain : {"0..2", "0..3"}) {
+    auto p = lang::parse_program(std::string(R"(
+      program expand_domain;
+      var x : 0..1;
+      var y : )") + domain + R"(;
+      process p { reads x, y; writes x; action reset: x == 1 -> x := 0; }
+      process q { reads y; writes y; }
+      fault glitch: x == 0 -> x := 1;
+      invariant x == 0;
+    )");
+    const Realized r = realize_case(*p, GroupMethod::kPaperLoop);
+    EXPECT_EQ(r.stats.group_iterations, 1u) << "y : " << domain;
+    EXPECT_EQ(r.stats.expand_successes, 1u) << "y : " << domain;
+    EXPECT_EQ(r.stats.expand_failures, 0u) << "y : " << domain;
+    std::size_t rejections = 0;
+    std::size_t bulk_groups = 0;
+    EXPECT_TRUE(expect_batched_matches_reference(
+        *p, std::string("y : ") + domain, rejections, bulk_groups));
+  }
 }
 
 // The layered livelock proof (livelock_free_by_layers) relies on every δ_j
