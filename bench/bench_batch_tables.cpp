@@ -4,9 +4,9 @@
 // (see EXPERIMENTS.md "Benchmark baseline").
 //
 // Usage:
-//   bench_batch_tables [--jobs=N] [--compare-jobs=M] [--par-intra=K]
-//                      [--order=decl|auto] [--table=1|2|3|all]
-//                      [--metrics-json=FILE] [--trace-out=FILE]
+//   bench_batch_tables [--jobs=N] [--compare-jobs=M] [--order=decl|auto]
+//                      [--table=1|2|3|all] [--metrics-json=FILE]
+//                      [--trace-out=FILE]
 //
 // --compare-jobs runs the sweep a second time at M jobs and reports the
 // wall-clock ratio (the batching speedup; meaningful only on multi-core
@@ -17,10 +17,6 @@
 // hostile family blows up — EXPERIMENTS.md "Variable order"); --table
 // restricts the sweep to one paper table. CI sweeps --order=auto against
 // the committed BENCH_order.json baseline.
-//
-// --par-intra shards image/preimage *inside* each task across K workers
-// (repair::Options::intra_jobs); jobs * K is clamped to the machine by the
-// batch executor.
 
 #include <algorithm>
 #include <cstdio>
@@ -38,9 +34,8 @@
 
 int main(int argc, char** argv) {
   const lr::support::CommandLine cli(argc, argv);
-  static const char* const kFlags[] = {"jobs",  "compare-jobs", "par-intra",
-                                       "order", "table",        "metrics-json",
-                                       "trace-out"};
+  static const char* const kFlags[] = {"jobs",  "compare-jobs", "order",
+                                       "table", "metrics-json", "trace-out"};
   for (const std::string& name : cli.option_names()) {
     if (std::find(std::begin(kFlags), std::end(kFlags), name) ==
         std::end(kFlags)) {
@@ -83,12 +78,8 @@ int main(int argc, char** argv) {
       "jobs",
       static_cast<std::int64_t>(lr::support::ThreadPool::hardware_threads())));
 
-  const auto intra = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, cli.get_int("par-intra", 0)));
-
   lr::repair::BatchOptions options;
   options.jobs = jobs == 0 ? 1 : jobs;
-  options.intra_jobs = intra;
   options.metrics_prefix = "bench";
   const lr::repair::BatchReport report =
       lr::repair::run_batch(tasks, options);
@@ -115,7 +106,6 @@ int main(int argc, char** argv) {
   if (compare_jobs > 0) {
     lr::repair::BatchOptions compare_options;
     compare_options.jobs = static_cast<std::size_t>(compare_jobs);
-    compare_options.intra_jobs = intra;
     compare_options.record_metrics = false;  // keep per-task keys from run 1
     const lr::repair::BatchReport compare =
         lr::repair::run_batch(tasks, compare_options);

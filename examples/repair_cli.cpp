@@ -82,8 +82,6 @@ int run_batch_mode(const lr::support::CommandLine& cli,
       1, cli.get_int("jobs",
                      static_cast<std::int64_t>(
                          lr::support::ThreadPool::hardware_threads()))));
-  batch_options.intra_jobs = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, cli.get_int("par-intra", 0)));
   batch_options.task_timeout_seconds =
       std::atof(cli.get("task-timeout", "0").c_str());
   batch_options.task_retries = static_cast<std::size_t>(
@@ -356,8 +354,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  options.intra_jobs = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("par-intra", 1)));
   const std::string level = cli.get("level", "masking");
   if (level == "failsafe") {
     options.level = lr::repair::ToleranceLevel::kFailsafe;

@@ -449,27 +449,6 @@ class Manager {
     return gc_log_dropped_;
   }
 
-  // --- Concurrent read access -----------------------------------------------
-  /// A decomposed view of one internal node: its variable and cofactor ids.
-  /// Terminals have var == kTerminalVar.
-  struct NodeView {
-    VarIndex var;
-    NodeId lo;
-    NodeId hi;
-  };
-
-  /// Read-only view of node `id` for structural traversals from other
-  /// threads (see bdd/transfer.hpp). Contract: while any such traversal is
-  /// in flight, no thread may call a mutating operation on this manager —
-  /// no apply/quantify/permute (they allocate), no GC, no reordering, no
-  /// Bdd handle copies or drops (refcounts are non-atomic). The intra
-  /// engine keeps the owning thread quiescent between dispatch and join,
-  /// and pins every root it hands out so `id` cannot be swept or recycled.
-  [[nodiscard]] NodeView node_view(NodeId id) const noexcept {
-    const Node& n = nodes_[id];
-    return NodeView{n.var, n.lo, n.hi};
-  }
-
   /// This manager's span-attribution profile (created on first use). Hooks
   /// in the public operations only feed it while profile::enabled(); like
   /// the manager itself it is single-threaded.

@@ -95,8 +95,7 @@ inline constexpr std::size_t kMaxPathDepth = 32;
 /// flat per-span table is a rollup of the tree by leaf name, so the two
 /// views conserve every counter exactly. Like the manager itself, a
 /// Profiler is single-threaded; the batch executor gets one per worker via
-/// its one-manager-per-task rule, and the intra engine merges worker
-/// profilers into the dispatching manager's after every join.
+/// its one-manager-per-task rule.
 class Profiler {
  public:
   Profiler();
@@ -137,8 +136,9 @@ class Profiler {
   void clear();
 
   /// Merges another profiler's call-path tree into this one (aggregating
-  /// intra workers / batch workers into one report). Matching is by span
-  /// *content*, so identical paths from different threads coalesce.
+  /// the profiles of several managers, e.g. one per benchmark instance,
+  /// into one report). Matching is by span *content*, so identical paths
+  /// from different managers coalesce.
   void merge(const Profiler& other);
 
  private:

@@ -106,7 +106,6 @@ BatchItemResult run_task(const BatchTask& task, const BatchOptions& batch) {
       item.build_ok = true;
       item.model_states = program->space().state_space_size();
       Options options = task.options;
-      if (batch.intra_jobs >= 1) options.intra_jobs = batch.intra_jobs;
       if (batch.task_timeout_seconds > 0.0) {
         options.cancel = CancelToken::with_timeout(batch.task_timeout_seconds);
       }
@@ -217,24 +216,10 @@ std::size_t BatchReport::skipped_count() const noexcept {
 }
 
 BatchReport run_batch(const std::vector<BatchTask>& tasks,
-                      const BatchOptions& raw_options) {
+                      const BatchOptions& options) {
   BatchReport report;
-  report.jobs = raw_options.jobs == 0 ? 1 : raw_options.jobs;
+  report.jobs = options.jobs == 0 ? 1 : options.jobs;
   report.items.resize(tasks.size());
-
-  // Thread budget: jobs * intra_jobs is clamped to the machine (or to
-  // `jobs`, whichever is larger — asking for --jobs above the core count is
-  // an explicit oversubscription request and stays honored). Intra workers
-  // are reduced first: inter-problem parallelism has no merge step.
-  BatchOptions options = raw_options;
-  if (options.intra_jobs > 1) {
-    const std::size_t budget =
-        std::max(support::ThreadPool::hardware_threads(), report.jobs);
-    while (options.intra_jobs > 1 &&
-           report.jobs * options.intra_jobs > budget) {
-      --options.intra_jobs;
-    }
-  }
 
   const bool checkpointing = !options.manifest_path.empty();
   Manifest manifest;

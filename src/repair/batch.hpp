@@ -102,13 +102,6 @@ struct BatchOptions {
   /// Worker threads; <= 1 runs every task inline on the calling thread in
   /// task order (the sequential reference for determinism tests).
   std::size_t jobs = 1;
-  /// Intra-problem workers per task (Options::intra_jobs; --par-intra).
-  /// Overrides each task's own options when >= 1. The product
-  /// jobs * intra_jobs is clamped so the whole batch never oversubscribes
-  /// the machine: intra_jobs is reduced first (inter-problem parallelism
-  /// scales better than intra-problem sharding). 0 keeps the per-task
-  /// value.
-  std::size_t intra_jobs = 0;
   /// Mirror per-task and aggregate stats into the process-wide metrics
   /// registry after the batch completes. Recording happens on the calling
   /// thread in task order, so the merged report's key set is independent

@@ -102,18 +102,13 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     result.stats.peak_bdd_nodes =
         std::max(result.stats.peak_bdd_nodes, result.stats.bdd.peak_nodes);
   };
-  // Static order first, so every BDD below compiles under it (and the
-  // intra workers mirror it when enabled).
+  // Static order first, so every BDD below compiles under it.
   apply_order_options(program, options);
 
   if (options.journal != nullptr) {
     options.journal->begin_run(program, "cautious",
                                tolerance_level_name(options.level));
   }
-
-  // Sharded image/preimage: the cautious fixpoints all funnel through
-  // Space::preimage, which auto-partitions large relations when enabled.
-  space.enable_intra(options.intra_jobs);
 
   // Partition-shape record (metrics, journal header).
   record_relation_shape(program, options.journal);

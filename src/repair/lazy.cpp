@@ -31,7 +31,7 @@ bool livelock_free_by_layers(prog::DistributedProgram& program,
     const bdd::Bdd local = mgr.exists(deltas[j], hidden);
     bdd::Bdd z = mgr.exists(outside, hidden);
     while (true) {
-      const bdd::Bdd shrunk = space.has_successor_in_local(local, z);
+      const bdd::Bdd shrunk = space.has_successor_in(local, z);
       if (shrunk == z) break;
       z = shrunk;
     }
@@ -62,14 +62,13 @@ void eliminate_livelocks(prog::DistributedProgram& program,
     livelock_span.attr("proof", "layers");
     return;
   }
-  // The νZ below runs monolithically on the main manager, with or without
-  // intra sharding: its iterate changes little per step, so the op cache
-  // absorbs repeat iterations almost entirely, where sharding would
-  // re-materialize every per-piece preimage each iteration. The first pass
-  // starts from the states outside the invariant; each later pass starts
-  // from the previous pass's fixpoint. Pruning only ever shrinks the
-  // deltas, so the old fixpoint over-approximates the new one and the
-  // descent reaches the same νZ from there.
+  // The νZ below runs over the monolithic union of the deltas: its iterate
+  // changes little per step, so the op cache absorbs repeat iterations
+  // almost entirely. The first pass starts from the states outside the
+  // invariant; each later pass starts from the previous pass's fixpoint.
+  // Pruning only ever shrinks the deltas, so the old fixpoint
+  // over-approximates the new one and the descent reaches the same νZ
+  // from there.
   //
   // The passes stop only when the νZ is empty. That terminates: a
   // non-empty νZ puts some transition of some δ_j on the cycle states, and
@@ -85,8 +84,7 @@ void eliminate_livelocks(prog::DistributedProgram& program,
     for (const bdd::Bdd& dj : deltas) actions |= dj;
     while (true) {
       ++iterations;
-      const bdd::Bdd shrunk =
-          space.has_successor_in_local(actions, cycle_states);
+      const bdd::Bdd shrunk = space.has_successor_in(actions, cycle_states);
       if (shrunk == cycle_states) break;
       cycle_states = shrunk;
     }
@@ -139,16 +137,14 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
 
   throw_if_cancelled(options.cancel);
 
-  // Static order first: everything below (compilation, intra workers
-  // mirroring the main order) must see the chosen initial order.
+  // Static order first: everything below (compilation included) must see
+  // the chosen initial order.
   apply_order_options(program, options);
 
   if (options.journal != nullptr) {
     options.journal->begin_run(program, "lazy",
                                tolerance_level_name(options.level));
   }
-
-  space.enable_intra(options.intra_jobs);
 
   // Partition-shape record (metrics + journal header).
   record_relation_shape(program, options.journal);
@@ -259,9 +255,7 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
     } else {
       // Partitioned νZ: {δ' ∩ id} ∪ {δ_j} as disjuncts — the same fixpoint
       // as a νZ over the monolithic union, with per-step products that stay
-      // small. Used in sequential runs too (has_successor_in reduces the
-      // partitions in order when intra is off), so the call-path profile is
-      // byte-identical with and without --par-intra.
+      // small.
       std::vector<bdd::Bdd> realized_parts{step1.delta & identity};
       realized_parts.insert(realized_parts.end(), deltas.begin(),
                             deltas.end());

@@ -10,8 +10,7 @@
 namespace lr::repair {
 
 /// Applies Options::order_mode to the program's space. Called by
-/// lazy_repair/cautious_repair before anything compiles (and before
-/// enable_intra mirrors the main order into the workers), so the chosen
+/// lazy_repair/cautious_repair before anything compiles, so the chosen
 /// order really is the *initial* order every BDD is built under.
 /// Idempotent — the CLI may have applied the same plan already for its
 /// report. A no-op for kDecl, which keeps default runs byte-identical to

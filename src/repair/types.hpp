@@ -66,10 +66,10 @@ struct Options {
 
   GroupMethod group_method = GroupMethod::kPaperLoop;
 
-  /// Static initial variable order, applied before the model is compiled
-  /// (and before intra workers mirror the order): kDecl keeps declaration
-  /// order, the heuristic modes compute one from the parsed structure, and
-  /// kFile warm-starts from a persisted order profile (`order_file`).
+  /// Static initial variable order, applied before the model is compiled:
+  /// kDecl keeps declaration order, the heuristic modes compute one from
+  /// the parsed structure, and kFile warm-starts from a persisted order
+  /// profile (`order_file`).
   /// See sym::order and repair/order_setup.hpp.
   sym::order::Mode order_mode = sym::order::Mode::kDecl;
 
@@ -82,12 +82,6 @@ struct Options {
   /// Bound on Algorithm 1's outer repeat loop (defensive; case studies
   /// converge in 1-2 iterations).
   std::size_t max_outer_iterations = 64;
-
-  /// Intra-problem worker count (--par-intra). With >= 2, image/preimage
-  /// computation shards the transition relation across a per-problem
-  /// worker pool; results, journals and exports are bit-identical to the
-  /// sequential path (BDD canonicity). 1 or 0 means fully sequential.
-  std::size_t intra_jobs = 1;
 
   /// Cooperative cancellation: when set, the lazy/cautious/add_masking/
   /// realize loops call throw_if_cancelled() at fixpoint-round granularity

@@ -37,7 +37,7 @@ std::optional<LivelockCertificate> find_livelock_certificate(
     // Rank i: the states peeled at step i, whose local successors in z all
     // have a rank below i.
     while (!z.is_false()) {
-      const bdd::Bdd shrunk = space.has_successor_in_local(local, z);
+      const bdd::Bdd shrunk = space.has_successor_in(local, z);
       if (shrunk == z) return std::nullopt;
       cert.ranks[j].push_back(z.minus(shrunk));
       z = shrunk;

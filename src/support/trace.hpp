@@ -2,11 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace lr::support::trace {
 
@@ -121,31 +119,6 @@ class Span {
 
   bool active_ = false;
   std::uint32_t index_ = 0;  ///< slot in the tracer's open-span stack
-};
-
-/// Re-opens a whole span path (outermost first) on the current thread and
-/// closes it in LIFO order on destruction. The intra engine's workers use
-/// this to inherit the dispatching thread's full call path, so the BDD
-/// profiler's call-path tree reads the same whether work ran inline or on
-/// a worker. Names must outlive the scope (span names are string
-/// literals, so a path captured with current_span_path qualifies).
-class SpanPathScope {
- public:
-  explicit SpanPathScope(const std::vector<const char*>& names) {
-    spans_.reserve(names.size());
-    for (const char* name : names) {
-      spans_.push_back(std::make_unique<Span>(name));
-    }
-  }
-  ~SpanPathScope() {
-    while (!spans_.empty()) spans_.pop_back();  // innermost closes first
-  }
-
-  SpanPathScope(const SpanPathScope&) = delete;
-  SpanPathScope& operator=(const SpanPathScope&) = delete;
-
- private:
-  std::vector<std::unique_ptr<Span>> spans_;
 };
 
 }  // namespace lr::support::trace

@@ -4,10 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "bdd/profile.hpp"
 #include "bdd/witness.hpp"
 #include "support/trace.hpp"
-#include "symbolic/intra.hpp"
 #include "symbolic/relation.hpp"
 
 namespace lr::sym {
@@ -28,8 +26,6 @@ std::uint32_t bits_for_domain(std::uint32_t domain) {
 }  // namespace
 
 Space::Space(bdd::Manager::Options options) : mgr_(options) {}
-
-Space::~Space() = default;
 
 VarId Space::add_variable(std::string name, std::uint32_t domain) {
   if (frozen_) {
@@ -91,11 +87,6 @@ void Space::freeze() {
     }
   }
   swap_perm_ = mgr_.register_permutation(perm);
-  // Keep the raw structures around: enable_intra mirrors them into every
-  // worker manager.
-  cur_bit_list_ = std::move(cur);
-  next_bit_list_ = std::move(next);
-  swap_perm_vec_ = std::move(perm);
   // Domain-validity constraints and the identity relation.
   valid_cur_ = mgr_.bdd_true();
   valid_next_ = mgr_.bdd_true();
@@ -230,93 +221,30 @@ bdd::Bdd Space::unprime(const bdd::Bdd& state) {
 
 bdd::Bdd Space::image(const bdd::Bdd& rel, const bdd::Bdd& from) {
   freeze();
-  if (intra_ != nullptr) {
-    // Copy the cached pieces: the engine may trim its caches on a later
-    // call, and local handles keep the split alive regardless.
-    const std::vector<bdd::Bdd> pieces =
-        intra_->split_relation(rel, 2 * intra_->contexts());
-    if (pieces.size() > 1) return intra_->image(pieces, from);
-  }
   return unprime(mgr_.and_exists(rel, from, cube_cur_));
 }
 
 bdd::Bdd Space::preimage(const bdd::Bdd& rel, const bdd::Bdd& to) {
   freeze();
-  if (intra_ != nullptr) {
-    const std::vector<bdd::Bdd> pieces =
-        intra_->split_relation(rel, 2 * intra_->contexts());
-    if (pieces.size() > 1) return intra_->preimage(pieces, prime(to));
-  }
   return mgr_.and_exists(rel, prime(to), cube_next_);
 }
 
-bdd::Bdd Space::union_over_parts(
-    std::span<const bdd::Bdd> rels,
-    const std::function<bdd::Bdd(std::span<const bdd::Bdd>)>& sharded,
-    const std::function<bdd::Bdd(const bdd::Bdd&)>& step) {
+bdd::Bdd Space::image(std::span<const bdd::Bdd> rels, const bdd::Bdd& from) {
   freeze();
-  if (intra_ != nullptr && rels.size() > 1) return sharded(rels);
   bdd::Bdd result = mgr_.bdd_false();
-  for (const bdd::Bdd& rel : rels) result |= step(rel);
+  for (const bdd::Bdd& rel : rels) result |= image(rel, from);
   return result;
 }
 
-bdd::Bdd Space::image(std::span<const bdd::Bdd> rels, const bdd::Bdd& from) {
-  return union_over_parts(
-      rels,
-      [this, &from](std::span<const bdd::Bdd> parts) {
-        return intra_->image(parts, from);
-      },
-      [this, &from](const bdd::Bdd& rel) { return image(rel, from); });
-}
-
 bdd::Bdd Space::preimage(std::span<const bdd::Bdd> rels, const bdd::Bdd& to) {
-  return union_over_parts(
-      rels,
-      [this, &to](std::span<const bdd::Bdd> parts) {
-        return intra_->preimage(parts, prime(to));
-      },
-      [this, &to](const bdd::Bdd& rel) { return preimage(rel, to); });
+  freeze();
+  bdd::Bdd result = mgr_.bdd_false();
+  for (const bdd::Bdd& rel : rels) result |= preimage(rel, to);
+  return result;
 }
-
-namespace {
-
-/// Expands one scheduled part into engine pieces. Single-factor parts are
-/// Shannon-sharded (a cofactor's support never grows, so the shards
-/// inherit the part's quantification cubes soundly); multi-factor parts
-/// stay one piece so the worker's combined and-exists never materializes
-/// their product.
-void append_scheduled_pieces(
-    IntraEngine& intra, const RelationPart& part, bool use_next,
-    std::vector<IntraEngine::ScheduledPiece>& out) {
-  const bdd::Bdd& local = use_next ? part.local_next_cube
-                                   : part.local_cur_cube;
-  const bdd::Bdd& absent = use_next ? part.absent_next_cube
-                                    : part.absent_cur_cube;
-  if (part.conjuncts.size() == 1) {
-    const std::vector<bdd::Bdd> shards =
-        intra.split_relation(part.conjuncts[0], 2 * intra.contexts());
-    for (const bdd::Bdd& shard : shards) {
-      out.push_back({shard, bdd::Bdd(), local, absent});
-    }
-    return;
-  }
-  bdd::Bdd rest = part.conjuncts[1];
-  for (std::size_t i = 2; i < part.conjuncts.size(); ++i) {
-    rest &= part.conjuncts[i];
-  }
-  out.push_back({part.conjuncts[0], std::move(rest), local, absent});
-}
-
-}  // namespace
 
 bdd::Bdd Space::image_part(const RelationPart& part, const bdd::Bdd& from) {
   freeze();
-  if (intra_ != nullptr) {
-    std::vector<IntraEngine::ScheduledPiece> pieces;
-    append_scheduled_pieces(*intra_, part, /*use_next=*/false, pieces);
-    if (pieces.size() > 1) return intra_->image(pieces, from);
-  }
   // Early quantification: the part cannot see the bits outside its
   // support, so they leave the operand before the product.
   const bdd::Bdd operand = part.absent_cur_cube.is_true()
@@ -337,11 +265,6 @@ bdd::Bdd Space::image_part(const RelationPart& part, const bdd::Bdd& from) {
 bdd::Bdd Space::preimage_part(const RelationPart& part,
                               const bdd::Bdd& to_primed) {
   freeze();
-  if (intra_ != nullptr) {
-    std::vector<IntraEngine::ScheduledPiece> pieces;
-    append_scheduled_pieces(*intra_, part, /*use_next=*/true, pieces);
-    if (pieces.size() > 1) return intra_->preimage(pieces, to_primed);
-  }
   const bdd::Bdd operand = part.absent_next_cube.is_true()
                                ? to_primed
                                : mgr_.exists(to_primed, part.absent_next_cube);
@@ -358,13 +281,6 @@ bdd::Bdd Space::preimage_part(const RelationPart& part,
 
 bdd::Bdd Space::image(const TransitionRelation& rel, const bdd::Bdd& from) {
   freeze();
-  if (intra_ != nullptr && rel.part_count() > 1) {
-    std::vector<IntraEngine::ScheduledPiece> pieces;
-    for (const RelationPart& part : rel.parts()) {
-      append_scheduled_pieces(*intra_, part, /*use_next=*/false, pieces);
-    }
-    return intra_->image(pieces, from);
-  }
   bdd::Bdd result = mgr_.bdd_false();
   for (const RelationPart& part : rel.parts()) {
     result |= image_part(part, from);
@@ -375,13 +291,6 @@ bdd::Bdd Space::image(const TransitionRelation& rel, const bdd::Bdd& from) {
 bdd::Bdd Space::preimage(const TransitionRelation& rel, const bdd::Bdd& to) {
   freeze();
   const bdd::Bdd to_primed = prime(to);
-  if (intra_ != nullptr && rel.part_count() > 1) {
-    std::vector<IntraEngine::ScheduledPiece> pieces;
-    for (const RelationPart& part : rel.parts()) {
-      append_scheduled_pieces(*intra_, part, /*use_next=*/true, pieces);
-    }
-    return intra_->preimage(pieces, to_primed);
-  }
   bdd::Bdd result = mgr_.bdd_false();
   for (const RelationPart& part : rel.parts()) {
     result |= preimage_part(part, to_primed);
@@ -484,7 +393,10 @@ bdd::Bdd Space::backward_reachable(const bdd::Bdd& rel, const bdd::Bdd& to) {
 }
 
 bdd::Bdd Space::has_successor_in(const bdd::Bdd& rel, const bdd::Bdd& set) {
-  return set & preimage(rel, set);
+  freeze();
+  // The primed operand stays referenced through the conjunction, so a GC
+  // that fires inside it keeps that node set (νZ step counts depend on it).
+  return set & mgr_.and_exists(rel, prime(set), cube_next_);
 }
 
 bdd::Bdd Space::has_successor_in(std::span<const bdd::Bdd> rels,
@@ -495,32 +407,6 @@ bdd::Bdd Space::has_successor_in(std::span<const bdd::Bdd> rels,
 bdd::Bdd Space::has_successor_in(const TransitionRelation& rel,
                                  const bdd::Bdd& set) {
   return set & preimage(rel, set);
-}
-
-bdd::Bdd Space::has_successor_in_local(const bdd::Bdd& rel,
-                                       const bdd::Bdd& set) {
-  freeze();
-  return set & mgr_.and_exists(rel, prime(set), cube_next_);
-}
-
-void Space::enable_intra(std::size_t jobs) {
-  freeze();
-  // Profiled runs drive the engine even single-threaded: the engine's
-  // work-to-context assignment is thread-count invariant, so a profiled
-  // sequential run charges exactly the counters a --par-intra run does and
-  // their flamegraphs compare byte-for-byte.
-  if (jobs <= 1 && !bdd::profile::enabled()) {
-    intra_.reset();
-    return;
-  }
-  if (jobs < 1) jobs = 1;
-  if (intra_ != nullptr && intra_->jobs() == jobs) return;
-  intra_ = std::make_unique<IntraEngine>(mgr_, jobs, cur_bit_list_,
-                                         next_bit_list_, swap_perm_vec_);
-}
-
-std::size_t Space::intra_jobs() const noexcept {
-  return intra_ != nullptr ? intra_->jobs() : 1;
 }
 
 double Space::count_states(const bdd::Bdd& set) {

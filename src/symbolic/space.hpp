@@ -8,13 +8,10 @@
 #include <utility>
 #include <vector>
 
-#include <memory>
-
 #include "bdd/bdd.hpp"
 
 namespace lr::sym {
 
-class IntraEngine;
 class TransitionRelation;
 struct RelationPart;
 
@@ -51,7 +48,6 @@ struct VariableInfo {
 class Space {
  public:
   explicit Space(bdd::Manager::Options options = {});
-  ~Space();  // out of line: IntraEngine is incomplete here
 
   Space(const Space&) = delete;
   Space& operator=(const Space&) = delete;
@@ -128,23 +124,19 @@ class Space {
   // --- Relational operations ------------------------------------------------------
 
   /// States reachable from `from` in exactly one step of `rel`
-  /// (a current-version state predicate). With intra sharding enabled
-  /// (see enable_intra) a large relation is transparently split into
-  /// disjuncts and computed on the worker pool; the result is bit-identical
-  /// (BDD canonicity) to the sequential product.
+  /// (a current-version state predicate).
   [[nodiscard]] bdd::Bdd image(const bdd::Bdd& rel, const bdd::Bdd& from);
 
-  /// States with at least one `rel` successor inside `to`. Shards like
-  /// image() when intra sharding is enabled.
+  /// States with at least one `rel` successor inside `to`.
   [[nodiscard]] bdd::Bdd preimage(const bdd::Bdd& rel, const bdd::Bdd& to);
 
-  /// Image over a *partitioned* relation: ∪_i image(rels[i], from).
-  /// Sequentially reduced in partition order when intra sharding is off;
-  /// dispatched onto the worker pool when on. Identical result either way.
+  /// Image over a *partitioned* relation: ∪_i image(rels[i], from),
+  /// reduced in partition order.
   [[nodiscard]] bdd::Bdd image(std::span<const bdd::Bdd> rels,
                                const bdd::Bdd& from);
 
-  /// Preimage over a partitioned relation: ∪_i preimage(rels[i], to).
+  /// Preimage over a partitioned relation: ∪_i preimage(rels[i], to),
+  /// reduced in partition order.
   [[nodiscard]] bdd::Bdd preimage(std::span<const bdd::Bdd> rels,
                                   const bdd::Bdd& to);
 
@@ -200,34 +192,6 @@ class Space {
   [[nodiscard]] bdd::Bdd has_successor_in(const TransitionRelation& rel,
                                           const bdd::Bdd& set);
 
-  /// has_successor_in computed monolithically on the main manager even
-  /// when intra sharding is on. Fixpoints whose iterate changes little per
-  /// step (livelock νZ) are faster this way: the main op cache absorbs
-  /// repeat iterations almost entirely, while worker dispatch would
-  /// re-materialize every per-piece preimage each iteration.
-  [[nodiscard]] bdd::Bdd has_successor_in_local(const bdd::Bdd& rel,
-                                               const bdd::Bdd& set);
-
-  // --- Intra-problem sharding ------------------------------------------------
-
-  /// Enables (jobs >= 2) or disables (jobs <= 1) work-sharded image and
-  /// preimage computation on a per-Space worker pool (see
-  /// symbolic/intra.hpp). Freezes the space. Results are bit-identical to
-  /// the sequential path in either mode; only wall-clock and memory
-  /// behavior change. Idempotent per jobs value.
-  ///
-  /// Exception: while profiling is on (bdd::profile::enabled()), jobs <= 1
-  /// still engages the engine with a one-thread pool. The engine's
-  /// work-to-context assignment is invariant in the thread count, so a
-  /// profiled sequential run and a profiled --par-intra run charge
-  /// identical counters and export byte-identical flamegraphs.
-  void enable_intra(std::size_t jobs);
-
-  /// Pool thread count of the sharded path (1 = sequential execution —
-  /// though the engine may still be active under profiling, see
-  /// enable_intra).
-  [[nodiscard]] std::size_t intra_jobs() const noexcept;
-
   // --- Counting and enumeration -----------------------------------------------------
 
   /// Number of valid states in a state predicate.
@@ -281,19 +245,8 @@ class Space {
     return ver == Version::kCurrent ? vars_[v].cur_bits : vars_[v].next_bits;
   }
 
-  /// Shared union-reduce over a partitioned relation: dispatches to the
-  /// intra engine for multi-part relations, otherwise reduces
-  /// `step(rels[i])` in partition order — the reference the sharded path
-  /// must match bit-for-bit (it does: BDDs are canonical).
-  [[nodiscard]] bdd::Bdd union_over_parts(
-      std::span<const bdd::Bdd> rels,
-      const std::function<bdd::Bdd(std::span<const bdd::Bdd>)>& sharded,
-      const std::function<bdd::Bdd(const bdd::Bdd&)>& step);
-
   /// Early-quantified image/preimage of one scheduled part (see
-  /// symbolic/relation.hpp). With the intra engine active the part is
-  /// Shannon-sharded into scheduled pieces (the shards inherit the part's
-  /// quantification cubes — a cofactor's support never grows).
+  /// symbolic/relation.hpp).
   [[nodiscard]] bdd::Bdd image_part(const RelationPart& part,
                                     const bdd::Bdd& from);
   [[nodiscard]] bdd::Bdd preimage_part(const RelationPart& part,
@@ -311,11 +264,6 @@ class Space {
   bdd::Bdd valid_next_;
   bdd::Bdd identity_;
   std::optional<bdd::PermId> swap_perm_;
-  // Saved for mirroring the space into intra workers.
-  std::vector<bdd::VarIndex> cur_bit_list_;
-  std::vector<bdd::VarIndex> next_bit_list_;
-  std::vector<bdd::VarIndex> swap_perm_vec_;
-  std::unique_ptr<IntraEngine> intra_;
 };
 
 }  // namespace lr::sym

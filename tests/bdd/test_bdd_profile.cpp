@@ -156,26 +156,20 @@ TEST_F(BddProfileTest, RecordMetricsMirrorsBuckets) {
   EXPECT_GE(m.gauge("bddprofiletest.profile_test.metrics.peak_nodes"), 1.0);
 }
 
-// --- Attribution under intra-problem (nested) parallelism -------------------
+// --- Conservation across span nesting -----------------------------------------
 //
-// A sharded Space fans image/preimage work out to worker threads whose
-// managers charge the span that was current on the dispatching thread, and
-// merges the worker profilers back after every join. Two invariants:
-//
-//  * attribution: worker-side work lands in the innermost dispatching
-//    span's bucket — never in "(unattributed)", never in an enclosing span;
-//  * conservation: re-bucketing identical work across differently-nested
-//    spans must neither create nor destroy counted work — the
-//    `bdd.<span>.*` totals over all buckets are the same whether the
-//    workload ran under one flat span or split across nested ones.
+// Re-bucketing identical work across differently-nested spans must neither
+// create nor destroy counted work: the `bdd.<span>.*` totals over all
+// buckets are the same whether a partitioned image/preimage workload ran
+// under one flat span or split across nested ones.
 
 namespace {
 
 constexpr std::size_t kShardProcs = 5;
 
-/// A sharded space plus the relation handles into it. `rels` is declared
-/// after `space` so the handles are released before the manager they
-/// point into is torn down.
+/// A space with one relation part per process, plus the relation handles
+/// into it. `rels` is declared after `space` so the handles are released
+/// before the manager they point into is torn down.
 struct ShardedFixture {
   std::unique_ptr<sym::Space> space;
   std::vector<bdd::Bdd> rels;
@@ -197,7 +191,6 @@ ShardedFixture make_sharded_space() {
     }
     fx.rels.push_back(rel);
   }
-  fx.space->enable_intra(2);
   // Setup work (relation building) is not part of the measured workload.
   fx.space->manager().profiler().clear();
   return fx;
@@ -221,28 +214,6 @@ void sharded_workload(sym::Space& space, std::span<const bdd::Bdd> rels,
 }
 
 }  // namespace
-
-TEST_F(BddProfileTest, ShardedWorkLandsInDispatchingSpan) {
-  ProfilingOn guard;
-  ShardedFixture fx = make_sharded_space();
-  sharded_workload(*fx.space, fx.rels, /*nested=*/true);
-
-  const auto& buckets = fx.space->manager().profiler().buckets();
-  ASSERT_TRUE(buckets.count("profile_test.shard_outer")) << "outer missing";
-  ASSERT_TRUE(buckets.count("profile_test.shard_inner")) << "inner missing";
-  EXPECT_FALSE(buckets.count("(unattributed)"))
-      << "worker-side work escaped span attribution";
-  // Each sharded call runs one and_exists per partition; the image belongs
-  // to the outer span, the preimage to the innermost one.
-  const profile::SpanCounters& outer =
-      buckets.at("profile_test.shard_outer");
-  const profile::SpanCounters& inner =
-      buckets.at("profile_test.shard_inner");
-  EXPECT_GE(outer.op(OpClass::kQuantify).calls, kShardProcs);
-  EXPECT_GE(inner.op(OpClass::kQuantify).calls, kShardProcs);
-  EXPECT_GT(outer.work_steps(), 0u);
-  EXPECT_GT(inner.work_steps(), 0u);
-}
 
 TEST_F(BddProfileTest, NestedSpansConserveShardedTotals) {
   ProfilingOn guard;

@@ -144,17 +144,13 @@ TEST(CliGoldenTest_Batch, BatchStdoutMatchesGoldenAndIsJobIndependent) {
 }
 
 TEST(CliGoldenTest_Batch, BatchWithIntraShardingIsJobIndependent) {
-  // Intra-problem sharding must not leak into any reported result: a
-  // sweep running two tasks concurrently, each sharded over two intra
-  // workers, prints byte-identical stdout to the fully sequential sweep —
-  // and both match the same committed golden.
+  // A sweep running two tasks concurrently prints byte-identical stdout to
+  // the fully sequential sweep — and both match the same committed golden.
   const CliRun seq = run_cli("--batch " + models_dir() + " --jobs 1");
-  const CliRun par =
-      run_cli("--batch " + models_dir() + " --jobs 2 --par-intra=2");
+  const CliRun par = run_cli("--batch " + models_dir() + " --jobs 2");
   EXPECT_EQ(seq.exit_code, 0);
   EXPECT_EQ(par.exit_code, 0);
-  EXPECT_EQ(seq.output, par.output)
-      << "--par-intra changed a batch-reported result";
+  EXPECT_EQ(seq.output, par.output) << "--jobs changed a batch-reported result";
   std::string stable = par.output;
   const std::string dir = models_dir();
   for (std::size_t at = stable.find(dir); at != std::string::npos;
@@ -227,8 +223,12 @@ TEST(CliGoldenTest_Help, HelpListsEveryFlagAndExitsZero) {
     EXPECT_NE(run.output.find(flag), std::string::npos)
         << flag << " missing from --help:\n" << run.output;
   }
-  const CliRun unknown = run_cli("--no-such-flag");
-  EXPECT_EQ(unknown.exit_code, 2) << "unknown flags must be rejected";
+  // --par-intra named the deleted intra-problem engine.
+  for (const char* flag : {"--no-such-flag", "--par-intra=2"}) {
+    const CliRun unknown = run_cli(models_dir() + "/tmr.lr " + flag);
+    EXPECT_EQ(unknown.exit_code, 2)
+        << flag << ": unknown flags must be rejected";
+  }
 }
 
 TEST(CliGoldenTest_Progress, HeartbeatsNeverTouchStdout) {
@@ -349,26 +349,14 @@ TEST(CliGoldenTest_LrReport, RegressionBeyondMaxRatioFails) {
 
 TEST(CliGoldenTest_Flame, CollapsedProfileMatchesGoldenAndIsParIntraInvariant) {
   // The default weight (work_steps) is machine-independent, so the
-  // collapsed file is a byte-exact golden — and the profiled engine's
-  // thread-count invariance makes the --par-intra=4 run write the very
-  // same bytes.
-  const std::string seq_path =
-      ::testing::TempDir() + "cli_golden_tmr_seq.collapsed";
-  const std::string par_path =
-      ::testing::TempDir() + "cli_golden_tmr_par.collapsed";
-  const CliRun seq =
-      run_cli(models_dir() + "/tmr.lr --flamegraph=" + seq_path);
-  EXPECT_EQ(seq.exit_code, 0) << seq.output;
-  const CliRun par = run_cli(models_dir() +
-                             "/tmr.lr --par-intra=4 --flamegraph=" + par_path);
-  EXPECT_EQ(par.exit_code, 0) << par.output;
-  const std::string collapsed = read_file(seq_path);
-  ASSERT_FALSE(collapsed.empty()) << "no collapsed profile at " << seq_path;
+  // collapsed file is a byte-exact golden.
+  const std::string path = ::testing::TempDir() + "cli_golden_tmr.collapsed";
+  const CliRun run = run_cli(models_dir() + "/tmr.lr --flamegraph=" + path);
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  const std::string collapsed = read_file(path);
+  ASSERT_FALSE(collapsed.empty()) << "no collapsed profile at " << path;
   expect_matches_golden(collapsed, "tmr.flame.golden");
-  EXPECT_EQ(collapsed, read_file(par_path))
-      << "--par-intra changed the collapsed profile";
-  std::remove(seq_path.c_str());
-  std::remove(par_path.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(CliGoldenTest_Flame, BadWeightAndBatchModeAreRejected) {

@@ -6,9 +6,9 @@
 //    the re-bucketing;
 //  * collapsed-stack line weights sum to the run's total work_steps under
 //    every weight mode that is deterministic;
-//  * the collapsed output is byte-identical between a sequential repair
-//    and one with intra_jobs = 4, because workers charge the dispatching
-//    thread's span path and merge after join.
+//  * profiling only observes: a profiled repair does the very work of an
+//    unprofiled one (same op-cache lookups, created nodes and evictions)
+//    and ends with the same per-process deltas.
 
 #include <gtest/gtest.h>
 
@@ -34,8 +34,35 @@ using bdd::profile::OpClass;
 using ProgramFactory =
     std::function<std::unique_ptr<prog::DistributedProgram>()>;
 
+/// What a repair leaves behind that profiling must not change.
+struct Work {
+  std::uint64_t cache_lookups = 0;
+  std::uint64_t created_nodes = 0;
+  std::uint64_t cache_evictions = 0;
+  std::vector<std::size_t> delta_nodes;    ///< node_count per δ_j
+  std::vector<double> delta_transitions;  ///< count_transitions per δ_j
+};
+
+Work work_of(prog::DistributedProgram& program, const RepairResult& result) {
+  const bdd::ManagerStats stats = program.space().manager().stats();
+  Work work{stats.cache_lookups, stats.created_nodes, stats.cache_evictions,
+            {}, {}};
+  for (const bdd::Bdd& delta : result.process_deltas) {
+    work.delta_nodes.push_back(delta.node_count());
+    work.delta_transitions.push_back(program.space().count_transitions(delta));
+  }
+  return work;
+}
+
+Work run_unprofiled(const ProgramFactory& make) {
+  std::unique_ptr<prog::DistributedProgram> program = make();
+  const RepairResult result = lazy_repair(*program, Options{});
+  return work_of(*program, result);
+}
+
 struct ProfileRun {
   bool success = false;
+  Work work;
   bdd::profile::SpanCounters totals;
   bdd::profile::SpanCounters flat_sum;
   bdd::profile::SpanCounters tree_sum;
@@ -43,12 +70,10 @@ struct ProfileRun {
   std::string collapsed_nodes;
 };
 
-ProfileRun run_profiled(const ProgramFactory& make, std::size_t intra_jobs) {
+ProfileRun run_profiled(const ProgramFactory& make) {
   bdd::profile::set_enabled(true);
   std::unique_ptr<prog::DistributedProgram> program = make();
-  Options options;
-  options.intra_jobs = intra_jobs;
-  const RepairResult result = lazy_repair(*program, options);
+  const RepairResult result = lazy_repair(*program, Options{});
 
   const bdd::profile::Profiler& prof = program->space().manager().profiler();
   ProfileRun run;
@@ -65,6 +90,7 @@ ProfileRun run_profiled(const ProgramFactory& make, std::size_t intra_jobs) {
   run.collapsed_nodes =
       bdd::profile::to_collapsed(prof, bdd::profile::FlameWeight::kNodes);
   bdd::profile::set_enabled(false);
+  run.work = work_of(*program, result);
   return run;
 }
 
@@ -100,7 +126,7 @@ void expect_counters_equal(const bdd::profile::SpanCounters& a,
 }
 
 void expect_conservation(const char* name, const ProgramFactory& make) {
-  const ProfileRun seq = run_profiled(make, 1);
+  const ProfileRun seq = run_profiled(make);
   EXPECT_TRUE(seq.success) << name;
   EXPECT_GT(seq.totals.work_steps(), 0u) << name;
 
@@ -118,16 +144,14 @@ void expect_conservation(const char* name, const ProgramFactory& make) {
             seq.totals.created_nodes)
       << name;
 
-  // Workers charge the dispatching path: the profile is byte-identical
-  // under intra parallelism, not merely weight-conserving.
-  const ProfileRun par = run_profiled(make, 4);
-  EXPECT_EQ(seq.collapsed_steps, par.collapsed_steps)
-      << name << ": collapsed steps profile differs under --par-intra=4";
-  expect_counters_equal(par.flat_sum, par.totals,
-                        std::string(name) + " par flat vs totals");
-  EXPECT_EQ(sum_collapsed_weights(par.collapsed_steps),
-            par.totals.work_steps())
-      << name;
+  // The profile describes the plan an unprofiled run executes: turning
+  // the profiler on changes no BDD operation.
+  const Work plain = run_unprofiled(make);
+  EXPECT_EQ(seq.work.cache_lookups, plain.cache_lookups) << name;
+  EXPECT_EQ(seq.work.created_nodes, plain.created_nodes) << name;
+  EXPECT_EQ(seq.work.cache_evictions, plain.cache_evictions) << name;
+  EXPECT_EQ(seq.work.delta_nodes, plain.delta_nodes) << name;
+  EXPECT_EQ(seq.work.delta_transitions, plain.delta_transitions) << name;
 }
 
 TEST(FlamegraphConservationTest, Tmr) {

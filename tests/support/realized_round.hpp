@@ -53,7 +53,7 @@ inline bdd::Bdd livelock_states(sym::Space& space,
   for (const bdd::Bdd& dj : deltas) actions |= dj;
   bdd::Bdd z = outside;
   while (true) {
-    const bdd::Bdd shrunk = space.has_successor_in_local(actions, z);
+    const bdd::Bdd shrunk = space.has_successor_in(actions, z);
     if (shrunk == z) return z;
     z = shrunk;
   }
@@ -80,7 +80,7 @@ inline bdd::Bdd stuttering_livelock_states(prog::DistributedProgram& program,
   const bdd::Bdd delta = program.stutter_completion(actions);
   bdd::Bdd z = outside;
   while (true) {
-    const bdd::Bdd shrunk = space.has_successor_in_local(delta, z);
+    const bdd::Bdd shrunk = space.has_successor_in(delta, z);
     if (shrunk == z) return z;
     z = shrunk;
   }

@@ -11,21 +11,17 @@
 #include <chrono>
 #include <cstdint>
 #include <latch>
-#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bdd/bdd.hpp"
-#include "bdd/profile.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/metrics.hpp"
 #include "support/progress.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
-#include "symbolic/space.hpp"
 
 namespace lr::support {
 namespace {
@@ -174,76 +170,6 @@ TEST(ObservabilityThreadsTest, MetricsHammerCountsExactly) {
   ASSERT_NE(shared, nullptr);
   EXPECT_EQ(shared->number,
             static_cast<double>(kThreads * kRoundsPerThread));
-}
-
-// The intra engine's concurrency protocol has every worker thread traverse
-// the main manager's node pool read-only (Manager::node_view) while the
-// main thread sits quiescent between dispatch and join, and merges the
-// worker profilers into the main one after every join. This hammer drives
-// that whole read path — pins, concurrent imports, worker-side products,
-// export-to-main — many times over with the profiler on, and checks the
-// sharded results stay bit-identical to a sequential reference. Under
-// -DLR_SANITIZE=thread it doubles as the race detector for node_view and
-// the shared profiler counters.
-TEST(ObservabilityThreadsTest, IntraBddReadPathHammerMatchesSequential) {
-  sym::Space space;
-  constexpr std::size_t kProcs = 6;
-  std::vector<sym::VarId> vars;
-  for (std::size_t i = 0; i < kProcs; ++i) {
-    vars.push_back(space.add_variable("x" + std::to_string(i), 4));
-  }
-  // Ring of copy actions: process i reads its right neighbor, everything
-  // else stays put — small pieces, but enough shared structure that the
-  // workers chase overlapping regions of the main node pool.
-  std::vector<bdd::Bdd> rels;
-  for (std::size_t i = 0; i < kProcs; ++i) {
-    bdd::Bdd rel = space.vars_eq(vars[i], sym::Version::kNext,
-                                 vars[(i + 1) % kProcs], sym::Version::kCurrent);
-    for (std::size_t j = 0; j < kProcs; ++j) {
-      if (j != i) rel &= space.unchanged(vars[j]);
-    }
-    rels.push_back(rel);
-  }
-  std::vector<bdd::Bdd> froms;
-  for (std::uint32_t v = 0; v < 4; ++v) {
-    froms.push_back(space.value_eq(vars[0], v, sym::Version::kCurrent) &
-                    space.value_lt(vars[1], v + 1, sym::Version::kCurrent));
-  }
-  // Sequential references, computed before sharding is switched on (same
-  // manager, so canonicity makes equality a node-id comparison).
-  std::vector<bdd::Bdd> img_ref;
-  std::vector<bdd::Bdd> pre_ref;
-  for (const bdd::Bdd& from : froms) {
-    img_ref.push_back(space.image(std::span<const bdd::Bdd>(rels), from));
-    pre_ref.push_back(space.preimage(std::span<const bdd::Bdd>(rels), from));
-  }
-
-  space.enable_intra(4);
-  bdd::profile::set_enabled(true);
-  constexpr std::size_t kHammerRounds = 50;
-  {
-    LR_TRACE_SPAN("hammer.intra_bdd");
-    for (std::size_t round = 0; round < kHammerRounds; ++round) {
-      const std::size_t v = round % froms.size();
-      const bdd::Bdd img =
-          space.image(std::span<const bdd::Bdd>(rels), froms[v]);
-      const bdd::Bdd pre =
-          space.preimage(std::span<const bdd::Bdd>(rels), froms[v]);
-      ASSERT_TRUE(img == img_ref[v]) << "sharded image diverged, round "
-                                     << round;
-      ASSERT_TRUE(pre == pre_ref[v]) << "sharded preimage diverged, round "
-                                     << round;
-    }
-  }
-  bdd::profile::set_enabled(false);
-
-  // Worker-side work must have been merged back under the dispatching
-  // span, not lost and not left "(unattributed)".
-  const auto& buckets = space.manager().profiler().buckets();
-  const auto it = buckets.find("hammer.intra_bdd");
-  ASSERT_NE(it, buckets.end());
-  EXPECT_GT(it->second.op(bdd::profile::OpClass::kQuantify).calls, 0u);
-  EXPECT_GT(it->second.work_steps(), 0u);
 }
 
 TEST(ObservabilityThreadsTest, LogHammerEmitsWholeLines) {

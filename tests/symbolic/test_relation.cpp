@@ -8,8 +8,8 @@
 //
 // Covered: random parts with 1, 2 and 3 conjuncts, a one-part relation,
 // the empty fault list, the relations the repair layer builds for every
-// case study (also under intra sharding), and seeded random models across
-// every LR_FUZZ_TOPOLOGY x LR_FUZZ_FAULTS combination.
+// case study, and seeded random models across every LR_FUZZ_TOPOLOGY x
+// LR_FUZZ_FAULTS combination.
 //
 // Environment knobs (fuzz sweep):
 //   LR_FUZZ_SEED=N     base seed (model i uses seed N+i); default 20160523
@@ -86,8 +86,7 @@ int expect_matches_flat(Space& space, const TransitionRelation& rel,
         "preimage");
   check(space.has_successor_in(rel, probe),
         {space.has_successor_in(flat.whole, probe),
-         space.has_successor_in(parts, probe),
-         space.has_successor_in_local(flat.whole, probe)},
+         space.has_successor_in(parts, probe)},
         "has_successor_in");
   check(space.forward_reachable(rel, probe),
         {space.forward_reachable(flat.whole, probe),
@@ -285,17 +284,6 @@ TEST(RelationDifferentialTest, ChainCaseStudy) {
   chain.length = 8;
   auto program = cs::make_chain(chain);
   expect_program_relations_match(*program, 4, "Sc^8");
-}
-
-// With the intra engine on, the scheduled overloads Shannon-shard each
-// part across workers; the sets must not change.
-TEST(RelationDifferentialTest, ShardedCaseStudies) {
-  auto tmr = cs::make_tmr({});
-  tmr->space().enable_intra(2);
-  expect_program_relations_match(*tmr, 5, "tmr (par-intra 2)");
-  auto ring = cs::make_token_ring({});
-  ring->space().enable_intra(2);
-  expect_program_relations_match(*ring, 6, "token_ring (par-intra 2)");
 }
 
 // --- Random-model sweep ------------------------------------------------------
