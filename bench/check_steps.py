@@ -12,8 +12,11 @@ Each RESULT.json is the JSON line lr_bench/run.py prints. Step counts are
 exact for a seed (the ledger names it), so every ratio against the ledger
 is printed. The check fails when a ledger workload has no result, a result
 names a workload the ledger lacks, a result claims an unverified success
-or failed instances, or a counted metric exceeds the ledger's max_ratio.
-A change that moves the counts on purpose refreshes the ledger.
+or failed instances, or a counted metric leaves the band
+[ledger / max_ratio, ledger * max_ratio]. Above the band is a regression;
+below it the ledger is stale, and a later regression of up to the same
+ratio would pass unseen, so it must be refreshed. A change that moves the
+counts on purpose refreshes the ledger.
 """
 
 import json
@@ -46,10 +49,15 @@ def main(argv):
         for metric, want in ledger["workloads"][workload].items():
             got = result["metrics"][metric]["value"]
             ratio = got / want
-            verdict = "FAIL" if ratio > limit else "ok"
+            if ratio > limit:
+                verdict = "FAIL"
+            elif ratio < 1 / limit:
+                verdict = "STALE: refresh the ledger"
+            else:
+                verdict = "ok"
             print(f"{workload:12} {metric:13} {got:>12,} / {want:>12,} = "
                   f"{ratio:.4f}  {verdict}")
-            failed = failed or ratio > limit
+            failed = failed or verdict != "ok"
     return 1 if failed else 0
 
 

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "support/trace.hpp"
+#include "symbolic/relation.hpp"
 
 namespace lr::prog {
 
@@ -147,14 +148,6 @@ const bdd::Bdd& DistributedProgram::fault_delta() {
 const std::vector<bdd::Bdd>& DistributedProgram::fault_action_deltas() {
   compile();
   return fault_action_deltas_;
-}
-
-std::vector<bdd::Bdd> DistributedProgram::transition_partitions() {
-  compile();
-  std::vector<bdd::Bdd> partitions = process_deltas_;
-  partitions.insert(partitions.end(), fault_action_deltas_.begin(),
-                    fault_action_deltas_.end());
-  return partitions;
 }
 
 const bdd::Bdd& DistributedProgram::invariant() {
@@ -332,7 +325,13 @@ bdd::Bdd DistributedProgram::stutter_completion(const bdd::Bdd& delta) {
 const bdd::Bdd& DistributedProgram::reachable_under_faults() {
   compile();
   if (!reachable_.has_value()) {
-    reachable_ = space_.forward_reachable(transition_partitions(), invariant_bdd_);
+    // One part per process delta and fault action: stutter steps add no
+    // reachability and are omitted.
+    std::vector<bdd::Bdd> parts = process_deltas_;
+    parts.insert(parts.end(), fault_action_deltas_.begin(),
+                 fault_action_deltas_.end());
+    reachable_ = space_.forward_reachable(
+        sym::TransitionRelation::partitioned(space_, parts), invariant_bdd_);
   }
   return *reachable_;
 }

@@ -99,11 +99,6 @@ class DistributedProgram {
   /// The compiled fault actions individually (for partitioned reachability).
   [[nodiscard]] const std::vector<bdd::Bdd>& fault_action_deltas();
 
-  /// Process deltas followed by fault action deltas: the natural partition
-  /// of δ_P ∪ f for Space::forward_reachable(span, from). Stutter steps add
-  /// no reachability and are omitted.
-  [[nodiscard]] std::vector<bdd::Bdd> transition_partitions();
-
   /// The invariant S (conjoined with domain validity).
   [[nodiscard]] const bdd::Bdd& invariant();
 
@@ -177,8 +172,9 @@ class DistributedProgram {
   /// delta ∪ {(s,s) | s valid, no delta-successor}.
   [[nodiscard]] bdd::Bdd stutter_completion(const bdd::Bdd& delta);
 
-  /// States of `set` reachable by the fault-intolerant program in the
-  /// presence of faults (the Step-1 heuristic's search space).
+  /// Reach(S, δ_P ∪ f): the states the fault-intolerant program visits
+  /// from its invariant in the presence of faults (the Section V-A
+  /// heuristic's search space). Computed once, then cached.
   [[nodiscard]] const bdd::Bdd& reachable_under_faults();
 
  private:

@@ -11,22 +11,6 @@
 
 namespace lr::repair {
 
-namespace {
-
-/// Removes deadlock states: the largest subset of `states` in which every
-/// state has a `rel`-successor inside the subset (ConstructInvariant of
-/// ref [1]).
-bdd::Bdd construct_invariant(sym::Space& space, bdd::Bdd states,
-                             const sym::TransitionRelation& rel) {
-  while (true) {
-    const bdd::Bdd alive = states & space.preimage(rel, states);
-    if (alive == states) return states;
-    states = alive;
-  }
-}
-
-}  // namespace
-
 StepOneResult add_masking(prog::DistributedProgram& program,
                           const bdd::Bdd& start_invariant,
                           const bdd::Bdd& extra_bad_trans,
@@ -37,7 +21,6 @@ StepOneResult add_masking(prog::DistributedProgram& program,
   bdd::Manager& mgr = space.manager();
 
   const bdd::Bdd delta_p = program.program_delta();
-  const bdd::Bdd faults = program.fault_delta();
   // Every fixpoint below runs over conjunctive/disjunctive partitions
   // with early quantification (symbolic/relation.hpp).
   const sym::TransitionRelation faults_rel = fault_relation(program);
@@ -79,17 +62,11 @@ StepOneResult add_masking(prog::DistributedProgram& program,
   stats.reachable_states = space.count_states(context);
 
   // --- ms: states from which one or more fault steps violate safety ----------
-  bdd::Bdd ms = (bad_states |
-                 mgr.exists(faults & bad_trans, space.cube(sym::Version::kNext))) &
-                context;
+  bdd::Bdd ms;
   {
     LR_TRACE_SPAN("add_masking.ms_fixpoint");
-    while (true) {
-      throw_if_cancelled(options.cancel);
-      const bdd::Bdd grown = (ms | space.preimage(faults_rel, ms)) & context;
-      if (grown == ms) break;
-      ms = grown;
-    }
+    ms = fault_unsafe_states(program, faults_rel, bad_states, bad_trans,
+                             context, options.cancel.get());
   }
 
   // --- mt: transitions the fault-tolerant program must never execute ----------
@@ -106,7 +83,8 @@ StepOneResult add_masking(prog::DistributedProgram& program,
   }
   const sym::TransitionRelation delta_mt_rel =
       sym::TransitionRelation::partitioned(space, pieces_mt);
-  bdd::Bdd s1 = construct_invariant(space, s_orig.minus(ms), delta_mt_rel);
+  // ConstructInvariant of ref [1]: drop the states that deadlock.
+  bdd::Bdd s1 = space.live_core(delta_mt_rel, s_orig.minus(ms));
   bdd::Bdd t1 = context.minus(ms);
 
   if (s1.is_false()) return result;
@@ -151,30 +129,14 @@ StepOneResult add_masking(prog::DistributedProgram& program,
       }
       if (!rec_part.is_false()) p1_rel.add_part(rec_part);
 
-      bdd::Bdd t2 = t1;
-      while (options.level != ToleranceLevel::kFailsafe) {
-        // Drop T states that cannot reach S via available transitions.
-        // (Failsafe tolerance has no recovery obligation: the span keeps
-        // every safe state; it is fault-closed already because ms is
-        // backward-closed under faults and the context is reach-closed.)
-        bdd::Bdd can_recover = s1 & t2;
-        while (true) {
-          const bdd::Bdd grown =
-              can_recover | (t2 & space.preimage(p1_rel, can_recover));
-          if (grown == can_recover) break;
-          can_recover = grown;
-        }
-        bdd::Bdd t2_new = can_recover;
-        // Drop states from which faults escape the span.
-        while (true) {
-          const bdd::Bdd escaping =
-              t2_new & space.preimage(faults_rel, valid_cur.minus(t2_new));
-          if (escaping.is_false()) break;
-          t2_new = t2_new.minus(escaping);
-        }
-        if (t2_new == t2) break;
-        t2 = t2_new;
-      }
+      // Failsafe tolerance has no recovery obligation: the span keeps
+      // every safe state; it is fault-closed already because ms is
+      // backward-closed under faults and the context is reach-closed.
+      const bdd::Bdd t2 =
+          options.level == ToleranceLevel::kFailsafe
+              ? t1
+              : recoverable_span(p1_rel, faults_rel, s1, t1,
+                                 options.cancel.get());
 
       bdd::Bdd s2 = s1 & t2;
       {
@@ -187,7 +149,7 @@ StepOneResult add_masking(prog::DistributedProgram& program,
           closure_rel.add_part(std::span<const bdd::Bdd>(conjuncts, 3));
         }
         if (!rec_part.is_false()) closure_rel.add_part(rec_part, s2_primed);
-        s2 = construct_invariant(space, s2, closure_rel);
+        s2 = space.live_core(closure_rel, s2);
       }
       if (s2.is_false()) return result;
 

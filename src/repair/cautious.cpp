@@ -15,17 +15,6 @@ namespace lr::repair {
 
 namespace {
 
-/// Largest subset of `states` where every state has a `rel`-successor
-/// inside the subset.
-bdd::Bdd construct_invariant(sym::Space& space, bdd::Bdd states,
-                             const sym::TransitionRelation& rel) {
-  while (true) {
-    const bdd::Bdd alive = states & space.preimage(rel, states);
-    if (alive == states) return states;
-    states = alive;
-  }
-}
-
 /// Keeps the groups of `candidate` (for process j) all of whose *reachable*
 /// members satisfy `zone` — the cautious discipline's per-step closure with
 /// the Section-IV unreachable-member tolerance — and returns them closed
@@ -116,7 +105,6 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
 
   const std::size_t nproc = program.process_count();
   const bdd::Bdd delta_p = program.program_delta();
-  const bdd::Bdd faults = program.fault_delta();
   const bdd::Bdd valid_cur = space.valid(sym::Version::kCurrent);
   const bdd::Bdd valid_pair = space.valid_pair();
   const bdd::Bdd identity = space.identity();
@@ -136,14 +124,10 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
   result.stats.reachable_states = space.count_states(reach_ref);
 
   // ms / mt over the full state space.
-  bdd::Bdd ms = bad_states |
-                mgr.exists(faults & program.safety().bad_trans,
-                           space.cube(sym::Version::kNext));
-  while (true) {
-    const bdd::Bdd grown = ms | space.preimage(faults_rel, ms);
-    if (grown == ms) break;
-    ms = grown;
-  }
+  const bdd::Bdd ms =
+      fault_unsafe_states(program, faults_rel, bad_states,
+                          program.safety().bad_trans, space.bdd_true(),
+                          options.cancel.get());
   bdd::Bdd mt = (program.safety().bad_trans | space.prime(ms)) & valid_pair;
 
   bdd::Bdd s1 = program.invariant().minus(ms);
@@ -221,26 +205,8 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     for (const bdd::Bdd& part : rec_j) {
       if (!part.is_false()) p1_rel.add_part(part);
     }
-    bdd::Bdd t2 = t1;
-    while (true) {
-      throw_if_cancelled(options.cancel);
-      bdd::Bdd can_recover = s1 & t2;
-      while (true) {
-        const bdd::Bdd grown =
-            can_recover | (t2 & space.preimage(p1_rel, can_recover));
-        if (grown == can_recover) break;
-        can_recover = grown;
-      }
-      bdd::Bdd t2_new = can_recover;
-      while (true) {
-        const bdd::Bdd escaping =
-            t2_new & space.preimage(faults_rel, valid_cur.minus(t2_new));
-        if (escaping.is_false()) break;
-        t2_new = t2_new.minus(escaping);
-      }
-      if (t2_new == t2) break;
-      t2 = t2_new;
-    }
+    const bdd::Bdd t2 = recoverable_span(p1_rel, faults_rel, s1, t1,
+                                         options.cancel.get());
     bdd::Bdd s2 = s1 & t2;
     {
       // Invariant closure under P1 ∧ S2': prime(s2) rides as a conjunct
@@ -253,7 +219,7 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
       if (!inv_stutter.is_false()) {
         closure_rel.add_part(inv_stutter, s2_primed);
       }
-      s2 = construct_invariant(space, s2, closure_rel);
+      s2 = space.live_core(closure_rel, s2);
     }
     if (options.journal != nullptr) {
       options.journal->fixpoint_round("cautious.shrink",
@@ -340,13 +306,8 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
       if (!part.is_false()) realized_rel.add_part(part);
     }
     if (!inv_stutter.is_false()) realized_rel.add_part(inv_stutter);
-    bdd::Bdd alive = span;
-    while (true) {
-      const bdd::Bdd shrunk = space.has_successor_in(realized_rel, alive);
-      if (shrunk == alive) break;
-      alive = shrunk;
-    }
-    const bdd::Bdd deadlocks = span.minus(alive);
+    const bdd::Bdd deadlocks =
+        span.minus(space.live_core(realized_rel, span));
     if (deadlocks.is_false()) {
       result.success = true;
       result.invariant = s1;

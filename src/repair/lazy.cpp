@@ -1,13 +1,13 @@
 #include "repair/lazy.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "repair/add_masking.hpp"
 #include "repair/journal.hpp"
 #include "repair/order_setup.hpp"
 #include "repair/realize.hpp"
 #include "repair/relation_setup.hpp"
+#include "repair/verify.hpp"
 #include "support/log.hpp"
 #include "support/metrics.hpp"
 #include "support/progress.hpp"
@@ -15,30 +15,6 @@
 #include "support/trace.hpp"
 
 namespace lr::repair {
-
-bool livelock_free_by_layers(prog::DistributedProgram& program,
-                             const bdd::Bdd& outside,
-                             std::span<const bdd::Bdd> deltas) {
-  if (!program.process_order()) return false;
-
-  // Each process alone, projected onto V_j, must not cycle inside the
-  // projection of `outside`. V_j = R_j, so the hidden bits are exactly the
-  // unreadable ones.
-  sym::Space& space = program.space();
-  bdd::Manager& mgr = space.manager();
-  for (std::size_t j = 0; j < deltas.size(); ++j) {
-    const bdd::Bdd& hidden = program.unreadable_cube(j);
-    const bdd::Bdd local = mgr.exists(deltas[j], hidden);
-    bdd::Bdd z = mgr.exists(outside, hidden);
-    while (true) {
-      const bdd::Bdd shrunk = space.has_successor_in(local, z);
-      if (shrunk == z) break;
-      z = shrunk;
-    }
-    if (!z.is_false()) return false;
-  }
-  return true;
-}
 
 namespace {
 
@@ -49,8 +25,8 @@ namespace {
 /// recovery groups; whole groups are removed (synthesized ones first,
 /// original behavior as a last resort) so realizability is preserved.
 ///
-/// The layered proof (livelock_free_by_layers) runs first; when it shows
-/// that no cycle exists, the global νZ is skipped.
+/// The verifier's local proof (find_livelock_certificate) runs first; when
+/// it finds a certificate, no cycle exists and the global νZ is skipped.
 void eliminate_livelocks(prog::DistributedProgram& program,
                          const bdd::Bdd& invariant, const bdd::Bdd& span,
                          std::vector<bdd::Bdd>& deltas,
@@ -58,7 +34,7 @@ void eliminate_livelocks(prog::DistributedProgram& program,
   LR_TRACE_SPAN_NAMED(livelock_span, "lazy_repair.eliminate_livelocks");
   sym::Space& space = program.space();
   const bdd::Bdd outside = span.minus(invariant);
-  if (livelock_free_by_layers(program, outside, deltas)) {
+  if (find_livelock_certificate(program, outside, deltas).has_value()) {
     livelock_span.attr("proof", "layers");
     return;
   }
@@ -82,12 +58,7 @@ void eliminate_livelocks(prog::DistributedProgram& program,
     throw_if_cancelled(options.cancel);
     bdd::Bdd actions = space.bdd_false();
     for (const bdd::Bdd& dj : deltas) actions |= dj;
-    while (true) {
-      ++iterations;
-      const bdd::Bdd shrunk = space.has_successor_in(actions, cycle_states);
-      if (shrunk == cycle_states) break;
-      cycle_states = shrunk;
-    }
+    cycle_states = space.live_core(actions, cycle_states, &iterations);
     if (cycle_states.is_false()) break;
     const bdd::Bdd on_cycle = cycle_states & space.prime(cycle_states);
     bool removed_added = false;
@@ -159,8 +130,7 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
   bdd::Bdd context;
   if (options.restrict_to_reachable) {
     LR_TRACE_SPAN_NAMED(ctx_span, "lazy_repair.context_reach");
-    context = space.forward_reachable(
-        program_fault_relation(program), candidate_invariant);
+    context = program.reachable_under_faults();
     if (support::trace::enabled()) {
       ctx_span.attr("states", space.count_states(context));
     }
@@ -234,9 +204,9 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
     // dead set in one round replaces the paper's one-layer-per-iteration
     // peeling; branch transitions from alive states into the dead region
     // are banned too, which is exactly the paper's Line 11.
-    // The monolithic union is only needed for the failsafe branch; build
-    // it before the span opens so its work lands in step2, exactly where
-    // the sequential profile has always charged it.
+    // The monolithic union is only needed for the failsafe branch; it is
+    // built before the span opens, so the profile charges its work to
+    // step2 rather than to the deadlock check.
     const bool failsafe = options.level == ToleranceLevel::kFailsafe;
     bdd::Bdd realized = space.bdd_false();
     if (failsafe) {
@@ -261,13 +231,8 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
                             deltas.end());
       const sym::TransitionRelation realized_rel =
           sym::TransitionRelation::partitioned(space, realized_parts);
-      bdd::Bdd alive = realized_span;
-      while (true) {
-        const bdd::Bdd shrunk = space.has_successor_in(realized_rel, alive);
-        if (shrunk == alive) break;
-        alive = shrunk;
-      }
-      deadlocks = realized_span.minus(alive);
+      deadlocks = realized_span.minus(space.live_core(realized_rel,
+                                                      realized_span));
     }
     result.stats.step2_seconds += sw2.seconds();
 

@@ -41,6 +41,58 @@ sym::TransitionRelation fault_relation(prog::DistributedProgram& program) {
   return rel;
 }
 
+bdd::Bdd fault_unsafe_states(prog::DistributedProgram& program,
+                             const sym::TransitionRelation& faults,
+                             const bdd::Bdd& bad_states,
+                             const bdd::Bdd& bad_trans,
+                             const bdd::Bdd& within,
+                             const CancelToken* cancel) {
+  sym::Space& space = program.space();
+  bdd::Bdd ms = (bad_states |
+                 space.manager().exists(program.fault_delta() & bad_trans,
+                                        space.cube(sym::Version::kNext))) &
+                within;
+  while (true) {
+    throw_if_cancelled(cancel);
+    const bdd::Bdd grown = (ms | space.preimage(faults, ms)) & within;
+    if (grown == ms) return ms;
+    ms = grown;
+  }
+}
+
+bdd::Bdd closed_subset(const sym::TransitionRelation& rel, bdd::Bdd states) {
+  sym::Space& space = rel.space();
+  const bdd::Bdd valid_cur = space.valid(sym::Version::kCurrent);
+  while (true) {
+    const bdd::Bdd escaping =
+        states & space.preimage(rel, valid_cur.minus(states));
+    if (escaping.is_false()) return states;
+    states = states.minus(escaping);
+  }
+}
+
+bdd::Bdd recoverable_span(const sym::TransitionRelation& recovery,
+                          const sym::TransitionRelation& faults,
+                          const bdd::Bdd& invariant, bdd::Bdd span,
+                          const CancelToken* cancel) {
+  sym::Space& space = recovery.space();
+  while (true) {
+    throw_if_cancelled(cancel);
+    // Drop the states that cannot reach the invariant inside the span...
+    bdd::Bdd can_recover = invariant & span;
+    while (true) {
+      const bdd::Bdd grown =
+          can_recover | (span & space.preimage(recovery, can_recover));
+      if (grown == can_recover) break;
+      can_recover = grown;
+    }
+    // ...and those from which faults escape it.
+    const bdd::Bdd shrunk = closed_subset(faults, can_recover);
+    if (shrunk == span) return span;
+    span = shrunk;
+  }
+}
+
 void record_relation_shape(prog::DistributedProgram& program,
                            Journal* journal) {
   // Named, so it outlives the gauge inserts below: with the relation freed

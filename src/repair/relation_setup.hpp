@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "program/distributed_program.hpp"
+#include "repair/cancel.hpp"
 #include "symbolic/relation.hpp"
 
 namespace lr::repair {
@@ -26,6 +27,29 @@ class Journal;
 /// (a single false part when the program has none).
 [[nodiscard]] sym::TransitionRelation fault_relation(
     prog::DistributedProgram& program);
+
+/// ms of Step 1: the states of `within` from which fault steps alone can
+/// reach a state of `bad_states` or take a transition of `bad_trans`.
+/// Seeded with (bad_states ∪ ∃x′. f ∧ bad_trans) ∩ within, then closed
+/// backward under `faults` inside `within`: Z := (Z ∪ pre(f, Z)) ∩ within.
+[[nodiscard]] bdd::Bdd fault_unsafe_states(
+    prog::DistributedProgram& program, const sym::TransitionRelation& faults,
+    const bdd::Bdd& bad_states, const bdd::Bdd& bad_trans,
+    const bdd::Bdd& within, const CancelToken* cancel);
+
+/// The largest subset of `states` that no `rel` step leaves: states with a
+/// successor outside the set are removed until none is left.
+[[nodiscard]] bdd::Bdd closed_subset(const sym::TransitionRelation& rel,
+                                     bdd::Bdd states);
+
+/// The recoverable span of Step 1: the largest T ⊆ `span` from which
+/// `recovery` reaches `invariant` ∩ T without leaving T, and which no step
+/// of `faults` leaves. Alternates the can-recover least fixpoint with
+/// closed_subset under `faults` until T stops changing.
+[[nodiscard]] bdd::Bdd recoverable_span(
+    const sym::TransitionRelation& recovery,
+    const sym::TransitionRelation& faults, const bdd::Bdd& invariant,
+    bdd::Bdd span, const CancelToken* cancel);
 
 /// Records the program relation's partition shape: `bdd.relation.*`
 /// metric gauges and, when `journal` is non-null, the journal header's

@@ -1,6 +1,8 @@
 #include "repair/verify.hpp"
 
+#include "repair/relation_setup.hpp"
 #include "support/trace.hpp"
+#include "symbolic/relation.hpp"
 
 namespace lr::repair {
 
@@ -33,15 +35,11 @@ std::optional<LivelockCertificate> find_livelock_certificate(
     // V_j = R_j, so the bits outside V_j are the unreadable ones.
     const bdd::Bdd& hidden = program.unreadable_cube(j);
     const bdd::Bdd local = mgr.exists(deltas[j], hidden);
-    bdd::Bdd z = mgr.exists(outside, hidden);
-    // Rank i: the states peeled at step i, whose local successors in z all
-    // have a rank below i.
-    while (!z.is_false()) {
-      const bdd::Bdd shrunk = space.has_successor_in(local, z);
-      if (shrunk == z) return std::nullopt;
-      cert.ranks[j].push_back(z.minus(shrunk));
-      z = shrunk;
-    }
+    // Rank i: the states peeled at step i, whose local successors in the
+    // iterate all have a rank below i.
+    const bdd::Bdd cycling = space.live_core(
+        local, mgr.exists(outside, hidden), nullptr, &cert.ranks[j]);
+    if (!cycling.is_false()) return std::nullopt;
   }
   return cert;
 }
@@ -142,7 +140,8 @@ VerifyReport verify_masking(prog::DistributedProgram& program,
   std::vector<bdd::Bdd> partitions = result.process_deltas;
   const std::vector<bdd::Bdd>& fault_parts = program.fault_action_deltas();
   partitions.insert(partitions.end(), fault_parts.begin(), fault_parts.end());
-  const bdd::Bdd span = space.forward_reachable(partitions, s_new);
+  const bdd::Bdd span = space.forward_reachable(
+      sym::TransitionRelation::partitioned(space, partitions), s_new);
   report.reachable_span_states = space.count_states(span);
   fail(report.safety_under_faults,
        level == ToleranceLevel::kNonmasking ||
@@ -182,11 +181,7 @@ VerifyReport verify_masking(prog::DistributedProgram& program,
   }
   verify_span.attr("livelock_proof",
                    report.livelock_certified ? "certificate" : "nu_z");
-  while (!report.livelock_certified) {
-    const bdd::Bdd shrunk = space.has_successor_in(delta, z);
-    if (shrunk == z) break;
-    z = shrunk;
-  }
+  if (!report.livelock_certified) z = space.live_core(delta, z);
   fail(report.livelock_free, report.livelock_certified || z.is_false(),
        "an infinite execution can avoid the invariant (recovery fails)");
 
@@ -210,9 +205,7 @@ VerifyReport verify_tolerant_model(prog::DistributedProgram& program,
                                    ToleranceLevel level) {
   LR_TRACE_SPAN("verify_tolerant_model");
   sym::Space& space = program.space();
-  bdd::Manager& mgr = space.manager();
   const bdd::Bdd valid_cur = space.valid(sym::Version::kCurrent);
-  const bdd::Bdd faults = program.fault_delta();
 
   // View the model's own processes as the "repair result" under test.
   RepairResult view;
@@ -227,37 +220,28 @@ VerifyReport verify_tolerant_model(prog::DistributedProgram& program,
   // valid space (no reachability restriction — this is verification, not
   // synthesis, so over-approximating costs only precision of S', and the
   // closure step below removes any state the model cannot keep safe).
-  bdd::Bdd ms = space.bdd_false();
-  if (level != ToleranceLevel::kNonmasking) {
-    const prog::SafetySpec& spec = program.safety();
-    ms = (spec.bad_states |
-          mgr.exists(faults & spec.bad_trans, space.cube(sym::Version::kNext))) &
-         valid_cur;
-    while (true) {
-      const bdd::Bdd grown = (ms | space.preimage(faults, ms)) & valid_cur;
-      if (grown == ms) break;
-      ms = grown;
-    }
-  }
+  const bdd::Bdd ms =
+      level == ToleranceLevel::kNonmasking
+          ? space.bdd_false()
+          : fault_unsafe_states(program, fault_relation(program),
+                                program.safety().bad_states,
+                                program.safety().bad_trans, valid_cur,
+                                nullptr);
 
   // Candidate S': the largest subset of the declared invariant avoiding ms
-  // and closed under the model's stutter-completed transitions. Any genuine
-  // repair's S' is such a set, so this derivation never under-shoots a
-  // correct export.
-  bdd::Bdd s = program.invariant().minus(ms);
-  const bdd::Bdd delta_stutter = program.stutter_completion(view.delta);
-  while (true) {
-    const bdd::Bdd escaping =
-        s & space.preimage(delta_stutter, valid_cur.minus(s));
-    if (escaping.is_false()) break;
-    s = s.minus(escaping);
-  }
-  view.invariant = s;
+  // and closed under the model's stutter-completed transitions. Stutter
+  // steps never leave a set, so closure under the process deltas alone is
+  // the same condition. Any genuine repair's S' is such a set, so this
+  // derivation never under-shoots a correct export.
+  const sym::TransitionRelation processes =
+      sym::TransitionRelation::partitioned(space, view.process_deltas);
+  view.invariant = closed_subset(processes, program.invariant().minus(ms));
 
   std::vector<bdd::Bdd> partitions = view.process_deltas;
   const std::vector<bdd::Bdd>& fault_parts = program.fault_action_deltas();
   partitions.insert(partitions.end(), fault_parts.begin(), fault_parts.end());
-  view.fault_span = space.forward_reachable(partitions, s);
+  view.fault_span = space.forward_reachable(
+      sym::TransitionRelation::partitioned(space, partitions), view.invariant);
 
   return verify_masking(program, view, level);
 }

@@ -42,10 +42,16 @@ struct LivelockCertificate {
   std::vector<std::vector<bdd::Bdd>> ranks;
 };
 
-/// The verifier's certificate for `deltas` over `outside`: the process
-/// graph's topological order, and for each j the peel index of the local
-/// νZ of ∃-projected δ_j over ∃-projected `outside`. nullopt when the graph
-/// is cyclic (no BDD work) or some local νZ is non-empty.
+/// The certificate for `deltas` over `outside`: the process graph's
+/// topological order, and for each j the peel index of the local νZ of
+/// ∃-projected δ_j over ∃-projected `outside`. nullopt when the graph is
+/// cyclic (no BDD work) or some local νZ is non-empty.
+///
+/// Repair and the verifier share this finder. Lazy repair takes a found
+/// certificate as its proof that no run stays in `outside` forever, which
+/// holds when each δ_j changes only writes_j (realize() ensures it;
+/// DESIGN.md §6 item 10). The verifier decides only with
+/// check_livelock_certificate.
 [[nodiscard]] std::optional<LivelockCertificate> find_livelock_certificate(
     prog::DistributedProgram& program, const bdd::Bdd& outside,
     std::span<const bdd::Bdd> deltas);
@@ -86,10 +92,12 @@ struct LivelockCertificate {
 /// the fault-unsafe states (ms, computed over the full valid space) and is
 /// closed under the model's own stutter-completed transitions; the fault
 /// span is fresh forward reachability from that set. The derived set
-/// contains any genuine repair's S', so a correct export passes every check
-/// of verify_masking, while a corrupted or hand-edited one fails at least
-/// one — which is exactly the staleness signal batch --resume needs, at a
-/// fraction of the cost of re-running the repair.
+/// contains any genuine repair's S', so a corrupted or hand-edited export
+/// fails at least one check of verify_masking — the staleness signal batch
+/// --resume needs, at a fraction of the cost of re-running the repair. A
+/// correct export is still rejected when the repair shrank S' below the
+/// derived set and the repaired program is not tolerant from the
+/// difference (BA^3 at masking); --resume then re-runs the task.
 [[nodiscard]] VerifyReport verify_tolerant_model(
     prog::DistributedProgram& program,
     ToleranceLevel level = ToleranceLevel::kMasking);

@@ -23,10 +23,10 @@
 // (order_heur's support analysis) guides how the repair layer *groups*
 // actions into parts; the cubes themselves never over-approximate.
 //
-// This is the engine's one transition-relation representation. The flat
-// `bdd::Bdd` and span overloads of Space's image/preimage stay as the
-// reference the scheduled path is tested against (they compute the same
-// canonical sets).
+// This is the engine's one partitioned representation: a list of
+// per-process BDDs becomes one with partitioned(). The flat `bdd::Bdd`
+// overloads of Space's relational operations stay as the reference the
+// scheduled path is tested against (they compute the same canonical sets).
 
 #include <cstddef>
 #include <span>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "bdd/witness.hpp"
 #include "support/trace.hpp"
@@ -229,20 +230,6 @@ bdd::Bdd Space::preimage(const bdd::Bdd& rel, const bdd::Bdd& to) {
   return mgr_.and_exists(rel, prime(to), cube_next_);
 }
 
-bdd::Bdd Space::image(std::span<const bdd::Bdd> rels, const bdd::Bdd& from) {
-  freeze();
-  bdd::Bdd result = mgr_.bdd_false();
-  for (const bdd::Bdd& rel : rels) result |= image(rel, from);
-  return result;
-}
-
-bdd::Bdd Space::preimage(std::span<const bdd::Bdd> rels, const bdd::Bdd& to) {
-  freeze();
-  bdd::Bdd result = mgr_.bdd_false();
-  for (const bdd::Bdd& rel : rels) result |= preimage(rel, to);
-  return result;
-}
-
 bdd::Bdd Space::image_part(const RelationPart& part, const bdd::Bdd& from) {
   freeze();
   // Early quantification: the part cannot see the bits outside its
@@ -316,34 +303,6 @@ bdd::Bdd Space::forward_reachable(const bdd::Bdd& rel, const bdd::Bdd& from) {
   return reached;
 }
 
-bdd::Bdd Space::forward_reachable(std::span<const bdd::Bdd> rels,
-                                  const bdd::Bdd& from) {
-  LR_TRACE_SPAN_NAMED(span, "space.forward_reachable_partitioned");
-  std::uint64_t images = 0;
-  bdd::Bdd reached = from;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const bdd::Bdd& rel : rels) {
-      // Saturate this partition before moving to the next.
-      while (true) {
-        const bdd::Bdd fresh = image(rel, reached).minus(reached);
-        ++images;
-        if (fresh.is_false()) break;
-        reached |= fresh;
-        changed = true;
-      }
-    }
-  }
-  if (support::trace::enabled()) {
-    span.attr("partitions", static_cast<std::uint64_t>(rels.size()));
-    span.attr("image_steps", images);
-    span.attr("result_nodes",
-              static_cast<std::uint64_t>(reached.node_count()));
-  }
-  return reached;
-}
-
 bdd::Bdd Space::forward_reachable(const TransitionRelation& rel,
                                   const bdd::Bdd& from) {
   LR_TRACE_SPAN_NAMED(span, "space.forward_reachable_partitioned");
@@ -354,8 +313,7 @@ bdd::Bdd Space::forward_reachable(const TransitionRelation& rel,
   while (changed) {
     changed = false;
     for (const RelationPart& part : rel.parts()) {
-      // Chaotic iteration: saturate this part before moving to the next
-      // (same schedule as the span overload above).
+      // Chaotic iteration: saturate this part before moving to the next.
       while (true) {
         const bdd::Bdd fresh = image_part(part, reached).minus(reached);
         ++images;
@@ -399,14 +357,38 @@ bdd::Bdd Space::has_successor_in(const bdd::Bdd& rel, const bdd::Bdd& set) {
   return set & mgr_.and_exists(rel, prime(set), cube_next_);
 }
 
-bdd::Bdd Space::has_successor_in(std::span<const bdd::Bdd> rels,
-                                 const bdd::Bdd& set) {
-  return set & preimage(rels, set);
-}
-
 bdd::Bdd Space::has_successor_in(const TransitionRelation& rel,
                                  const bdd::Bdd& set) {
   return set & preimage(rel, set);
+}
+
+namespace {
+
+template <class Rel>
+bdd::Bdd live_core_over(Space& space, const Rel& rel, bdd::Bdd states,
+                        std::uint64_t* iterations,
+                        std::vector<bdd::Bdd>* peeled) {
+  while (true) {
+    if (iterations != nullptr) ++*iterations;
+    bdd::Bdd shrunk = space.has_successor_in(rel, states);
+    if (shrunk == states) return states;
+    if (peeled != nullptr) peeled->push_back(states.minus(shrunk));
+    states = std::move(shrunk);
+  }
+}
+
+}  // namespace
+
+bdd::Bdd Space::live_core(const bdd::Bdd& rel, bdd::Bdd states,
+                          std::uint64_t* iterations,
+                          std::vector<bdd::Bdd>* peeled) {
+  return live_core_over(*this, rel, std::move(states), iterations, peeled);
+}
+
+bdd::Bdd Space::live_core(const TransitionRelation& rel, bdd::Bdd states,
+                          std::uint64_t* iterations,
+                          std::vector<bdd::Bdd>* peeled) {
+  return live_core_over(*this, rel, std::move(states), iterations, peeled);
 }
 
 double Space::count_states(const bdd::Bdd& set) {

@@ -130,16 +130,6 @@ class Space {
   /// States with at least one `rel` successor inside `to`.
   [[nodiscard]] bdd::Bdd preimage(const bdd::Bdd& rel, const bdd::Bdd& to);
 
-  /// Image over a *partitioned* relation: ∪_i image(rels[i], from),
-  /// reduced in partition order.
-  [[nodiscard]] bdd::Bdd image(std::span<const bdd::Bdd> rels,
-                               const bdd::Bdd& from);
-
-  /// Preimage over a partitioned relation: ∪_i preimage(rels[i], to),
-  /// reduced in partition order.
-  [[nodiscard]] bdd::Bdd preimage(std::span<const bdd::Bdd> rels,
-                                  const bdd::Bdd& to);
-
   // --- Relation-aware overloads (symbolic/relation.hpp) --------------------
   //
   // A TransitionRelation interleaves quantification with conjunction: per
@@ -160,17 +150,12 @@ class Space {
   [[nodiscard]] bdd::Bdd forward_reachable(const bdd::Bdd& rel,
                                            const bdd::Bdd& from);
 
-  /// Forward reachability over a *partitioned* relation (one BDD per
-  /// action/process), computed by chaotic iteration: each partition is
-  /// saturated in turn until a global fixpoint. Produces the same set as
-  /// forward_reachable(∪ rels, from) but avoids the frontier blow-up of
-  /// breadth-first search on loosely-coupled relations (orders of magnitude
-  /// faster on havoc-style fault structures).
-  [[nodiscard]] bdd::Bdd forward_reachable(std::span<const bdd::Bdd> rels,
-                                           const bdd::Bdd& from);
-
-  /// Forward reachability over a TransitionRelation: chaotic per-part
-  /// saturation, each part saturated in turn until a global fixpoint.
+  /// Forward reachability over a TransitionRelation, computed by chaotic
+  /// iteration: each part is saturated in turn until a global fixpoint.
+  /// Produces the same set as forward_reachable(rel.flat(), from) but
+  /// avoids the frontier blow-up of breadth-first search on loosely-coupled
+  /// relations (orders of magnitude faster on havoc-style fault
+  /// structures).
   [[nodiscard]] bdd::Bdd forward_reachable(const TransitionRelation& rel,
                                            const bdd::Bdd& from);
 
@@ -179,18 +164,31 @@ class Space {
                                             const bdd::Bdd& to);
 
   /// States of `set` that have at least one `rel`-successor within `set`
-  /// — i.e. set ∩ preimage(rel, set). Used by livelock (νZ) fixpoints.
+  /// — i.e. set ∩ preimage(rel, set). One step of live_core.
   [[nodiscard]] bdd::Bdd has_successor_in(const bdd::Bdd& rel,
-                                          const bdd::Bdd& set);
-
-  /// Partitioned form: set ∩ ∪_i preimage(rels[i], set). The νZ fixpoints
-  /// use this to avoid ever building the monolithic ∪_i rels[i] product.
-  [[nodiscard]] bdd::Bdd has_successor_in(std::span<const bdd::Bdd> rels,
                                           const bdd::Bdd& set);
 
   /// TransitionRelation form: set ∩ preimage(rel, set).
   [[nodiscard]] bdd::Bdd has_successor_in(const TransitionRelation& rel,
                                           const bdd::Bdd& set);
+
+  /// The νZ. states ∩ pre(rel, Z): the largest subset of `states` in which
+  /// every state has a `rel`-successor inside the subset. Over a region
+  /// that must be left (outside an invariant) it is the set of states that
+  /// can stay in the region forever; over a reachable span it is the part
+  /// that never deadlocks. `iterations`, when given, is increased by the
+  /// number of has_successor_in steps taken, the last one included.
+  /// `peeled`, when given, receives the states each shrinking step
+  /// removes, in order (the ranks of a livelock certificate).
+  [[nodiscard]] bdd::Bdd live_core(const bdd::Bdd& rel, bdd::Bdd states,
+                                   std::uint64_t* iterations = nullptr,
+                                   std::vector<bdd::Bdd>* peeled = nullptr);
+
+  /// TransitionRelation form of live_core.
+  [[nodiscard]] bdd::Bdd live_core(const TransitionRelation& rel,
+                                   bdd::Bdd states,
+                                   std::uint64_t* iterations = nullptr,
+                                   std::vector<bdd::Bdd>* peeled = nullptr);
 
   // --- Counting and enumeration -----------------------------------------------------
 

@@ -8,7 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +17,7 @@
 #include "bdd/profile.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
+#include "symbolic/relation.hpp"
 #include "symbolic/space.hpp"
 
 namespace lr::bdd {
@@ -165,66 +166,69 @@ TEST_F(BddProfileTest, RecordMetricsMirrorsBuckets) {
 
 namespace {
 
-constexpr std::size_t kShardProcs = 5;
+constexpr std::size_t kParts = 5;
 
-/// A space with one relation part per process, plus the relation handles
-/// into it. `rels` is declared after `space` so the handles are released
-/// before the manager they point into is torn down.
-struct ShardedFixture {
+/// A space with one relation part per process (each process copies its
+/// ring successor's value), plus the relation over it. `rel` is declared
+/// after `space` so its handles are released before the manager they point
+/// into is torn down.
+struct PartitionedFixture {
   std::unique_ptr<sym::Space> space;
-  std::vector<bdd::Bdd> rels;
+  std::optional<sym::TransitionRelation> rel;
 };
 
-ShardedFixture make_sharded_space() {
-  ShardedFixture fx;
+PartitionedFixture make_partitioned_space() {
+  PartitionedFixture fx;
   fx.space = std::make_unique<sym::Space>();
   std::vector<sym::VarId> vars;
-  for (std::size_t i = 0; i < kShardProcs; ++i) {
+  for (std::size_t i = 0; i < kParts; ++i) {
     vars.push_back(fx.space->add_variable("p" + std::to_string(i), 4));
   }
-  for (std::size_t i = 0; i < kShardProcs; ++i) {
-    bdd::Bdd rel = fx.space->vars_eq(vars[i], sym::Version::kNext,
-                                     vars[(i + 1) % kShardProcs],
-                                     sym::Version::kCurrent);
-    for (std::size_t j = 0; j < kShardProcs; ++j) {
-      if (j != i) rel &= fx.space->unchanged(vars[j]);
+  std::vector<bdd::Bdd> parts;
+  for (std::size_t i = 0; i < kParts; ++i) {
+    bdd::Bdd part = fx.space->vars_eq(vars[i], sym::Version::kNext,
+                                      vars[(i + 1) % kParts],
+                                      sym::Version::kCurrent);
+    for (std::size_t j = 0; j < kParts; ++j) {
+      if (j != i) part &= fx.space->unchanged(vars[j]);
     }
-    fx.rels.push_back(rel);
+    parts.push_back(part);
   }
+  fx.rel = sym::TransitionRelation::partitioned(*fx.space, parts);
   // Setup work (relation building) is not part of the measured workload.
   fx.space->manager().profiler().clear();
   return fx;
 }
 
-void sharded_workload(sym::Space& space, std::span<const bdd::Bdd> rels,
-                      bool nested) {
+void partitioned_workload(sym::Space& space,
+                          const sym::TransitionRelation& rel, bool nested) {
   const bdd::Bdd from = space.valid(sym::Version::kCurrent);
   if (nested) {
-    LR_TRACE_SPAN("profile_test.shard_outer");
-    (void)space.image(rels, from);
+    LR_TRACE_SPAN("profile_test.parts_outer");
+    (void)space.image(rel, from);
     {
-      LR_TRACE_SPAN("profile_test.shard_inner");
-      (void)space.preimage(rels, from);
+      LR_TRACE_SPAN("profile_test.parts_inner");
+      (void)space.preimage(rel, from);
     }
   } else {
-    LR_TRACE_SPAN("profile_test.shard_flat");
-    (void)space.image(rels, from);
-    (void)space.preimage(rels, from);
+    LR_TRACE_SPAN("profile_test.parts_flat");
+    (void)space.image(rel, from);
+    (void)space.preimage(rel, from);
   }
 }
 
 }  // namespace
 
-TEST_F(BddProfileTest, NestedSpansConserveShardedTotals) {
+TEST_F(BddProfileTest, NestedSpansConservePartitionedTotals) {
   ProfilingOn guard;
   // Identical workloads on two fresh, identical spaces: every BDD
   // operation sequence is deterministic, so only the span bucketing may
   // differ — the summed `bdd.<span>.*` totals must not.
-  ShardedFixture flat = make_sharded_space();
-  sharded_workload(*flat.space, flat.rels, /*nested=*/false);
+  PartitionedFixture flat = make_partitioned_space();
+  partitioned_workload(*flat.space, *flat.rel, /*nested=*/false);
 
-  ShardedFixture nested = make_sharded_space();
-  sharded_workload(*nested.space, nested.rels, /*nested=*/true);
+  PartitionedFixture nested = make_partitioned_space();
+  partitioned_workload(*nested.space, *nested.rel, /*nested=*/true);
 
   const profile::SpanCounters a = flat.space->manager().profiler().totals();
   const profile::SpanCounters b = nested.space->manager().profiler().totals();
@@ -239,12 +243,12 @@ TEST_F(BddProfileTest, NestedSpansConserveShardedTotals) {
   EXPECT_EQ(a.created_nodes, b.created_nodes);
 
   // And the metrics mirror sums to the same totals it was derived from.
-  profile::record_metrics(nested.space->manager().profiler(), "bddshardtest");
+  profile::record_metrics(nested.space->manager().profiler(), "bddpartstest");
   support::metrics::Registry& m = support::metrics::registry();
   std::uint64_t mirrored = 0;
   for (const auto& [name, counters] :
        nested.space->manager().profiler().buckets()) {
-    mirrored += m.counter("bddshardtest." + name + ".quantify_calls");
+    mirrored += m.counter("bddpartstest." + name + ".quantify_calls");
     (void)counters;
   }
   EXPECT_EQ(mirrored, b.op(OpClass::kQuantify).calls);

@@ -143,7 +143,7 @@ TEST(CliGoldenTest_Batch, BatchStdoutMatchesGoldenAndIsJobIndependent) {
   expect_matches_golden(stable, "batch.stdout.golden");
 }
 
-TEST(CliGoldenTest_Batch, BatchWithIntraShardingIsJobIndependent) {
+TEST(CliGoldenTest_Batch, BatchWithTwoJobsMatchesTheSequentialSweep) {
   // A sweep running two tasks concurrently prints byte-identical stdout to
   // the fully sequential sweep — and both match the same committed golden.
   const CliRun seq = run_cli("--batch " + models_dir() + " --jobs 1");
@@ -347,7 +347,7 @@ TEST(CliGoldenTest_LrReport, RegressionBeyondMaxRatioFails) {
 // ---------------------------------------------------------------------------
 // Flamegraph export (--flamegraph) and collapsed-profile diff (--flame)
 
-TEST(CliGoldenTest_Flame, CollapsedProfileMatchesGoldenAndIsParIntraInvariant) {
+TEST(CliGoldenTest_Flame, CollapsedProfileMatchesGolden) {
   // The default weight (work_steps) is machine-independent, so the
   // collapsed file is a byte-exact golden.
   const std::string path = ::testing::TempDir() + "cli_golden_tmr.collapsed";

@@ -173,10 +173,11 @@ TEST(ShardedFuzzTest, FailsafeSuccessesAreSound) {
   EXPECT_GT(successes.load(), 0) << "base seed " << base;
 }
 
-/// The layered livelock proof against the global νZ, on each model's
-/// realized deltas before livelock elimination: whenever the proof says
-/// that no run stays outside the invariant forever, the νZ over those
-/// states must be empty.
+/// Lazy repair's local livelock proof (a certificate from
+/// find_livelock_certificate on the repair-side O) against the global νZ,
+/// on each model's realized deltas before livelock elimination: whenever
+/// the proof says that no run stays outside the invariant forever, the νZ
+/// over those states must be empty.
 TEST(ShardedFuzzTest, LayeredLivelockProofAgreesWithTheNuZ) {
   const std::uint64_t base = base_seed() ^ 0x1A7E125ull;
   const std::size_t count = sweep_models(512);
@@ -188,7 +189,8 @@ TEST(ShardedFuzzTest, LayeredLivelockProofAgreesWithTheNuZ) {
     auto program = testgen::random_program(rng);
     const testgen::RealizedRound round = testgen::realize_first_round(*program);
     if (!round.ok ||
-        !livelock_free_by_layers(*program, round.outside, round.deltas)) {
+        !find_livelock_certificate(*program, round.outside, round.deltas)
+             .has_value()) {
       return;
     }
     proofs.fetch_add(1, std::memory_order_relaxed);

@@ -6,6 +6,7 @@
 #include "casestudies/chain.hpp"
 #include "program/distributed_program.hpp"
 #include "repair/add_masking.hpp"
+#include "repair/relation_setup.hpp"
 
 namespace lr::repair {
 namespace {
@@ -69,6 +70,39 @@ TEST(AddMaskingTest, FailsWhenFaultsForceBadStates) {
   p->add_bad_states(Expr::var(x) == 1u);
   const StepOneResult r = run(*p);
   EXPECT_FALSE(r.success);
+}
+
+TEST(AddMaskingTest, FailsWhenAFaultSequenceForcesBadStates) {
+  // Each fault step is safe, but three in a row reach the bad state x = 3
+  // from the invariant x = 0: ms must close backward under the faults and
+  // swallow the invariant.
+  auto p = std::make_unique<prog::DistributedProgram>("fault_chain");
+  const sym::VarId x = p->add_variable("x", 4);
+  prog::Process proc;
+  proc.name = "p";
+  proc.reads = {x};
+  proc.writes = {x};
+  proc.actions.push_back(
+      action("reset", Expr::var(x) == 1u || Expr::var(x) == 2u)
+          .assign(x, Expr::constant(0)));
+  p->add_process(std::move(proc));
+  p->add_fault(action("bump", Expr::var(x) != 3u)
+                   .assign(x, Expr::var(x) + Expr::constant(1)));
+  p->set_invariant(Expr::var(x) == 0u);
+  p->add_bad_states(Expr::var(x) == 3u);
+  sym::Space& space = p->space();
+  const bdd::Bdd valid = space.valid(sym::Version::kCurrent);
+  const sym::TransitionRelation faults = fault_relation(*p);
+  EXPECT_EQ(fault_unsafe_states(*p, faults, p->safety().bad_states,
+                                p->safety().bad_trans, valid, nullptr),
+            valid);
+  // The closure stays inside `within`: without x = 2 the chain is cut.
+  const bdd::Bdd no_two =
+      valid.minus(space.value_eq(x, 2, sym::Version::kCurrent));
+  EXPECT_EQ(fault_unsafe_states(*p, faults, p->safety().bad_states,
+                                p->safety().bad_trans, no_two, nullptr),
+            space.value_eq(x, 3, sym::Version::kCurrent));
+  EXPECT_FALSE(run(*p).success);
 }
 
 TEST(AddMaskingTest, FailsOnEmptyInvariant) {

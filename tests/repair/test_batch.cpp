@@ -7,14 +7,18 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "casestudies/byzantine.hpp"
 #include "casestudies/chain.hpp"
 #include "casestudies/tmr.hpp"
 #include "casestudies/token_ring.hpp"
-#include <memory>
-
+#include "explicit_model/explicit_model.hpp"
 #include "lang/parser.hpp"
 #include "repair/batch.hpp"
 #include "repair/export.hpp"
@@ -343,19 +347,87 @@ TEST_F(BatchResumeTest, ChangedOptionsFingerprintInvalidatesTheManifestRow) {
 }
 
 TEST(BatchVerifyTest, VerifyTolerantModelAcceptsExportAndRejectsOriginal) {
-  // The repaired export is self-verifiably tolerant...
-  auto program = cs::make_tmr({});
-  const RepairResult result = lazy_repair(*program, {});
-  ASSERT_TRUE(result.success);
+  // At every tolerance level, each input's repair, exported and parsed
+  // back, is self-verifiably tolerant (with one known exception, below). TMR and BA^3 as written are not
+  // tolerant at any level, and must be rejected. The other three already
+  // are: the chain and the token ring stabilize and have no safety
+  // specification, and quickstart's fault cannot reach its bad state. Their
+  // acceptance is cross-checked by the explicit-state checker.
+  using Factory = std::function<std::unique_ptr<prog::DistributedProgram>()>;
+  const auto model_file = [](const char* name) -> Factory {
+    return [name] {
+      return lang::parse_program_file(std::string(LR_SOURCE_DIR) +
+                                      "/models/" + name + ".lr");
+    };
+  };
+  struct Input {
+    std::string name;
+    Factory make;
+    bool tolerant_as_written;
+  };
+  const std::vector<Input> inputs = {
+      {"tmr", [] { return cs::make_tmr({}); }, false},
+      {"quickstart", model_file("quickstart"), true},
+      {"mutex_ring", model_file("mutex_ring"), true},
+      {"Sc^4 d8", [] { return cs::make_chain({.length = 4, .domain = 8}); },
+       true},
+      {"BA^3", [] { return cs::make_byzantine({.non_generals = 3}); }, false},
+  };
   const std::string path =
       ::testing::TempDir() + "verify_tolerant_export.lr";
-  ASSERT_TRUE(export_model_file(*program, result, path));
-  auto exported = lang::parse_program_file(path);
-  EXPECT_TRUE(verify_tolerant_model(*exported).ok);
-  // ...while the fault-intolerant input is not.
-  auto original = cs::make_tmr({});
-  EXPECT_FALSE(verify_tolerant_model(*original).ok);
+  for (const ToleranceLevel level :
+       {ToleranceLevel::kMasking, ToleranceLevel::kFailsafe,
+        ToleranceLevel::kNonmasking}) {
+    for (const Input& input : inputs) {
+      const std::string what =
+          input.name + " at " + tolerance_level_name(level);
+      auto program = input.make();
+      Options options;
+      options.level = level;
+      const RepairResult result = lazy_repair(*program, options);
+      ASSERT_TRUE(result.success) << what << ": " << result.failure_reason;
+      ASSERT_TRUE(export_model_file(*program, result, path)) << what;
+      auto exported = lang::parse_program_file(path);
+      const VerifyReport report = verify_tolerant_model(*exported, level);
+      // A known false rejection: the export keeps the declared invariant
+      // S, and for BA^3 at masking the closed subset of S − ms that
+      // verify_tolerant_model derives (448 states) is much larger than the
+      // repair's S′ (102 states). The repaired program is not tolerant from
+      // the extra states, so the correct export is rejected. This pins the
+      // defect until the derivation is fixed.
+      const bool known_false_rejection =
+          input.name == "BA^3" && level == ToleranceLevel::kMasking;
+      EXPECT_EQ(report.ok, !known_false_rejection) << what;
+      if (!known_false_rejection) {
+        for (const std::string& failure : report.failures) {
+          ADD_FAILURE() << what << ": " << failure;
+        }
+      }
+      EXPECT_EQ(verify_tolerant_model(*input.make(), level).ok,
+                input.tolerant_as_written)
+          << what;
+    }
+  }
   std::remove(path.c_str());
+
+  for (const Input& input : inputs) {
+    if (!input.tolerant_as_written) continue;
+    auto program = input.make();
+    RepairResult as_written;
+    as_written.success = true;
+    as_written.invariant = program->invariant();
+    as_written.fault_span = program->reachable_under_faults();
+    as_written.delta = program->actions_delta();
+    for (std::size_t j = 0; j < program->process_count(); ++j) {
+      as_written.process_deltas.push_back(program->process_delta(j));
+    }
+    xmodel::ExplicitModel model(*program);
+    const xmodel::ExplicitModel::Report report = model.verify(as_written);
+    EXPECT_TRUE(report.ok) << input.name;
+    for (const std::string& failure : report.failures) {
+      ADD_FAILURE() << input.name << " (explicit): " << failure;
+    }
+  }
 }
 
 }  // namespace

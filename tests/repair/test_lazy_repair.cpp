@@ -107,14 +107,18 @@ TEST(LazyRepairTest, RunEmitsSpansAndMetrics) {
   EXPECT_GE(counters->find("repair.outer_iterations")->number, 1.0);
 }
 
-// --- The layered livelock proof --------------------------------------------
+// --- The local livelock proof ----------------------------------------------
+//
+// Lazy repair skips the global νZ when find_livelock_certificate finds a
+// certificate on the repair-side O = tolerance − S′ (round.outside).
 
 TEST(LivelockProofTest, ChainIsProvedAndLazyRepairMatchesTheNuZ) {
   for (const std::size_t length : {3u, 5u, 8u}) {
     auto program = cs::make_chain({.length = length, .domain = 4});
     const testgen::RealizedRound round = testgen::realize_first_round(*program);
     ASSERT_TRUE(round.ok);
-    EXPECT_TRUE(livelock_free_by_layers(*program, round.outside, round.deltas))
+    EXPECT_TRUE(find_livelock_certificate(*program, round.outside, round.deltas)
+                    .has_value())
         << "Sc^" << length;
     // The νZ finds no cycle either, so it would prune nothing: the νZ path
     // returns realize()'s deltas, and so must lazy repair.
@@ -145,7 +149,8 @@ TEST(LivelockProofTest, CyclicProcessGraphsFailWithoutBddWork) {
     const bdd::Bdd outside =
         space.valid(sym::Version::kCurrent).minus(program->invariant());
     const std::uint64_t lookups = space.manager().stats().cache_lookups;
-    EXPECT_FALSE(livelock_free_by_layers(*program, outside, deltas))
+    EXPECT_FALSE(
+        find_livelock_certificate(*program, outside, deltas).has_value())
         << program->name();
     EXPECT_EQ(space.manager().stats().cache_lookups, lookups)
         << program->name();
@@ -168,7 +173,8 @@ TEST(LivelockProofTest, TwoWritersOfOneVariableFail) {
   const bdd::Bdd everywhere = space.valid(sym::Version::kCurrent);
   EXPECT_FALSE(
       testgen::livelock_states(space, deltas, everywhere).is_false());
-  EXPECT_FALSE(livelock_free_by_layers(*program, everywhere, deltas));
+  EXPECT_FALSE(
+      find_livelock_certificate(*program, everywhere, deltas).has_value());
 }
 
 TEST(LivelockProofTest, DownstreamLocalCycleFailsAndIsStillPruned) {
@@ -193,8 +199,8 @@ TEST(LivelockProofTest, DownstreamLocalCycleFailsAndIsStillPruned) {
   EXPECT_FALSE(testgen::livelock_states(program->space(), round.deltas,
                                         round.outside)
                    .is_false());
-  EXPECT_FALSE(
-      livelock_free_by_layers(*program, round.outside, round.deltas));
+  EXPECT_FALSE(find_livelock_certificate(*program, round.outside, round.deltas)
+                   .has_value());
   const RepairResult result = lazy_repair(*program);
   expect_verified(*program, result);
 }

@@ -28,6 +28,7 @@
 #include "repair/journal.hpp"
 #include "repair/realize.hpp"
 #include "support/rng.hpp"
+#include "symbolic/relation.hpp"
 #include "../support/model_gen.hpp"
 
 namespace lr::repair {
@@ -52,7 +53,9 @@ Realized realize_case(prog::DistributedProgram& p, GroupMethod method,
   EXPECT_TRUE(step1.success);
   std::vector<bdd::Bdd> parts{step1.delta};
   for (const bdd::Bdd& f : p.fault_action_deltas()) parts.push_back(f);
-  out.tolerance = p.space().forward_reachable(parts, step1.invariant);
+  out.tolerance = p.space().forward_reachable(
+      sym::TransitionRelation::partitioned(p.space(), parts),
+      step1.invariant);
   out.deltas = realize(p, step1.delta, out.tolerance, options, out.stats);
   return out;
 }
@@ -131,8 +134,9 @@ TEST(RealizeTest, UnionOfDeltasWithinStepOneDeltaInsideTolerance) {
   ASSERT_TRUE(step1.success);
   std::vector<bdd::Bdd> parts{step1.delta};
   for (const bdd::Bdd& f : p->fault_action_deltas()) parts.push_back(f);
-  const bdd::Bdd tolerance =
-      p->space().forward_reachable(parts, step1.invariant);
+  const bdd::Bdd tolerance = p->space().forward_reachable(
+      sym::TransitionRelation::partitioned(p->space(), parts),
+      step1.invariant);
   const auto deltas = realize(*p, step1.delta, tolerance, options, stats);
   for (const bdd::Bdd& dj : deltas) {
     EXPECT_TRUE((dj & tolerance).leq(step1.delta));
@@ -283,8 +287,9 @@ bool expect_batched_matches_reference(prog::DistributedProgram& p,
   if (!step1.success) return false;
   std::vector<bdd::Bdd> parts{step1.delta};
   for (const bdd::Bdd& f : p.fault_action_deltas()) parts.push_back(f);
-  const bdd::Bdd tolerance =
-      p.space().forward_reachable(parts, step1.invariant);
+  const bdd::Bdd tolerance = p.space().forward_reachable(
+      sym::TransitionRelation::partitioned(p.space(), parts),
+      step1.invariant);
 
   for (const bool expand : {true, false}) {
     const Reference ref =
@@ -383,8 +388,8 @@ TEST(RealizeTest, ExpandGroupWidensAlongNonPowerOfTwoDomains) {
   }
 }
 
-// The layered livelock proof (livelock_free_by_layers) relies on every δ_j
-// changing only writes_j. Algorithm 2 ensures it; this pins it down.
+// Lazy repair's use of the local livelock proof (find_livelock_certificate)
+// relies on every δ_j changing only writes_j. Algorithm 2 ensures it; this pins it down.
 TEST(RealizeTest, CaseStudyDeltasChangeOnlyTheirWrites) {
   using Factory = std::function<std::unique_ptr<prog::DistributedProgram>()>;
   const auto model_file = [](const char* name) -> Factory {
@@ -481,8 +486,9 @@ TEST(RealizeTest, GroupIterationsAreCounted) {
   ASSERT_TRUE(step1.success);
   std::vector<bdd::Bdd> parts{step1.delta};
   for (const bdd::Bdd& f : p->fault_action_deltas()) parts.push_back(f);
-  const bdd::Bdd tolerance =
-      p->space().forward_reachable(parts, step1.invariant);
+  const bdd::Bdd tolerance = p->space().forward_reachable(
+      sym::TransitionRelation::partitioned(p->space(), parts),
+      step1.invariant);
   (void)realize(*p, step1.delta, tolerance, options, stats);
   std::size_t accepted = 0;
   std::size_t rejected = 0;
@@ -517,8 +523,9 @@ TEST(RealizeTest, ProfilingDoesNotChangeThePlan) {
     EXPECT_TRUE(step1.success);
     std::vector<bdd::Bdd> parts{step1.delta};
     for (const bdd::Bdd& f : p->fault_action_deltas()) parts.push_back(f);
-    const bdd::Bdd tolerance =
-        p->space().forward_reachable(parts, step1.invariant);
+    const bdd::Bdd tolerance = p->space().forward_reachable(
+        sym::TransitionRelation::partitioned(p->space(), parts),
+        step1.invariant);
     bdd::profile::set_enabled(profiled);
     bdd::Manager& mgr = p->space().manager();
     const std::uint64_t before = mgr.stats().cache_lookups;

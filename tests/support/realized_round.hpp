@@ -1,8 +1,8 @@
 #pragma once
 
 // The first round of lazy repair up to livelock elimination, replayed for
-// the tests of the layered livelock proof and the verifier's livelock
-// certificate: Step 1, the tolerance reach and Algorithm 2, exactly as
+// the tests of the local livelock proof (find_livelock_certificate) and the
+// verifier's certificate check: Step 1, the tolerance reach and Algorithm 2, exactly as
 // lazy_repair runs them. Also the global νZs the two stand in for.
 
 #include <vector>
@@ -66,7 +66,11 @@ inline bdd::Bdd verifier_outside(prog::DistributedProgram& program,
                                  const bdd::Bdd& invariant) {
   std::vector<bdd::Bdd> parts = deltas;
   for (const bdd::Bdd& f : program.fault_action_deltas()) parts.push_back(f);
-  return program.space().forward_reachable(parts, invariant).minus(invariant);
+  sym::Space& space = program.space();
+  return space
+      .forward_reachable(sym::TransitionRelation::partitioned(space, parts),
+                         invariant)
+      .minus(invariant);
 }
 
 /// The verifier's νZ: the states of `outside` that start an infinite run

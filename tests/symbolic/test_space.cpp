@@ -183,6 +183,18 @@ TEST(SpaceTest, HasSuccessorInFindsCycles) {
     z = next;
   }
   EXPECT_EQ(z, st(0) | st(1));
+  // live_core is that loop: two shrinking steps ({0,1,2}, then {0,1})
+  // and one that confirms the fixpoint.
+  std::uint64_t iterations = 0;
+  std::vector<Bdd> peeled;
+  EXPECT_EQ(space.live_core(rel, space.valid(Version::kCurrent), &iterations,
+                            &peeled),
+            z);
+  EXPECT_EQ(iterations, 3u);
+  ASSERT_EQ(peeled.size(), 2u);
+  EXPECT_EQ(peeled[0], st(3));
+  EXPECT_EQ(peeled[1], st(2));
+  EXPECT_TRUE(space.live_core(rel, st(2) | st(3)).is_false());
 }
 
 TEST(SpaceTest, CountStatesAndTransitions) {
