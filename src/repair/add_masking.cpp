@@ -1,7 +1,6 @@
 #include "repair/add_masking.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "repair/journal.hpp"
 #include "repair/relation_setup.hpp"
@@ -90,7 +89,18 @@ StepOneResult add_masking(prog::DistributedProgram& program,
   if (s1.is_false()) return result;
 
   // --- Shrink (S1, T1) to the largest consistent pair -------------------------
-  sym::TransitionRelation p1_rel(space);
+  // P1 = (δ_P ∧ S1 ∧ S1′) − mt ∪ rec_part, but no fixpoint below needs the
+  // invariant side: every rec_part source lies in T1 − S1, and
+  //  * the can-recover BFS starts from S1 ∩ T1, which already holds every
+  //    predecessor an invariant piece could add;
+  //  * the recovery layers only keep states of T1 − S1, where no invariant
+  //    piece has a source;
+  //  * the closure νZ stays inside S2 ⊆ S1, where rec_part has no source,
+  //    and Z ∧ pre(·, Z) implies the S1, S1′ and S2′ conjuncts.
+  // So each runs over the part of P1 that can fire in it, with no change
+  // to any computed set.
+  bdd::Bdd rec_part;
+  sym::TransitionRelation rec_rel(space);
   std::size_t shrink_rounds = 0;
   {
   LR_TRACE_SPAN("add_masking.shrink_fixpoint");
@@ -114,20 +124,11 @@ StepOneResult add_masking(prog::DistributedProgram& program,
       }
       // Proper transitions only: a self-loop outside the invariant would
       // let the program idle there forever, which recovery must rule out.
-      const bdd::Bdd rec_part =
-          (writable & t1.minus(s1) & space.prime(t1) & valid_pair)
-              .minus(mt)
-              .minus(space.identity());
-      // P1 = (δ_P ∧ S1 ∧ S1') − mt ∪ rec_part. The invariant side stays
-      // one part per δ_P piece with the S1 ∧ S1' restriction as a
-      // conjunct — the product is never materialized; the combined
-      // and-exists consumes the factors directly.
-      p1_rel = sym::TransitionRelation(space);
-      const bdd::Bdd inv_cross = s1 & space.prime(s1);
-      for (const bdd::Bdd& piece : pieces_mt) {
-        p1_rel.add_part(piece, inv_cross);
-      }
-      if (!rec_part.is_false()) p1_rel.add_part(rec_part);
+      rec_part = (writable & t1.minus(s1) & space.prime(t1) & valid_pair)
+                     .minus(mt)
+                     .minus(space.identity());
+      rec_rel = sym::TransitionRelation(space);
+      rec_rel.add_part(rec_part);
 
       // Failsafe tolerance has no recovery obligation: the span keeps
       // every safe state; it is fault-closed already because ms is
@@ -135,22 +136,10 @@ StepOneResult add_masking(prog::DistributedProgram& program,
       const bdd::Bdd t2 =
           options.level == ToleranceLevel::kFailsafe
               ? t1
-              : recoverable_span(p1_rel, faults_rel, s1, t1,
+              : recoverable_span(rec_rel, faults_rel, s1, t1,
                                  options.cancel.get());
 
-      bdd::Bdd s2 = s1 & t2;
-      {
-        // P1 ∧ S2' without materializing the product: prime(s2) rides as
-        // one more conjunct of every part.
-        const bdd::Bdd s2_primed = space.prime(s2);
-        sym::TransitionRelation closure_rel(space);
-        for (const bdd::Bdd& piece : pieces_mt) {
-          const bdd::Bdd conjuncts[3] = {piece, inv_cross, s2_primed};
-          closure_rel.add_part(std::span<const bdd::Bdd>(conjuncts, 3));
-        }
-        if (!rec_part.is_false()) closure_rel.add_part(rec_part, s2_primed);
-        s2 = space.live_core(closure_rel, s2);
-      }
+      const bdd::Bdd s2 = space.live_core(delta_mt_rel, s1 & t2);
       if (s2.is_false()) return result;
 
       if (options.journal != nullptr) {
@@ -183,19 +172,15 @@ StepOneResult add_masking(prog::DistributedProgram& program,
   bdd::Bdd added = space.bdd_false();
   bdd::Bdd remaining =
       options.level == ToleranceLevel::kFailsafe ? space.bdd_false() : outside;
-  // The layer BFS's `added` sets need P1's transitions, not just its
-  // preimages: materialize the union once.
-  bdd::Bdd p1_flat;
-  if (!remaining.is_false()) p1_flat = p1_rel.flat();
   stats.recovery_layers = 0;
   {
     LR_TRACE_SPAN("add_masking.recovery_layers");
     support::progress::Heartbeat heartbeat("add_masking.recovery");
     while (!remaining.is_false()) {
       throw_if_cancelled(options.cancel);
-      const bdd::Bdd layer = space.preimage(p1_rel, below) & remaining;
+      const bdd::Bdd layer = space.preimage(rec_rel, below) & remaining;
       if (layer.is_false()) break;
-      const bdd::Bdd layer_added = p1_flat & layer & space.prime(below);
+      const bdd::Bdd layer_added = rec_part & layer & space.prime(below);
       added |= layer_added;
       below |= layer;
       remaining = remaining.minus(layer);

@@ -205,20 +205,21 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     for (const bdd::Bdd& part : rec_j) {
       if (!part.is_false()) p1_rel.add_part(part);
     }
+    // All of P1, unlike add_masking's rec_part-only span: tolerant_groups
+    // re-includes a group's unreachable members outside the zone, so an
+    // inv_j part can have sources outside S1 and add states to the
+    // can-recover BFS.
     const bdd::Bdd t2 = recoverable_span(p1_rel, faults_rel, s1, t1,
                                          options.cancel.get());
     bdd::Bdd s2 = s1 & t2;
     {
-      // Invariant closure under P1 ∧ S2': prime(s2) rides as a conjunct
-      // of each invariant part instead of materializing the product.
+      // Invariant closure: the νZ iterate stays inside S2, so a step that
+      // ends in it already ends in S2 and needs no S2′ conjunct.
       sym::TransitionRelation closure_rel(space);
-      const bdd::Bdd s2_primed = space.prime(s2);
       for (const bdd::Bdd& part : inv_j) {
-        if (!part.is_false()) closure_rel.add_part(part, s2_primed);
+        if (!part.is_false()) closure_rel.add_part(part);
       }
-      if (!inv_stutter.is_false()) {
-        closure_rel.add_part(inv_stutter, s2_primed);
-      }
+      if (!inv_stutter.is_false()) closure_rel.add_part(inv_stutter);
       s2 = space.live_core(closure_rel, s2);
     }
     if (options.journal != nullptr) {

@@ -46,6 +46,10 @@ class Journal;
 /// `recovery` reaches `invariant` ∩ T without leaving T, and which no step
 /// of `faults` leaves. Alternates the can-recover least fixpoint with
 /// closed_subset under `faults` until T stops changing.
+///
+/// The BFS starts from `invariant` ∩ T, so a `recovery` part whose sources
+/// all lie in `invariant` adds nothing to it: leaving such parts out gives
+/// the same T. A part with a source outside `invariant` must stay in.
 [[nodiscard]] bdd::Bdd recoverable_span(
     const sym::TransitionRelation& recovery,
     const sym::TransitionRelation& faults, const bdd::Bdd& invariant,

@@ -1,12 +1,27 @@
-// Unit tests for Step 1 (Add-Masking without realizability constraints).
+// Unit tests for Step 1 (Add-Masking without realizability constraints),
+// and a differential test of add_masking against Step 1 written over the
+// full P1 relation.
+//
+// Environment knobs (fuzz sweep of the differential test):
+//   LR_FUZZ_SEED=N     base seed (model i uses seed N+i); default 20160523
+//   LR_FUZZ_MODELS=N   models per topology x fault class; default 16
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "casestudies/byzantine.hpp"
 #include "casestudies/chain.hpp"
+#include "lang/parser.hpp"
 #include "program/distributed_program.hpp"
 #include "repair/add_masking.hpp"
 #include "repair/relation_setup.hpp"
+#include "support/rng.hpp"
+#include "../support/model_gen.hpp"
 
 namespace lr::repair {
 namespace {
@@ -210,6 +225,182 @@ TEST(AddMaskingTest, ReportsLayerAndRoundStatistics) {
   EXPECT_GT(stats.reachable_states, 0.0);
   EXPECT_GT(stats.span_states, 0.0);
   EXPECT_GT(stats.invariant_states, 0.0);
+}
+
+// --- Differential test: add_masking vs the full-P1 formulation -------------
+
+/// Test-only reference: Step 1 with every fixpoint over the whole
+/// P1 = ∪ᵢ (pieceᵢ ∧ S1 ∧ S1′) ∪ rec_part. The can-recover BFS and the
+/// recovery layers take P1 as a relation, the layers' transitions come
+/// from P1 as one BDD, and the closure runs over P1 ∧ S2′ with the three
+/// conjuncts (piece, S1 ∧ S1′, S2′) kept as separate factors.
+/// add_masking runs each fixpoint over only the part of P1 that can fire
+/// in it; the sets must not change.
+StepOneResult full_p1_step_one(prog::DistributedProgram& program,
+                               ToleranceLevel level) {
+  sym::Space& space = program.space();
+  const bdd::Bdd delta_p = program.program_delta();
+  const sym::TransitionRelation faults_rel = fault_relation(program);
+  const bdd::Bdd valid_pair = space.valid_pair();
+  const bool use_safety = level != ToleranceLevel::kNonmasking;
+  const bdd::Bdd bad_states =
+      use_safety ? program.safety().bad_states : space.bdd_false();
+  const bdd::Bdd bad_trans =
+      use_safety ? program.safety().bad_trans : space.bdd_false();
+  const bdd::Bdd s_orig = program.invariant();
+  bdd::Bdd writable = space.bdd_false();
+  for (std::size_t j = 0; j < program.process_count(); ++j) {
+    writable |= program.respects_write(j);
+  }
+  StepOneResult result;
+  if (s_orig.is_false()) return result;
+
+  const bdd::Bdd context =
+      space.forward_reachable(program_fault_relation(program), s_orig);
+  const bdd::Bdd ms = fault_unsafe_states(program, faults_rel, bad_states,
+                                          bad_trans, context, nullptr);
+  const bdd::Bdd mt = (bad_trans | space.prime(ms)) & valid_pair;
+  std::vector<bdd::Bdd> pieces_mt;
+  for (const bdd::Bdd& piece : program_delta_pieces(program)) {
+    const bdd::Bdd trimmed = piece.minus(mt);
+    if (!trimmed.is_false()) pieces_mt.push_back(trimmed);
+  }
+  bdd::Bdd s1 = space.live_core(
+      sym::TransitionRelation::partitioned(space, pieces_mt),
+      s_orig.minus(ms));
+  bdd::Bdd t1 = context.minus(ms);
+  if (s1.is_false()) return result;
+
+  sym::TransitionRelation p1_rel(space);
+  while (true) {
+    const bdd::Bdd rec_part =
+        (writable & t1.minus(s1) & space.prime(t1) & valid_pair)
+            .minus(mt)
+            .minus(space.identity());
+    const bdd::Bdd inv_cross = s1 & space.prime(s1);
+    p1_rel = sym::TransitionRelation(space);
+    for (const bdd::Bdd& piece : pieces_mt) p1_rel.add_part(piece, inv_cross);
+    if (!rec_part.is_false()) p1_rel.add_part(rec_part);
+    const bdd::Bdd t2 =
+        level == ToleranceLevel::kFailsafe
+            ? t1
+            : recoverable_span(p1_rel, faults_rel, s1, t1, nullptr);
+    bdd::Bdd s2 = s1 & t2;
+    const bdd::Bdd s2_primed = space.prime(s2);
+    sym::TransitionRelation closure_rel(space);
+    for (const bdd::Bdd& piece : pieces_mt) {
+      const bdd::Bdd conjuncts[3] = {piece, inv_cross, s2_primed};
+      closure_rel.add_part(conjuncts);
+    }
+    if (!rec_part.is_false()) closure_rel.add_part(rec_part, s2_primed);
+    s2 = space.live_core(closure_rel, s2);
+    if (s2.is_false()) return result;
+    if (s2 == s1 && t2 == t1) break;
+    s1 = s2;
+    t1 = t2;
+  }
+
+  const bdd::Bdd outside = t1.minus(s1);
+  bdd::Bdd below = s1;
+  bdd::Bdd added = space.bdd_false();
+  bdd::Bdd remaining =
+      level == ToleranceLevel::kFailsafe ? space.bdd_false() : outside;
+  const bdd::Bdd p1_flat = p1_rel.flat();
+  while (!remaining.is_false()) {
+    const bdd::Bdd layer = space.preimage(p1_rel, below) & remaining;
+    if (layer.is_false()) break;
+    added |= p1_flat & layer & space.prime(below);
+    below |= layer;
+    remaining = remaining.minus(layer);
+  }
+  result.success = true;
+  result.invariant = s1;
+  result.fault_span = t1;
+  result.delta =
+      (delta_p & s1 & space.prime(s1)).minus(mt) |
+      (delta_p & outside & space.prime(t1)).minus(mt).minus(space.identity()) |
+      added;
+  return result;
+}
+
+constexpr ToleranceLevel kLevels[] = {ToleranceLevel::kMasking,
+                                      ToleranceLevel::kFailsafe,
+                                      ToleranceLevel::kNonmasking};
+
+/// Runs add_masking and the reference on `program` at `level` and expects
+/// the same outcome and sets. Returns whether Step 1 succeeded.
+bool expect_matches_full_p1(prog::DistributedProgram& program,
+                            ToleranceLevel level, const std::string& what) {
+  const StepOneResult reference = full_p1_step_one(program, level);
+  Options options;
+  options.level = level;
+  const StepOneResult actual = run(program, options);
+  const std::string where =
+      what + " at " + tolerance_level_name(level);
+  EXPECT_EQ(actual.success, reference.success) << where;
+  if (!actual.success || !reference.success) return false;
+  EXPECT_EQ(actual.invariant, reference.invariant) << where;
+  EXPECT_EQ(actual.fault_span, reference.fault_span) << where;
+  EXPECT_EQ(actual.delta, reference.delta) << where;
+  return true;
+}
+
+std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return fallback;
+  return std::strtoull(value, nullptr, 0);
+}
+
+TEST(AddMaskingTest, MatchesTheFullP1Formulation) {
+  const std::uint64_t base = env_u64("LR_FUZZ_SEED", 20160523ull);
+  const std::size_t per_shard =
+      static_cast<std::size_t>(env_u64("LR_FUZZ_MODELS", 16));
+  std::size_t compared = 0;
+  for (const char* topology : {"random", "ring", "tree", "star"}) {
+    for (const char* faults : {"havoc", "corrupt"}) {
+      ::setenv("LR_FUZZ_TOPOLOGY", topology, 1);
+      ::setenv("LR_FUZZ_FAULTS", faults, 1);
+      for (std::size_t i = 0; i < per_shard; ++i) {
+        const std::uint64_t seed = testgen::model_seed(base, i);
+        for (const ToleranceLevel level : kLevels) {
+          support::SplitMix64 rng(seed);
+          const std::unique_ptr<prog::DistributedProgram> program =
+              testgen::random_program(rng);
+          const std::string what = std::string(topology) + "/" + faults +
+                                   " seed " + std::to_string(seed);
+          if (expect_matches_full_p1(*program, level, what)) ++compared;
+        }
+        if (::testing::Test::HasFailure()) {
+          std::fprintf(stderr,
+                       "[fuzz] repro: LR_FUZZ_SEED=%llu LR_FUZZ_MODELS=1 "
+                       "./test_add_masking --gtest_filter='*FullP1*' "
+                       "(mismatch under %s/%s)\n",
+                       static_cast<unsigned long long>(seed), topology,
+                       faults);
+          ::unsetenv("LR_FUZZ_TOPOLOGY");
+          ::unsetenv("LR_FUZZ_FAULTS");
+          return;
+        }
+      }
+    }
+  }
+  ::unsetenv("LR_FUZZ_TOPOLOGY");
+  ::unsetenv("LR_FUZZ_FAULTS");
+  // A sweep where Step 1 never succeeds compares nothing.
+  EXPECT_GT(compared, per_shard);
+
+  // Step 1 must succeed on every case study, so each comparison counts.
+  for (const ToleranceLevel level : kLevels) {
+    for (const std::string model : {"tmr", "quickstart", "mutex_ring"}) {
+      auto program = lang::parse_program_file(
+          std::string(LR_SOURCE_DIR) + "/models/" + model + ".lr");
+      EXPECT_TRUE(expect_matches_full_p1(*program, level, model));
+    }
+    auto chain = cs::make_chain({.length = 4, .domain = 8});
+    EXPECT_TRUE(expect_matches_full_p1(*chain, level, "Sc^4 d8"));
+    auto byzantine = cs::make_byzantine({.non_generals = 3});
+    EXPECT_TRUE(expect_matches_full_p1(*byzantine, level, "BA^3"));
+  }
 }
 
 }  // namespace
