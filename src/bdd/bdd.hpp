@@ -6,7 +6,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace lr::bdd {
@@ -234,14 +233,12 @@ struct GcRecord {
 ///    Corbató 1968): a hit sets the entry's reference bit, and a colliding
 ///    store clears a set bit and drops the newcomer instead of overwriting.
 ///    So an entry that every fixpoint iteration hits outlives the cold
-///    entries stored once between two of its hits. The three-conjunct
-///    and_exists has four operands, so its key names the root cube by an
-///    op code of its own (the manager interns each such cube and keeps it
-///    alive). Entries survive GC unless they name a freed node, referenced
-///    or not; those are dropped in the same collection, before any slot is
-///    reused, so a recycled slot can never alias a stale entry (slots are
-///    only recycled by the GC itself). A level swap leaves the cache alone:
-///    it rewrites nodes in place without changing any node's function.
+///    entries stored once between two of its hits. Entries survive GC
+///    unless they name a freed node, referenced or not; those are dropped
+///    in the same collection, before any slot is reused, so a recycled
+///    slot can never alias a stale entry (slots are only recycled by the
+///    GC itself). A level swap leaves the cache alone: it rewrites nodes
+///    in place without changing any node's function.
 ///  * Garbage collection is mark-and-sweep from externally referenced
 ///    nodes. It runs only at public operation entry points, never inside a
 ///    recursion, so intermediate results need no protection.
@@ -333,20 +330,11 @@ class Manager {
   /// heart of image/preimage computation).
   [[nodiscard]] Bdd and_exists(const Bdd& f, const Bdd& g, const Bdd& cube);
 
-  /// ∃ cube. (f ∧ g ∧ h) in one pass — the three-conjunct relational
-  /// product used by partitioned transition relations, whose parts keep
-  /// their factors (e.g. a process delta and a primed invariant) separate
-  /// so the intermediate product is never materialized. The manager keeps
-  /// every distinct cube passed here alive (it keys the op cache); a
-  /// manager takes at most 16,384 of them, then throws std::length_error.
-  [[nodiscard]] Bdd and_exists(const Bdd& f, const Bdd& g, const Bdd& h,
-                               const Bdd& cube);
-
   // --- Variable permutation -------------------------------------------------
   /// Registers the permutation mapping variable v to perm[v]. `perm` must
   /// have one entry per existing variable and be a bijection. Returns an id
   /// usable with permute(); register each permutation once and reuse it.
-  /// Throws std::length_error past 16,372 permutations (the op codes they
+  /// Throws std::length_error past 32,756 permutations (the op codes they
   /// key the cache with are spent).
   PermId register_permutation(std::span<const VarIndex> perm);
 
@@ -486,10 +474,7 @@ class Manager {
     kOpAndExists,
     kOpLeq,
     kOpDisjoint,
-    kOpPermBase,  // kOpPermBase + perm id, below kOpAndExists3Base
-    // Three-conjunct and_exists: kOpAndExists3Base + how many root cubes
-    // were interned before its own (and_exists3_ops_), up to 0x7fff.
-    kOpAndExists3Base = 0x4000,
+    kOpPermBase,  // kOpPermBase + perm id, below kOpLimit
     kOpLimit = 0x8000
   };
 
@@ -535,10 +520,6 @@ class Manager {
   [[nodiscard]] std::size_t cache_slot(std::uint64_t hash) const noexcept;
   void grow_cache();
 
-  /// Op code keying and_exists3_rec's entries for a root cube, interning
-  /// (and referencing) the cube on first use.
-  std::uint32_t and_exists3_op(NodeId cube);
-
   NodeId and_rec(NodeId f, NodeId g);
   NodeId or_rec(NodeId f, NodeId g);
   NodeId xor_rec(NodeId f, NodeId g);
@@ -548,8 +529,6 @@ class Manager {
   NodeId exists_rec(NodeId f, NodeId cube);
   NodeId forall_rec(NodeId f, NodeId cube);
   NodeId and_exists_rec(NodeId f, NodeId g, NodeId cube);
-  NodeId and_exists3_rec(NodeId f, NodeId g, NodeId h, NodeId cube,
-                         std::uint32_t op);
   bool leq_rec(NodeId f, NodeId g);
   bool disjoint_rec(NodeId f, NodeId g);
   NodeId permute_rec(NodeId f, PermId perm);
@@ -574,8 +553,6 @@ class Manager {
   std::vector<std::uint32_t> level_of_var_;  // var -> level
   std::vector<VarIndex> var_at_level_;       // level -> var
   std::vector<std::vector<VarIndex>> permutations_;
-  /// (cube, op) of the and_exists roots interned so far, sorted by cube.
-  std::vector<std::pair<NodeId, std::uint32_t>> and_exists3_ops_;
 
   std::size_t gc_threshold_;
 

@@ -152,10 +152,6 @@ Manager::Manager(const Options& options)
   // allocation; only the pages actually resized into get touched.
   cache_.reserve(cache_cap_);
   cache_.resize(std::min(kInitialCacheEntries, cache_cap_));
-  // A run interns one cube or a few. Growing this table mid-run, between
-  // the pool's large blocks, cost Sc^31 d8 1 MB of peak RSS through heap
-  // placement (glibc malloc with mmap off, as lr_bench runs it).
-  and_exists3_ops_.reserve(64);
   init_pool(options.initial_capacity < 64 ? 64 : options.initial_capacity);
   note_peak_bytes();
 }
@@ -364,9 +360,8 @@ void Manager::collect_garbage_impl(GcTrigger trigger) {
   }
   // Op-cache entries whose operands and result all survived stay valid:
   // a live node is never rewritten by a collection. Drop the rest now,
-  // before any freed slot can be reused and alias them. (An and_exists3
-  // op names a cube the manager references, so it is always live; empty
-  // entries name only node 0.)
+  // before any freed slot can be reused and alias them. (Empty entries
+  // name only node 0.)
   const auto is_live = [&live](std::uint32_t word) {
     const NodeId id = detail::entry_id(word);
     return ((live[id >> 6] >> (id & 63)) & 1u) != 0;
@@ -503,23 +498,6 @@ void Manager::grow_cache() {
   cache_evictions_since_resize_ = 0;
   ++stats_.cache_resizes;
   note_peak_bytes();
-}
-
-std::uint32_t Manager::and_exists3_op(NodeId cube) {
-  const auto found = std::lower_bound(
-      and_exists3_ops_.begin(), and_exists3_ops_.end(), cube,
-      [](const auto& entry, NodeId id) { return entry.first < id; });
-  if (found != and_exists3_ops_.end() && found->first == cube) {
-    return found->second;
-  }
-  const std::size_t op = kOpAndExists3Base + and_exists3_ops_.size();
-  if (op >= kOpLimit) {
-    throw std::length_error(
-        "bdd::Manager: and_exists takes at most 16384 distinct cubes");
-  }
-  inc_ref(cube);  // keeps the id, and so the entries keyed by it, valid
-  and_exists3_ops_.emplace(found, cube, static_cast<std::uint32_t>(op));
-  return static_cast<std::uint32_t>(op);
 }
 
 }  // namespace lr::bdd

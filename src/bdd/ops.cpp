@@ -293,16 +293,6 @@ Bdd Manager::and_exists(const Bdd& f, const Bdd& g, const Bdd& cube) {
   return wrap(and_exists_rec(f.id(), g.id(), cube.id()));
 }
 
-Bdd Manager::and_exists(const Bdd& f, const Bdd& g, const Bdd& h,
-                        const Bdd& cube) {
-  check_same_manager(this, f, g);
-  check_same_manager(this, h, cube);
-  ScopedOp profiled(*this, OpClass::kQuantify);
-  const std::uint32_t op = and_exists3_op(cube.id());
-  maybe_gc();
-  return wrap(and_exists3_rec(f.id(), g.id(), h.id(), cube.id(), op));
-}
-
 NodeId Manager::exists_rec(NodeId f, NodeId cube) {
   if (f <= kTrueId) return f;
   // Skip quantified variables above f's top variable; they are not in f's
@@ -386,56 +376,6 @@ NodeId Manager::and_exists_rec(NodeId f, NodeId g, NodeId cube) {
   return r;
 }
 
-// Entries are keyed by the root cube's `op`, not by `cube`. Sound: the
-// result is ∃cube.(f ∧ g ∧ h), and the root cube's variables above `cube`
-// are not in the support of f ∧ g ∧ h, so it equals ∃root.(f ∧ g ∧ h).
-NodeId Manager::and_exists3_rec(NodeId f, NodeId g, NodeId h, NodeId cube,
-                                std::uint32_t op) {
-  if (f == kFalseId || g == kFalseId || h == kFalseId) return kFalseId;
-  // Sort the conjuncts (AND is commutative) so permutations share cache
-  // entries, then strip trivial/duplicate conjuncts down to the two-way op.
-  if (f > g) std::swap(f, g);
-  if (g > h) std::swap(g, h);
-  if (f > g) std::swap(f, g);
-  if (f == kTrueId || f == g) return and_exists_rec(g, h, cube);
-  if (g == h) return and_exists_rec(f, g, cube);
-  const std::uint32_t lf = node_level(nodes_[f].var);
-  const std::uint32_t lg = node_level(nodes_[g].var);
-  const std::uint32_t lh = node_level(nodes_[h].var);
-  const std::uint32_t top_level = std::min(lf, std::min(lg, lh));
-  const VarIndex top = lf == top_level   ? nodes_[f].var
-                       : lg == top_level ? nodes_[g].var
-                                         : nodes_[h].var;
-  while (cube != kTrueId && node_level(nodes_[cube].var) < top_level) {
-    cube = nodes_[cube].hi;
-  }
-  if (cube == kTrueId) return and_rec(f, and_rec(g, h));
-  CacheKey key;
-  NodeId out;
-  if (cache_get(op, f, g, h, key, out)) return out;
-  const Node nf = nodes_[f];
-  const Node ng = nodes_[g];
-  const Node nh = nodes_[h];
-  const NodeId flo = nf.var == top ? nf.lo : f;
-  const NodeId fhi = nf.var == top ? nf.hi : f;
-  const NodeId glo = ng.var == top ? ng.lo : g;
-  const NodeId ghi = ng.var == top ? ng.hi : g;
-  const NodeId hlo = nh.var == top ? nh.lo : h;
-  const NodeId hhi = nh.var == top ? nh.hi : h;
-  NodeId r;
-  if (nodes_[cube].var == top) {
-    const NodeId rest = nodes_[cube].hi;
-    const NodeId lo = and_exists3_rec(flo, glo, hlo, rest, op);
-    r = (lo == kTrueId) ? kTrueId
-                        : or_rec(lo, and_exists3_rec(fhi, ghi, hhi, rest, op));
-  } else {
-    r = make_node(top, and_exists3_rec(flo, glo, hlo, cube, op),
-                  and_exists3_rec(fhi, ghi, hhi, cube, op));
-  }
-  cache_put(key, r);
-  return r;
-}
-
 // --- Permutation ---------------------------------------------------------------------
 
 PermId Manager::register_permutation(std::span<const VarIndex> perm) {
@@ -443,7 +383,7 @@ PermId Manager::register_permutation(std::span<const VarIndex> perm) {
     throw std::invalid_argument(
         "register_permutation: permutation size must equal variable count");
   }
-  if (kOpPermBase + permutations_.size() >= kOpAndExists3Base) {
+  if (kOpPermBase + permutations_.size() >= kOpLimit) {
     throw std::length_error("register_permutation: no op codes left");
   }
 #ifndef NDEBUG

@@ -20,8 +20,8 @@ StepOneResult add_masking(prog::DistributedProgram& program,
   bdd::Manager& mgr = space.manager();
 
   const bdd::Bdd delta_p = program.program_delta();
-  // Every fixpoint below runs over conjunctive/disjunctive partitions
-  // with early quantification (symbolic/relation.hpp).
+  // Every fixpoint below runs over disjunctive partitions with early
+  // quantification (symbolic/relation.hpp).
   const sym::TransitionRelation faults_rel = fault_relation(program);
   const bdd::Bdd valid_cur = space.valid(sym::Version::kCurrent);
   const bdd::Bdd valid_pair = space.valid_pair();

@@ -102,8 +102,6 @@ void record_relation_shape(prog::DistributedProgram& program,
   const sym::RelationShape shape = rel.shape();
   support::metrics::Registry& m = support::metrics::registry();
   m.set_gauge("bdd.relation.parts", static_cast<double>(shape.parts));
-  m.set_gauge("bdd.relation.conjuncts",
-              static_cast<double>(shape.conjuncts));
   m.set_gauge("bdd.relation.min_support_bits",
               static_cast<double>(shape.min_support_bits));
   m.set_gauge("bdd.relation.max_support_bits",
@@ -115,7 +113,6 @@ void record_relation_shape(prog::DistributedProgram& program,
               static_cast<double>(shape.total_bits));
   if (journal != nullptr) {
     journal->meta("relation_parts", std::to_string(shape.parts));
-    journal->meta("relation_conjuncts", std::to_string(shape.conjuncts));
     journal->meta("relation_max_support_bits",
                   std::to_string(shape.max_support_bits));
     journal->meta("relation_schedulable_bits",
@@ -129,9 +126,7 @@ void write_relation_report(prog::DistributedProgram& program,
                            std::ostream& out) {
   const sym::RelationShape shape = program_fault_relation(program).shape();
   out << "transition relation:\n";
-  out << "  mode: partition\n";
-  out << "  parts: " << shape.parts << " (" << shape.conjuncts
-      << " conjuncts)\n";
+  out << "  parts: " << shape.parts << "\n";
   out << "  support bits: min " << shape.min_support_bits << ", max "
       << shape.max_support_bits << ", avg " << shape.avg_support_bits
       << " of " << shape.total_bits << "\n";

@@ -57,12 +57,12 @@ class Journal;
 
 /// Records the program relation's partition shape: `bdd.relation.*`
 /// metric gauges and, when `journal` is non-null, the journal header's
-/// partition summary (parts, conjuncts, support widths).
+/// partition summary (parts, support widths).
 void record_relation_shape(prog::DistributedProgram& program,
                            Journal* journal);
 
-/// Renders the --stats "transition relation" section: part/conjunct counts
-/// and the support-width distribution that bounds what early
+/// Renders the --stats "transition relation" section: the part count and
+/// the support-width distribution that bounds what early
 /// quantification can save.
 void write_relation_report(prog::DistributedProgram& program,
                            std::ostream& out);

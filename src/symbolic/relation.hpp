@@ -3,16 +3,13 @@
 // First-class partitioned transition relations with a static
 // early-quantification schedule.
 //
-// The repair algorithms historically passed transition relations around as
-// ad-hoc `bdd::Bdd` values or `std::span<const bdd::Bdd>` partitions. A
-// TransitionRelation makes the partition explicit: it owns a disjunctive
-// list of parts, each part a (small) conjunction of factors that is never
-// materialized when a combined and-exists can consume the factors
-// directly, plus per-part "can-quantify-now" cubes derived from the parts'
-// support sets. An image over a part only mentions the state bits the part
-// actually reads/writes, so the bits *outside* its support can be
-// quantified out of the operand set before the product — the standard
-// early-quantification optimization for partitioned relations.
+// A TransitionRelation makes the partition explicit: it owns a disjunctive
+// list of parts, one BDD each, plus per-part "can-quantify-now" cubes
+// derived from the parts' support sets. An image over a part only mentions
+// the state bits the part actually reads/writes, so the bits *outside* its
+// support can be quantified out of the operand set before the product —
+// the standard early-quantification optimization for partitioned
+// relations.
 //
 // Soundness of the schedule: for a part R with support S,
 //   ∃cur. (R ∧ from) = ∃(cur∩S). (R ∧ ∃(cur\S). from)
@@ -37,12 +34,12 @@
 
 namespace lr::sym {
 
-/// One disjunctive part: a conjunction of factors plus its
-/// early-quantification cubes. `local_*` cubes cover the state bits inside
-/// the part's support (quantified during the product), `absent_*` cubes the
-/// bits outside it (quantified out of the operand before the product).
+/// One disjunctive part: its BDD plus its early-quantification cubes.
+/// `local_*` cubes cover the state bits inside the part's support
+/// (quantified during the product), `absent_*` cubes the bits outside it
+/// (quantified out of the operand before the product).
 struct RelationPart {
-  std::vector<bdd::Bdd> conjuncts;
+  bdd::Bdd relation;
   bdd::Bdd local_cur_cube;
   bdd::Bdd absent_cur_cube;
   bdd::Bdd local_next_cube;
@@ -53,7 +50,6 @@ struct RelationPart {
 /// Partition-shape summary (metrics, journal header, --stats report).
 struct RelationShape {
   std::size_t parts = 0;
-  std::size_t conjuncts = 0;
   std::size_t min_support_bits = 0;
   std::size_t max_support_bits = 0;
   double avg_support_bits = 0.0;
@@ -64,8 +60,8 @@ struct RelationShape {
   std::size_t total_bits = 0;  ///< 2 * bits_per_state
 };
 
-/// A transition relation as an explicit disjunctive partition of
-/// conjunctive parts. See the file comment for the schedule.
+/// A transition relation as an explicit disjunctive partition. See the
+/// file comment for the schedule.
 class TransitionRelation {
  public:
   /// An empty relation to grow with add_part().
@@ -75,13 +71,8 @@ class TransitionRelation {
   [[nodiscard]] static TransitionRelation partitioned(
       Space& space, std::span<const bdd::Bdd> parts);
 
-  /// Appends one part. The conjuncts stay separate; the part's
-  /// quantification cubes come from the union of their supports.
-  /// Multi-factor parts are how call sites avoid materializing products
-  /// like `delta ∧ prime(invariant)`.
-  void add_part(std::span<const bdd::Bdd> conjuncts);
-  void add_part(const bdd::Bdd& a);
-  void add_part(const bdd::Bdd& a, const bdd::Bdd& b);
+  /// Appends one part; its quantification cubes come from its support.
+  void add_part(const bdd::Bdd& part);
 
   [[nodiscard]] const std::vector<RelationPart>& parts() const noexcept {
     return parts_;
@@ -91,23 +82,12 @@ class TransitionRelation {
   }
   [[nodiscard]] Space& space() const noexcept { return *space_; }
 
-  /// One BDD per part (multi-factor parts conjoined on demand, cached).
-  [[nodiscard]] std::span<const bdd::Bdd> flat_parts() const;
-
-  /// The whole relation as one BDD (union of flat parts, cached). Call
-  /// sites that genuinely need the monolithic product (e.g. transition
-  /// subtraction against the full relation) use this; image/preimage never
-  /// do.
-  [[nodiscard]] const bdd::Bdd& flat() const;
-
   /// Partition-shape summary.
   [[nodiscard]] RelationShape shape() const;
 
  private:
   Space* space_;
   std::vector<RelationPart> parts_;
-  mutable std::vector<bdd::Bdd> flat_parts_;
-  mutable bdd::Bdd flat_;
 };
 
 }  // namespace lr::sym

@@ -237,16 +237,7 @@ bdd::Bdd Space::image_part(const RelationPart& part, const bdd::Bdd& from) {
   const bdd::Bdd operand = part.absent_cur_cube.is_true()
                                ? from
                                : mgr_.exists(from, part.absent_cur_cube);
-  if (part.conjuncts.size() >= 2) {
-    bdd::Bdd rest = part.conjuncts[1];
-    for (std::size_t i = 2; i < part.conjuncts.size(); ++i) {
-      rest &= part.conjuncts[i];
-    }
-    return unprime(mgr_.and_exists(part.conjuncts[0], rest, operand,
-                                   part.local_cur_cube));
-  }
-  return unprime(
-      mgr_.and_exists(part.conjuncts[0], operand, part.local_cur_cube));
+  return unprime(mgr_.and_exists(part.relation, operand, part.local_cur_cube));
 }
 
 bdd::Bdd Space::preimage_part(const RelationPart& part,
@@ -255,15 +246,7 @@ bdd::Bdd Space::preimage_part(const RelationPart& part,
   const bdd::Bdd operand = part.absent_next_cube.is_true()
                                ? to_primed
                                : mgr_.exists(to_primed, part.absent_next_cube);
-  if (part.conjuncts.size() >= 2) {
-    bdd::Bdd rest = part.conjuncts[1];
-    for (std::size_t i = 2; i < part.conjuncts.size(); ++i) {
-      rest &= part.conjuncts[i];
-    }
-    return mgr_.and_exists(part.conjuncts[0], rest, operand,
-                           part.local_next_cube);
-  }
-  return mgr_.and_exists(part.conjuncts[0], operand, part.local_next_cube);
+  return mgr_.and_exists(part.relation, operand, part.local_next_cube);
 }
 
 bdd::Bdd Space::image(const TransitionRelation& rel, const bdd::Bdd& from) {

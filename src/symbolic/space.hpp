@@ -134,9 +134,9 @@ class Space {
   //
   // A TransitionRelation interleaves quantification with conjunction: per
   // part, the bits outside the part's support are quantified out of the
-  // operand first, then a combined and-exists over the part's conjuncts
-  // quantifies only the support-local bits. The results are the same
-  // canonical sets the flat overloads above compute.
+  // operand first, then the and-exists with the part's BDD quantifies only
+  // the support-local bits. The results are the same canonical sets the
+  // flat overloads above compute.
 
   /// Image over a TransitionRelation (∪ over parts).
   [[nodiscard]] bdd::Bdd image(const TransitionRelation& rel,
@@ -152,7 +152,7 @@ class Space {
 
   /// Forward reachability over a TransitionRelation, computed by chaotic
   /// iteration: each part is saturated in turn until a global fixpoint.
-  /// Produces the same set as forward_reachable(rel.flat(), from) but
+  /// Produces the same set as the flat overload over the parts' union but
   /// avoids the frontier blow-up of breadth-first search on loosely-coupled
   /// relations (orders of magnitude faster on havoc-style fault
   /// structures).

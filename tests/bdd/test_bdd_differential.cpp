@@ -67,7 +67,7 @@ WorkloadRun run_workload(const Manager::Options& options, std::uint64_t seed) {
     const Bdd& b = pool[rng.below(pool.size())];
     const Bdd& c = pool[rng.below(pool.size())];
     Bdd result;
-    switch (rng.below(13)) {
+    switch (rng.below(12)) {
       case 0: result = a & b; break;
       case 1: result = a | b; break;
       case 2: result = a ^ b; break;
@@ -78,8 +78,7 @@ WorkloadRun run_workload(const Manager::Options& options, std::uint64_t seed) {
       case 7: result = a.ite(b, c); break;
       case 8: result = mgr.forall(a, cube); break;
       case 9: result = mgr.permute(a, perm); break;
-      case 10: result = mgr.and_exists(a, b, c, cube); break;
-      case 11:
+      case 10:
         // Decision ops leave no BDD; fingerprint the answer and keep `a`.
         fingerprint.push_back(a.leq(b) ? 1.0 : 0.0);
         result = a;

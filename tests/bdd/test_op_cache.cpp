@@ -1,8 +1,7 @@
 // Tests for the operation cache's packed 16-byte entries and the limits
 // that keep them unambiguous: 28-bit node ids, a 15-bit op code shared by
-// the fixed ops, registered permutations and the three-conjunct
-// and_exists's interned root cubes, and a reference bit that gives a hit
-// entry a second chance once the cache is at its cap.
+// the fixed ops and registered permutations, and a reference bit that
+// gives a hit entry a second chance once the cache is at its cap.
 
 #include <gtest/gtest.h>
 
@@ -194,80 +193,17 @@ TEST(OpCacheSecondChanceTest, GrowthOntoTheCapKeepsTheReferencedEntry) {
 
 // --- Limits ----------------------------------------------------------------
 
-TEST(OpCacheLimitTest, PermutationsStopBeforeTheCubeOpCodes) {
+TEST(OpCacheLimitTest, PermutationsStopAtTheOpLimit) {
   Manager mgr;
   const VarIndex v = mgr.new_var();
   const VarIndex identity[1] = {v};
-  // Op codes 12 .. 0x3fff: one per permutation.
-  for (PermId i = 0; i < 0x4000 - 12; ++i) {
+  // Op codes 12 .. 0x7fff: one per permutation.
+  for (PermId i = 0; i < 0x8000 - 12; ++i) {
     ASSERT_EQ(mgr.register_permutation(identity), i);
   }
   EXPECT_THROW((void)mgr.register_permutation(identity), std::length_error);
   const Bdd x = mgr.bdd_var(v);
-  EXPECT_EQ(mgr.permute(x, 0x4000 - 13), x) << "the last one still works";
-}
-
-TEST(OpCacheLimitTest, AndExistsInternsAtMost16384Cubes) {
-  Manager mgr;
-  std::vector<VarIndex> vars;
-  for (int i = 0; i < 16; ++i) vars.push_back(mgr.new_var());
-  const Bdd f = mgr.bdd_var(vars[0]) | mgr.bdd_var(vars[15]);
-  const Bdd g = mgr.bdd_nvar(vars[1]) | mgr.bdd_var(vars[14]);
-  const Bdd h = mgr.bdd_var(vars[2]);
-  const auto cube_of = [&](std::uint32_t bits) {
-    std::vector<VarIndex> in;
-    for (std::uint32_t b = 0; b < 16; ++b) {
-      if (((bits >> b) & 1u) != 0) in.push_back(vars[b]);
-    }
-    return mgr.make_cube(in);
-  };
-  // Cube 0 is `true`; distinct bit patterns are distinct cubes.
-  for (std::uint32_t i = 0; i < 0x4000; ++i) {
-    (void)mgr.and_exists(f, g, h, cube_of(i));
-  }
-  EXPECT_THROW((void)mgr.and_exists(f, g, h, cube_of(0x4000)),
-               std::length_error);
-  // Interned cubes keep working, and give the right answer.
-  const Bdd cube = cube_of(0x1234);
-  EXPECT_EQ(mgr.and_exists(f, g, h, cube), mgr.exists(f & g & h, cube));
-}
-
-TEST(OpCacheAndExists3Test, RootCubesSharingASuffixAcrossAGc) {
-  Manager mgr;
-  std::vector<VarIndex> vars;
-  for (int i = 0; i < 10; ++i) vars.push_back(mgr.new_var());
-  const auto lit = [&](int i, bool positive) {
-    return positive ? mgr.bdd_var(vars[i]) : mgr.bdd_nvar(vars[i]);
-  };
-  // Each conjunct ties a low variable to a shared suffix variable, so the
-  // recursion reaches (f', g', h', suffix) calls under both roots.
-  const Bdd f = (lit(0, true) & lit(5, true)) | (lit(0, false) & lit(7, false));
-  const Bdd g = (lit(1, true) ^ lit(5, true)) | lit(8, true);
-  const Bdd h = (lit(2, false) & lit(7, true)) | (lit(2, true) & lit(9, true));
-  const std::vector<VarIndex> root_a = {vars[0], vars[5], vars[7], vars[9]};
-  const std::vector<VarIndex> root_b = {vars[1], vars[5], vars[7], vars[9]};
-  const Bdd want_a = mgr.exists(f & g & h, mgr.make_cube(root_a));
-  const Bdd want_b = mgr.exists(f & g & h, mgr.make_cube(root_b));
-  ASSERT_NE(want_a, want_b) << "the roots must quantify differently";
-
-  EXPECT_EQ(mgr.and_exists(f, g, h, mgr.make_cube(root_a)), want_a);
-  EXPECT_EQ(mgr.and_exists(f, g, h, mgr.make_cube(root_b)), want_b);
-  {
-    const Bdd junk = (f ^ g) | (g ^ h);  // dead nodes for the GC to free
-  }
-  mgr.collect_garbage();
-  ASSERT_GT(mgr.stats().gc_reclaimed, 0u);
-
-  // The cubes' handles are gone, yet the manager kept them: rebuilding one
-  // finds the same node, and the top-level probe hits without recursing.
-  const std::uint64_t lookups = mgr.stats().cache_lookups;
-  const std::uint64_t hits = mgr.stats().cache_hits;
-  EXPECT_EQ(mgr.and_exists(f, g, h, mgr.make_cube(root_b)), want_b);
-  EXPECT_EQ(mgr.stats().cache_lookups, lookups + 1);
-  EXPECT_EQ(mgr.stats().cache_hits, hits + 1);
-  EXPECT_EQ(mgr.and_exists(h, f, g, mgr.make_cube(root_a)), want_a);
-  // The conjuncts in another order give the same answer.
-  EXPECT_EQ(mgr.and_exists(g, h, f, mgr.make_cube(root_b)), want_b);
+  EXPECT_EQ(mgr.permute(x, 0x8000 - 13), x) << "the last one still works";
 }
 
 }  // namespace

@@ -232,8 +232,8 @@ TEST(AddMaskingTest, ReportsLayerAndRoundStatistics) {
 /// Test-only reference: Step 1 with every fixpoint over the whole
 /// P1 = ∪ᵢ (pieceᵢ ∧ S1 ∧ S1′) ∪ rec_part. The can-recover BFS and the
 /// recovery layers take P1 as a relation, the layers' transitions come
-/// from P1 as one BDD, and the closure runs over P1 ∧ S2′ with the three
-/// conjuncts (piece, S1 ∧ S1′, S2′) kept as separate factors.
+/// from P1 as one BDD (the union of its parts), and the closure runs over
+/// P1 ∧ S2′, one part per part of P1.
 /// add_masking runs each fixpoint over only the part of P1 that can fire
 /// in it; the sets must not change.
 StepOneResult full_p1_step_one(prog::DistributedProgram& program,
@@ -279,7 +279,7 @@ StepOneResult full_p1_step_one(prog::DistributedProgram& program,
             .minus(space.identity());
     const bdd::Bdd inv_cross = s1 & space.prime(s1);
     p1_rel = sym::TransitionRelation(space);
-    for (const bdd::Bdd& piece : pieces_mt) p1_rel.add_part(piece, inv_cross);
+    for (const bdd::Bdd& piece : pieces_mt) p1_rel.add_part(piece & inv_cross);
     if (!rec_part.is_false()) p1_rel.add_part(rec_part);
     const bdd::Bdd t2 =
         level == ToleranceLevel::kFailsafe
@@ -288,11 +288,9 @@ StepOneResult full_p1_step_one(prog::DistributedProgram& program,
     bdd::Bdd s2 = s1 & t2;
     const bdd::Bdd s2_primed = space.prime(s2);
     sym::TransitionRelation closure_rel(space);
-    for (const bdd::Bdd& piece : pieces_mt) {
-      const bdd::Bdd conjuncts[3] = {piece, inv_cross, s2_primed};
-      closure_rel.add_part(conjuncts);
+    for (const sym::RelationPart& part : p1_rel.parts()) {
+      closure_rel.add_part(part.relation & s2_primed);
     }
-    if (!rec_part.is_false()) closure_rel.add_part(rec_part, s2_primed);
     s2 = space.live_core(closure_rel, s2);
     if (s2.is_false()) return result;
     if (s2 == s1 && t2 == t1) break;
@@ -305,7 +303,8 @@ StepOneResult full_p1_step_one(prog::DistributedProgram& program,
   bdd::Bdd added = space.bdd_false();
   bdd::Bdd remaining =
       level == ToleranceLevel::kFailsafe ? space.bdd_false() : outside;
-  const bdd::Bdd p1_flat = p1_rel.flat();
+  bdd::Bdd p1_flat = space.bdd_false();
+  for (const sym::RelationPart& part : p1_rel.parts()) p1_flat |= part.relation;
   while (!remaining.is_false()) {
     const bdd::Bdd layer = space.preimage(p1_rel, below) & remaining;
     if (layer.is_false()) break;

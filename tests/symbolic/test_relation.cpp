@@ -3,13 +3,14 @@
 // its image, preimage, has_successor_in, live_core and forward_reachable
 // overloads must compute exactly the sets the flat bdd::Bdd overloads
 // compute over the union of the same parts. The flat reference is rebuilt
-// here from each part's conjuncts, so a wrong early-quantification cube, a dropped
-// conjunct or a bad combined and-exists all show up as a set mismatch.
+// here from the parts' BDDs, so a wrong early-quantification cube or a
+// dropped part shows up as a set mismatch.
 //
-// Covered: random parts with 1, 2 and 3 conjuncts, a one-part relation,
-// the empty fault list, the relations the repair layer builds for every
-// case study, and seeded random models across every LR_FUZZ_TOPOLOGY x
-// LR_FUZZ_FAULTS combination.
+// Covered: random parts over every variable, random parts that leave
+// variables out of their support (so the schedule quantifies bits before
+// the product), a one-part relation, the empty fault list, the relations
+// the repair layer builds for every case study, and seeded random models
+// across every LR_FUZZ_TOPOLOGY x LR_FUZZ_FAULTS combination.
 //
 // Environment knobs (fuzz sweep):
 //   LR_FUZZ_SEED=N     base seed (model i uses seed N+i); default 20160523
@@ -42,15 +43,10 @@
 namespace lr::sym {
 namespace {
 
-/// The flat reference of `rel`: its parts' conjuncts conjoined, then the
-/// union over parts.
+/// The flat reference of `rel`: the union of its parts.
 bdd::Bdd flatten(Space& space, const TransitionRelation& rel) {
   bdd::Bdd whole = space.bdd_false();
-  for (const RelationPart& part : rel.parts()) {
-    bdd::Bdd conjunction = space.bdd_true();
-    for (const bdd::Bdd& conjunct : part.conjuncts) conjunction &= conjunct;
-    whole |= conjunction;
-  }
+  for (const RelationPart& part : rel.parts()) whole |= part.relation;
   return whole;
 }
 
@@ -117,46 +113,69 @@ std::vector<bdd::Bdd> probes(Space& space, support::SplitMix64& rng) {
   return out;
 }
 
-/// Random relations whose parts have `conjuncts` factors each: a random
-/// transition set, then constraints on the pre- and post-state (the shapes
-/// of Add-Masking's `piece ∧ S1 ∧ S1'` and `... ∧ S2'` parts).
-void expect_random_parts_match(std::size_t conjuncts, std::uint64_t seed) {
-  support::SplitMix64 rng(seed);
-  Space space;
+/// A Space of three small variables for the random-part cases.
+void add_random_part_variables(Space& space) {
   (void)space.add_variable("a", 3);
   (void)space.add_variable("b", 4);
   (void)space.add_variable("c", 2);
+}
+
+// Random transitions over all three variables as parts.
+TEST(RelationDifferentialTest, OneConjunctParts) {
+  support::SplitMix64 rng(11);
+  Space space;
+  add_random_part_variables(space);
   for (int round = 0; round < 6; ++round) {
     TransitionRelation rel(space);
     for (int p = 0; p < 3; ++p) {
-      std::vector<bdd::Bdd> factors = {random_transitions(space, rng, 12)};
-      if (conjuncts >= 2) {
-        const bdd::Bdd s = random_states(space, rng, 12);
-        factors.push_back(s & space.prime(s));
-      }
-      if (conjuncts >= 3) {
-        factors.push_back(space.prime(random_states(space, rng, 12)));
-      }
-      rel.add_part(factors);
+      rel.add_part(random_transitions(space, rng, 12));
     }
     for (const bdd::Bdd& probe : probes(space, rng)) {
       expect_matches_flat(space, rel, probe,
-                          std::to_string(conjuncts) + " conjuncts, round " +
-                              std::to_string(round));
+                          "round " + std::to_string(round));
     }
   }
 }
 
-TEST(RelationDifferentialTest, OneConjunctParts) {
-  expect_random_parts_match(1, 11);
+/// A random part that writes one variable under a guard on another (or
+/// the same) one: `count` random (guard, old, new) triples. Every other
+/// variable is outside its support, and so are the guard's next bits
+/// when the guard is not the written variable.
+bdd::Bdd random_local_part(Space& space, support::SplitMix64& rng,
+                           std::size_t count) {
+  const auto pick = [&] {
+    return static_cast<VarId>(rng.below(space.variable_count()));
+  };
+  const VarId written = pick();
+  const VarId guard = pick();
+  const auto value = [&](VarId v) {
+    return static_cast<std::uint32_t>(rng.below(space.info(v).domain));
+  };
+  bdd::Bdd part = space.bdd_false();
+  for (std::size_t i = 0; i < count; ++i) {
+    part |= space.value_eq(guard, value(guard), Version::kCurrent) &
+            space.value_eq(written, value(written), Version::kCurrent) &
+            space.value_eq(written, value(written), Version::kNext);
+  }
+  return part;
 }
 
-TEST(RelationDifferentialTest, TwoConjunctParts) {
-  expect_random_parts_match(2, 22);
-}
-
-TEST(RelationDifferentialTest, ThreeConjunctParts) {
-  expect_random_parts_match(3, 33);
+TEST(RelationDifferentialTest, PartialSupportParts) {
+  support::SplitMix64 rng(22);
+  Space space;
+  add_random_part_variables(space);
+  for (int round = 0; round < 6; ++round) {
+    TransitionRelation rel(space);
+    for (int p = 0; p < 3; ++p) {
+      rel.add_part(random_local_part(space, rng, 4));
+    }
+    // Each part names at most two of the three variables.
+    ASSERT_GT(rel.shape().schedulable_bits, 0u);
+    for (const bdd::Bdd& probe : probes(space, rng)) {
+      expect_matches_flat(space, rel, probe,
+                          "partial support, round " + std::to_string(round));
+    }
+  }
 }
 
 // One process and no faults: the program relation has a single natural
@@ -210,9 +229,9 @@ TEST(RelationDifferentialTest, EmptyFaultList) {
   }
 }
 
-/// The relations the repair layer builds for `program`: δ_P ∪ f and f as
-/// one-conjunct parts, and the program pieces restricted to the invariant
-/// (two conjuncts) and additionally to a reachable post-state (three).
+/// The relations the repair layer builds for `program`: δ_P ∪ f and f,
+/// and the program pieces restricted to the invariant and additionally to
+/// a reachable post-state.
 int expect_program_relations_match(prog::DistributedProgram& program,
                                    std::uint64_t seed,
                                    const std::string& what) {
@@ -220,18 +239,18 @@ int expect_program_relations_match(prog::DistributedProgram& program,
   const bdd::Bdd inv = program.invariant();
   const bdd::Bdd inv_cross = inv & space.prime(inv);
   const bdd::Bdd reach_primed = space.prime(program.reachable_under_faults());
-  TransitionRelation two(space);
-  TransitionRelation three(space);
+  TransitionRelation closed(space);
+  TransitionRelation reaching(space);
   for (const bdd::Bdd& piece : repair::program_delta_pieces(program)) {
-    two.add_part(piece, inv_cross);
-    const bdd::Bdd conjuncts[3] = {piece, inv_cross, reach_primed};
-    three.add_part(std::span<const bdd::Bdd>(conjuncts, 3));
+    const bdd::Bdd in_invariant = piece & inv_cross;
+    closed.add_part(in_invariant);
+    reaching.add_part(in_invariant & reach_primed);
   }
   const TransitionRelation relations[] = {
       repair::program_fault_relation(program), repair::fault_relation(program),
-      std::move(two), std::move(three)};
-  const char* const names[] = {"program+faults", "faults", "two conjuncts",
-                               "three conjuncts"};
+      std::move(closed), std::move(reaching)};
+  const char* const names[] = {"program+faults", "faults", "inside S",
+                               "inside S, into reach"};
   support::SplitMix64 rng(seed);
   std::vector<bdd::Bdd> sets = probes(space, rng);
   sets.push_back(inv);
