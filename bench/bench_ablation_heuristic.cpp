@@ -20,7 +20,6 @@ void run(benchmark::State& state, bool heuristic) {
     auto program =
         lr::cs::make_byzantine({.non_generals = n, .fail_stop = true});
     lr::repair::Options options;
-    options.group_method = lr::repair::GroupMethod::kOneShot;
     options.restrict_to_reachable = heuristic;
     lr::support::Stopwatch watch;
     const auto result = lr::repair::lazy_repair(*program, options);

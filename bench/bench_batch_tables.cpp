@@ -62,6 +62,7 @@ int main(int argc, char** argv) {
                  which_table.c_str());
     return 2;
   }
+  tasks = lr::bench::distinct_repairs(std::move(tasks));
 
   if (cli.has("order")) {
     const std::string order_arg = cli.get("order", "");

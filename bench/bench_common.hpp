@@ -25,6 +25,7 @@
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
 #include "support/trace.hpp"
+#include "table_specs.hpp"
 
 namespace lr::bench {
 
@@ -102,7 +103,8 @@ inline int run_batch_sweep(const std::string& title,
   repair::BatchOptions options;
   options.jobs = jobs;
   options.metrics_prefix = "bench";
-  const repair::BatchReport report = repair::run_batch(tasks, options);
+  const repair::BatchReport report =
+      repair::run_batch(distinct_repairs(tasks), options);
   for (const repair::BatchItemResult& item : report.items) {
     rows().push_back(Row{item.name, item.algorithm,
                          item.stats.reachable_states,

@@ -1,11 +1,6 @@
 // Table I: Byzantine agreement — cautious repair vs. lazy repair
-// (Step 1 / Step 2 split), across instance sizes.
-//
-// Two group primitives are measured for both algorithms:
-//  * the enumerated per-group discipline the original tools used
-//    (GroupMethod::kPaperLoop — the paper-faithful configuration), and
-//  * the vectorized one-shot closure (GroupMethod::kOneShot), which shows
-//    how much of the gap survives a modern symbolic implementation.
+// (Step 1 / Step 2 split), across instance sizes. Both realize groups
+// with one universal quantification per process.
 
 // `--batch-jobs=N` runs the same sweep (see table_specs.hpp) concurrently
 // through the batch executor instead of google-benchmark.
@@ -20,79 +15,44 @@
 namespace {
 
 using lr::bench::record;
-using lr::repair::GroupMethod;
-using lr::repair::Options;
 
-void run_lazy(benchmark::State& state, GroupMethod method) {
+void BM_Lazy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     auto program = lr::cs::make_byzantine({.non_generals = n});
-    Options options;
-    options.group_method = method;
     lr::support::Stopwatch watch;
-    const auto result = lr::repair::lazy_repair(*program, options);
+    const auto result = lr::repair::lazy_repair(*program);
     const double seconds = watch.seconds();
     benchmark::DoNotOptimize(result.success);
     if (!result.success) state.SkipWithError("repair failed");
-    record("BA^" + std::to_string(n),
-           method == GroupMethod::kPaperLoop ? "lazy (group loop)"
-                                             : "lazy (one-shot)",
-           result, seconds);
+    record("BA^" + std::to_string(n), "lazy", result, seconds);
     state.counters["step1_s"] = result.stats.step1_seconds;
     state.counters["step2_s"] = result.stats.step2_seconds;
     state.counters["reach"] = result.stats.reachable_states;
   }
 }
 
-void run_cautious(benchmark::State& state, GroupMethod method) {
+void BM_Cautious(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     auto program = lr::cs::make_byzantine({.non_generals = n});
-    Options options;
-    options.group_method = method;
     lr::support::Stopwatch watch;
-    const auto result = lr::repair::cautious_repair(*program, options);
+    const auto result = lr::repair::cautious_repair(*program);
     const double seconds = watch.seconds();
     benchmark::DoNotOptimize(result.success);
     if (!result.success) state.SkipWithError("repair failed");
-    record("BA^" + std::to_string(n),
-           method == GroupMethod::kPaperLoop ? "cautious (group loop)"
-                                             : "cautious (one-shot)",
-           result, seconds);
+    record("BA^" + std::to_string(n), "cautious", result, seconds);
     state.counters["total_s"] = seconds;
   }
 }
 
-void BM_Lazy_GroupLoop(benchmark::State& state) {
-  run_lazy(state, GroupMethod::kPaperLoop);
-}
-void BM_Cautious_GroupLoop(benchmark::State& state) {
-  run_cautious(state, GroupMethod::kPaperLoop);
-}
-void BM_Lazy_OneShot(benchmark::State& state) {
-  run_lazy(state, GroupMethod::kOneShot);
-}
-void BM_Cautious_OneShot(benchmark::State& state) {
-  run_cautious(state, GroupMethod::kOneShot);
-}
-
-// Paper-faithful discipline: the gap the paper reports.
-BENCHMARK(BM_Lazy_GroupLoop)
-    ->DenseRange(3, 7)
+// 12^15 ≈ 1.5e16 states ≈ the paper's biggest BA row.
+BENCHMARK(BM_Lazy)
+    ->DenseRange(3, 7)->Arg(9)->Arg(12)->Arg(15)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
-BENCHMARK(BM_Cautious_GroupLoop)
-    ->DenseRange(3, 6)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-// Modern primitive: larger instances (12^15 ≈ 1.5e16 states ≈ the paper's
-// biggest BA row).
-BENCHMARK(BM_Lazy_OneShot)
-    ->Arg(6)->Arg(9)->Arg(12)->Arg(15)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK(BM_Cautious_OneShot)
-    ->Arg(6)->Arg(9)->Arg(12)->Arg(15)
+BENCHMARK(BM_Cautious)
+    ->DenseRange(3, 6)->Arg(9)->Arg(12)->Arg(15)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

@@ -17,10 +17,8 @@
 namespace {
 
 using lr::bench::record;
-using lr::repair::GroupMethod;
-using lr::repair::Options;
 
-void BM_BAFS_Lazy_GroupLoop(benchmark::State& state) {
+void BM_BAFS_Lazy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     auto program =
@@ -28,54 +26,29 @@ void BM_BAFS_Lazy_GroupLoop(benchmark::State& state) {
     lr::support::Stopwatch watch;
     const auto result = lr::repair::lazy_repair(*program);
     if (!result.success) state.SkipWithError("repair failed");
-    record("BAFS^" + std::to_string(n), "lazy (group loop)", result,
-           watch.seconds());
+    record("BAFS^" + std::to_string(n), "lazy", result, watch.seconds());
     state.counters["step1_s"] = result.stats.step1_seconds;
     state.counters["step2_s"] = result.stats.step2_seconds;
   }
 }
 
-void BM_BAFS_Lazy_OneShot(benchmark::State& state) {
+void BM_BAFS_Cautious(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     auto program =
         lr::cs::make_byzantine({.non_generals = n, .fail_stop = true});
-    Options options;
-    options.group_method = GroupMethod::kOneShot;
     lr::support::Stopwatch watch;
-    const auto result = lr::repair::lazy_repair(*program, options);
+    const auto result = lr::repair::cautious_repair(*program);
     if (!result.success) state.SkipWithError("repair failed");
-    record("BAFS^" + std::to_string(n), "lazy (one-shot)", result,
-           watch.seconds());
-    state.counters["step1_s"] = result.stats.step1_seconds;
-    state.counters["step2_s"] = result.stats.step2_seconds;
+    record("BAFS^" + std::to_string(n), "cautious", result, watch.seconds());
   }
 }
 
-void BM_BAFS_Cautious_OneShot(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto program =
-        lr::cs::make_byzantine({.non_generals = n, .fail_stop = true});
-    Options options;
-    options.group_method = GroupMethod::kOneShot;
-    lr::support::Stopwatch watch;
-    const auto result = lr::repair::cautious_repair(*program, options);
-    if (!result.success) state.SkipWithError("repair failed");
-    record("BAFS^" + std::to_string(n), "cautious (one-shot)", result,
-           watch.seconds());
-  }
-}
-
-BENCHMARK(BM_BAFS_Lazy_GroupLoop)
-    ->DenseRange(3, 5)
+BENCHMARK(BM_BAFS_Lazy)
+    ->DenseRange(3, 6)->Arg(8)->Arg(10)->Arg(12)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
-BENCHMARK(BM_BAFS_Lazy_OneShot)
-    ->Arg(4)->Arg(6)->Arg(8)->Arg(10)->Arg(12)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK(BM_BAFS_Cautious_OneShot)
+BENCHMARK(BM_BAFS_Cautious)
     ->Arg(4)->Arg(6)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);

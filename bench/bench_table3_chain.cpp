@@ -22,37 +22,15 @@ void BM_Chain_Lazy(benchmark::State& state) {
     lr::support::Stopwatch watch;
     const auto result = lr::repair::lazy_repair(*program);
     if (!result.success) state.SkipWithError("repair failed");
-    record("Sc^" + std::to_string(length), "lazy (group loop)", result,
-           watch.seconds());
+    record("Sc^" + std::to_string(length), "lazy", result, watch.seconds());
     state.counters["step1_s"] = result.stats.step1_seconds;
     state.counters["step2_s"] = result.stats.step2_seconds;
     state.counters["reach"] = result.stats.reachable_states;
   }
 }
 
-void BM_Chain_Lazy_OneShot(benchmark::State& state) {
-  const auto length = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto program = lr::cs::make_chain({.length = length, .domain = 8});
-    lr::repair::Options options;
-    options.group_method = lr::repair::GroupMethod::kOneShot;
-    lr::support::Stopwatch watch;
-    const auto result = lr::repair::lazy_repair(*program, options);
-    if (!result.success) state.SkipWithError("repair failed");
-    record("Sc^" + std::to_string(length), "lazy (one-shot)", result,
-           watch.seconds());
-  }
-}
-
 BENCHMARK(BM_Chain_Lazy)
     ->Arg(10)->Arg(15)->Arg(20)->Arg(25)->Arg(30)->Arg(35)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-// The one-shot universal quantification blows up past Sc^30 (the
-// implication BDD over ~240 unreadable bits grows super-linearly); the
-// group loop keeps scaling, so the long tail uses it alone.
-BENCHMARK(BM_Chain_Lazy_OneShot)
-    ->Arg(10)->Arg(20)->Arg(30)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

@@ -5,7 +5,13 @@
 // the batch driver (`--batch-jobs=N`: the whole sweep as one
 // repair::run_batch call). Keeping one spec list guarantees the two paths
 // repair identical instances.
+//
+// Each row still names a group method, which repair ignores (see
+// repair::GroupMethod): the lr_bench harness keys its rows on (name,
+// algorithm, method). Rows that differ only in that label repeat one
+// repair, and the sweeps run it once (distinct_repairs).
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -45,6 +51,19 @@ inline BatchTask chain_task(std::size_t length, GroupMethod method) {
   };
   task.verify = false;
   return task;
+}
+
+/// `tasks` without the rows that repeat an earlier (name, algorithm).
+inline std::vector<BatchTask> distinct_repairs(std::vector<BatchTask> tasks) {
+  std::vector<BatchTask> out;
+  for (BatchTask& task : tasks) {
+    const bool seen = std::any_of(
+        out.begin(), out.end(), [&task](const BatchTask& kept) {
+          return kept.name == task.name && kept.algorithm == task.algorithm;
+        });
+    if (!seen) out.push_back(std::move(task));
+  }
+  return out;
 }
 
 /// Table I — Byzantine agreement, cautious vs. lazy. Mirrors the

@@ -3,8 +3,7 @@
 // actions of one non-general, and cross-verifies the result.
 //
 // Usage:
-//   byzantine_agreement [--n=3] [--failstop] [--cautious] [--oneshot]
-//                       [--no-verify]
+//   byzantine_agreement [--n=3] [--failstop] [--cautious] [--no-verify]
 
 #include <cstdio>
 #include <iostream>
@@ -28,15 +27,10 @@ int main(int argc, char** argv) {
   std::printf("model: %s, state space %.3g states\n",
               program->name().c_str(), program->space().state_space_size());
 
-  lr::repair::Options options;
-  if (cli.has("oneshot")) {
-    options.group_method = lr::repair::GroupMethod::kOneShot;
-  }
-
   lr::support::Stopwatch watch;
   const lr::repair::RepairResult result =
-      cli.has("cautious") ? lr::repair::cautious_repair(*program, options)
-                          : lr::repair::lazy_repair(*program, options);
+      cli.has("cautious") ? lr::repair::cautious_repair(*program)
+                          : lr::repair::lazy_repair(*program);
   const double elapsed = watch.seconds();
   if (!result.success) {
     std::printf("repair failed: %s\n", result.failure_reason.c_str());
@@ -58,8 +52,6 @@ int main(int argc, char** argv) {
                  lr::support::format_state_count(result.stats.span_states)});
   table.add_row({"outer iterations",
                  std::to_string(result.stats.outer_iterations)});
-  table.add_row({"group-loop iterations",
-                 std::to_string(result.stats.group_iterations)});
   table.print(std::cout);
 
   std::printf("\nrepaired actions of process p0 (within the fault span):\n");

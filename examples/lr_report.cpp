@@ -115,7 +115,6 @@ struct JournalSummary {
   std::string result = "?";
   double rounds = 0;
   double groups_accepted = 0;
-  double groups_rejected = 0;
   double trans_accepted = 0;
   /// Transitions pruned during the pre-Repair analysis ("analysis.*"
   /// phases: cautious group closure) vs during the Repair phase itself
@@ -160,21 +159,14 @@ bool load_journal(const std::string& path, JournalSummary& out) {
       out.model = text(*event, "model");
     } else if (kind == "round_start") {
       out.rounds += 1;
-    } else if (kind == "group" || kind == "prune") {
-      const std::string phase = text(*event, "phase");
-      const bool rejected =
-          kind == "prune" || text(*event, "decision") == "rejected";
-      if (kind == "group" && !rejected) {
-        out.groups_accepted += 1;
-        out.trans_accepted += num(*event, "trans");
-      }
-      if (rejected) {
-        if (kind == "group") out.groups_rejected += 1;
-        if (phase.rfind("analysis.", 0) == 0) {
-          out.analysis_pruned_trans += num(*event, "trans");
-        } else {
-          out.repair_pruned_trans += num(*event, "trans");
-        }
+    } else if (kind == "group") {
+      out.groups_accepted += 1;
+      out.trans_accepted += num(*event, "trans");
+    } else if (kind == "prune") {
+      if (text(*event, "phase").rfind("analysis.", 0) == 0) {
+        out.analysis_pruned_trans += num(*event, "trans");
+      } else {
+        out.repair_pruned_trans += num(*event, "trans");
       }
     } else if (kind == "deadlock_round") {
       out.deadlock_rounds += 1;
@@ -209,8 +201,6 @@ int run_journal_diff(const std::string& path_a, const std::string& path_b) {
   table.add_row({"rounds", format_value(a.rounds), format_value(b.rounds)});
   table.add_row({"groups accepted", format_value(a.groups_accepted),
                  format_value(b.groups_accepted)});
-  table.add_row({"groups rejected", format_value(a.groups_rejected),
-                 format_value(b.groups_rejected)});
   table.add_row({"transitions accepted", format_value(a.trans_accepted),
                  format_value(b.trans_accepted)});
   table.add_row({"transitions pruned pre-Repair (analysis)",

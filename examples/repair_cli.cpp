@@ -2,7 +2,7 @@
 // (see models/*.lr) without writing any C++.
 //
 // Usage:
-//   repair_cli MODEL.lr [--cautious] [--oneshot] [--no-heuristic]
+//   repair_cli MODEL.lr [--cautious] [--no-heuristic]
 //              [--level=masking|failsafe|nonmasking]
 //              [--print-program] [--no-verify] [--stats]
 //              [--journal=FILE] [--explain]
@@ -331,9 +331,6 @@ int main(int argc, char** argv) {
   }
 
   lr::repair::Options options;
-  if (cli.has("oneshot")) {
-    options.group_method = lr::repair::GroupMethod::kOneShot;
-  }
   if (cli.has("no-heuristic")) options.restrict_to_reachable = false;
   if (cli.has("order")) {
     const std::string order_arg = cli.get("order", "");

@@ -274,18 +274,23 @@ bdd::Bdd DistributedProgram::group(std::size_t j, const bdd::Bdd& delta) {
          space_.valid_pair();
 }
 
-bdd::Bdd DistributedProgram::realizable_subset(std::size_t j,
-                                               const bdd::Bdd& delta) {
+bdd::Bdd DistributedProgram::whole_groups_in(std::size_t j,
+                                             const bdd::Bdd& delta) {
   compile();
-  LR_TRACE_SPAN("program.realizable_subset");
-  bdd::Manager& mgr = space_.manager();
   // A transition's group is contained in δ iff δ holds for every valid
   // value of the unreadable variables (held unchanged): one universal
   // quantification.
   const bdd::Bdd member_shape = same_unreadable_[j] & space_.valid_pair();
-  const bdd::Bdd closed =
-      mgr.forall(member_shape.implies(delta), unreadable_cubes_[j]);
-  return delta & member_shape & closed;
+  return space_.manager().forall(member_shape.implies(delta),
+                                 unreadable_cubes_[j]);
+}
+
+bdd::Bdd DistributedProgram::realizable_subset(std::size_t j,
+                                               const bdd::Bdd& delta) {
+  compile();
+  LR_TRACE_SPAN("program.realizable_subset");
+  const bdd::Bdd closed = whole_groups_in(j, delta);
+  return delta & same_unreadable_[j] & space_.valid_pair() & closed;
 }
 
 bool DistributedProgram::realizable_by_process(std::size_t j,

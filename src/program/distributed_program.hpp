@@ -155,6 +155,11 @@ class DistributedProgram {
   /// (a transition changing an unreadable variable has an empty group).
   [[nodiscard]] bdd::Bdd group(std::size_t j, const bdd::Bdd& delta);
 
+  /// ∀U_j,U_j′.(same_unreadable(j) ∧ valid_pair ⇒ δ): the readable
+  /// values (R_j, R_j′) whose whole group for process j lies in δ. It has
+  /// no unreadable variables left, so it commutes with group().
+  [[nodiscard]] bdd::Bdd whole_groups_in(std::size_t j, const bdd::Bdd& delta);
+
   /// The subset of δ whose groups are entirely contained in δ — exactly
   /// the transitions process j can realize out of δ (one ∀ per call).
   [[nodiscard]] bdd::Bdd realizable_subset(std::size_t j, const bdd::Bdd& delta);

@@ -28,12 +28,8 @@ namespace lr::repair {
 namespace {
 
 std::string default_label(const BatchTask& task) {
-  const char* base =
-      task.algorithm == BatchTask::Algorithm::kCautious ? "cautious" : "lazy";
-  const char* method = task.options.group_method == GroupMethod::kOneShot
-                           ? " (one-shot)"
-                           : " (group loop)";
-  return std::string(base) + method;
+  return task.algorithm == BatchTask::Algorithm::kCautious ? "cautious"
+                                                           : "lazy";
 }
 
 std::string task_fingerprint(const BatchTask& task) {

@@ -27,8 +27,8 @@ struct BatchTask {
   std::function<std::unique_ptr<prog::DistributedProgram>()> make_program;
   Options options;
   Algorithm algorithm = Algorithm::kLazy;
-  /// Display label for the algorithm column; derived from `algorithm` and
-  /// the group method when empty.
+  /// Display label for the algorithm column; derived from `algorithm`
+  /// when empty.
   std::string algorithm_label;
   /// Run the independent verifier on successful repairs.
   bool verify = true;

@@ -13,69 +13,21 @@
 
 namespace lr::repair {
 
-namespace {
-
-/// Keeps the groups of `candidate` (for process j) all of whose *reachable*
-/// members satisfy `zone` — the cautious discipline's per-step closure with
-/// the Section-IV unreachable-member tolerance — and returns them closed
-/// (unreachable members re-included so the result is a union of groups).
-///
-/// Two implementations, selected by options.group_method:
-///  * kPaperLoop — group-by-group enumeration, as the tool of ref [2]
-///    worked: pick a transition, build its group, test every member,
-///    accept or reject. This is the faithful baseline the paper compares
-///    against; its cost is what makes cautious repair expensive, because
-///    it runs inside every iteration over the full state space.
-///  * kOneShot — one universal quantification (same result, much faster);
-///    an ablation showing how much of the paper's gap is the enumeration.
 bdd::Bdd tolerant_groups(prog::DistributedProgram& program, std::size_t j,
                          const bdd::Bdd& candidate, const bdd::Bdd& zone,
                          const bdd::Bdd& reachable, const char* phase,
-                         const Options& options, Stats& stats) {
-  sym::Space& space = program.space();
-  bdd::Manager& mgr = space.manager();
-  if (options.group_method == GroupMethod::kOneShot) {
-    const bdd::Bdd acceptable = zone | ~reachable;
-    const bdd::Bdd member_shape =
-        program.same_unreadable(j) & space.valid_pair();
-    const bdd::Bdd closed = mgr.forall(member_shape.implies(acceptable),
-                                       program.unreadable_cube(j));
-    const bdd::Bdd seeds = candidate & zone & closed;
-    const bdd::Bdd accepted = program.group(j, seeds);
-    if (options.journal != nullptr) {
-      options.journal->group_accepted(phase, j, accepted);
-      // Seeds that fell to the closure test (some reachable member of
-      // their group leaves the zone).
-      options.journal->prune(phase, "safety", j, candidate & zone, accepted);
-    }
-    return accepted;
-  }
-  const bdd::Bdd all_bits =
-      space.cube(sym::Version::kCurrent) & space.cube(sym::Version::kNext);
-  bdd::Bdd pool = candidate & zone;
-  bdd::Bdd accepted = space.bdd_false();
-  while (!pool.is_false()) {
-    throw_if_cancelled(options.cancel);
-    ++stats.group_iterations;
-    const bdd::Bdd chosen = mgr.pick_minterm(pool, all_bits);
-    const bdd::Bdd group = program.group(j, chosen);
-    // Accept iff every member that the original program can reach lies in
-    // the acceptable zone (Section-IV heuristic for the rest).
-    if ((group & reachable).leq(zone)) {
-      if (options.journal != nullptr) {
-        options.journal->group_accepted(phase, j, group);
-      }
-      accepted |= group;
-    } else if (options.journal != nullptr) {
-      options.journal->group_rejected(phase, j, "safety", group,
-                                      group & reachable, zone);
-    }
-    pool = pool.minus(group);
+                         const Options& options) {
+  const bdd::Bdd closed = program.whole_groups_in(j, zone | ~reachable);
+  const bdd::Bdd seeds = candidate & zone & closed;
+  const bdd::Bdd accepted = program.group(j, seeds);
+  if (options.journal != nullptr) {
+    options.journal->group_accepted(phase, j, accepted);
+    // Seeds that fell to the closure test (some reachable member of
+    // their group leaves the zone).
+    options.journal->prune(phase, "safety", j, candidate & zone, accepted);
   }
   return accepted;
 }
-
-}  // namespace
 
 RepairResult cautious_repair(prog::DistributedProgram& program,
                              const Options& options) {
@@ -168,8 +120,7 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     for (std::size_t j = 0; j < nproc; ++j) {
       inv_j[j] = tolerant_groups(program, j, program.process_delta(j),
                                  inv_zone & program.process_delta(j),
-                                 reach_ref, "analysis.invariant", options,
-                                 result.stats);
+                                 reach_ref, "analysis.invariant", options);
     }
     // Keep original stutter loops inside the invariant.
     const bdd::Bdd inv_stutter = orig_diag & s1 & space.prime(s1);
@@ -185,7 +136,7 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     for (std::size_t j = 0; j < nproc; ++j) {
       const bdd::Bdd cand = rec_zone & program.respects_write(j);
       rec_j[j] = tolerant_groups(program, j, cand, cand, reach_ref,
-                                 "analysis.recovery", options, result.stats);
+                                 "analysis.recovery", options);
       rec_all |= rec_j[j];
     }
 
@@ -264,7 +215,7 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     for (std::size_t j = 0; j < nproc; ++j) {
       const bdd::Bdd kept_rec =
           tolerant_groups(program, j, rec_j[j], rec_j[j] & layer_decreasing,
-                          reach_ref, "analysis.layers", options, result.stats);
+                          reach_ref, "analysis.layers", options);
       final_j[j] = inv_j[j] | kept_rec;
       actions |= final_j[j];
     }

@@ -27,4 +27,24 @@ namespace lr::repair {
 [[nodiscard]] RepairResult cautious_repair(prog::DistributedProgram& program,
                                            const Options& options = {});
 
+/// Keeps the groups of `candidate` (for process j) all of whose *reachable*
+/// members satisfy `zone` — the cautious discipline's per-step closure with
+/// the Section-IV unreachable-member tolerance — and returns them closed
+/// (unreachable members re-included so the result is a union of groups).
+/// Journals the accepted closure and the seeds it pruned under `phase`.
+///
+/// The tool of ref [2] enumerated groups one at a time: pick a transition,
+/// build its group, test its reachable members, accept or reject. One ∀
+/// per process keeps the same groups: a group passes iff every valid
+/// member lies in zone ∪ ¬reachable, and its seeds are the candidate's
+/// transitions inside the zone. tests/repair/test_cautious.cpp pins this
+/// form against the enumeration.
+[[nodiscard]] bdd::Bdd tolerant_groups(prog::DistributedProgram& program,
+                                       std::size_t j,
+                                       const bdd::Bdd& candidate,
+                                       const bdd::Bdd& zone,
+                                       const bdd::Bdd& reachable,
+                                       const char* phase,
+                                       const Options& options);
+
 }  // namespace lr::repair

@@ -26,7 +26,6 @@ const std::vector<support::FlagSpec>& repair_cli_flag_specs() {
        "file (--domain=D, default 4)"},
       {"domain", "D", "value domain for --chain (default 4)"},
       {"cautious", "", "use the cautious baseline (default: lazy)"},
-      {"oneshot", "", "one-shot group quantification (ablation)"},
       {"no-heuristic", "", "disable the reachable-states restriction"},
       {"level", "LEVEL", "masking|failsafe|nonmasking (default masking)"},
       {"print-program", "", "print the synthesized guarded commands"},

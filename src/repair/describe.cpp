@@ -121,9 +121,6 @@ std::vector<std::string> describe_stats(const Stats& stats) {
   line("fault-span states", support::format_state_count(stats.span_states));
   line("outer iterations", count(stats.outer_iterations));
   line("add-masking rounds", count(stats.addmasking_rounds));
-  line("group iterations", count(stats.group_iterations));
-  line("expand accepts", count(stats.expand_successes));
-  line("expand rejects", count(stats.expand_failures));
   line("recovery layers", count(stats.recovery_layers));
   line("deadlock rounds", count(stats.deadlock_rounds));
   line("deadlock states banned",

@@ -130,23 +130,6 @@ void Journal::group_accepted(std::string_view phase, std::size_t process,
   event.num["nodes"] = static_cast<double>(group.node_count());
 }
 
-void Journal::group_rejected(std::string_view phase, std::size_t process,
-                             std::string_view reason, const bdd::Bdd& group,
-                             const bdd::Bdd& pre, const bdd::Bdd& acceptable) {
-  JournalEvent& event = push("group");
-  event.text["phase"] = std::string(phase);
-  event.text["decision"] = "rejected";
-  event.text["reason"] = std::string(reason);
-  event.num["process"] = static_cast<double>(process);
-  if (space_ != nullptr) event.num["trans"] = space_->count_transitions(group);
-  event.num["nodes"] = static_cast<double>(group.node_count());
-  // The claim: some member of `pre` falls outside `acceptable`.
-  event.pre = pre;
-  event.post = acceptable;
-  attach_transition_witness(
-      event, acceptable.valid() ? pre.minus(acceptable) : pre);
-}
-
 void Journal::prune(std::string_view phase, std::string_view reason,
                     std::size_t process, const bdd::Bdd& pre,
                     const bdd::Bdd& post) {
@@ -255,14 +238,6 @@ std::string render_witness(const std::vector<std::string>& names,
   return out;
 }
 
-/// Per-(phase, process, decision, reason) tally of group events in one
-/// round, flushed as one narrative line each.
-struct GroupTally {
-  std::size_t groups = 0;
-  double trans = 0.0;
-  const JournalWitness* witness = nullptr;  // first rejected witness
-};
-
 }  // namespace
 
 std::vector<std::string> describe_journal(const Journal& journal) {
@@ -283,48 +258,14 @@ std::vector<std::string> describe_journal(const Journal& journal) {
     return it == event.text.end() ? std::string() : it->second;
   };
 
-  // Group events are tallied per round and flushed before the next
-  // round-level event, so a big realize pass reads as one line per
-  // (phase, process, decision) instead of one per group.
-  std::map<std::string, GroupTally> tallies;
-  std::vector<std::string> tally_order;
-  const auto flush_groups = [&] {
-    for (const std::string& key : tally_order) {
-      const GroupTally& tally = tallies[key];
-      std::string line = "  " + key + ": " + std::to_string(tally.groups) +
-                         (tally.groups == 1 ? " group" : " groups") + " (" +
-                         fmt_count(tally.trans) + " transitions)";
-      lines.push_back(std::move(line));
-      if (tally.witness != nullptr) {
-        lines.push_back("    e.g. rejected member: " +
-                        render_witness(names, *tally.witness));
-      }
-    }
-    tallies.clear();
-    tally_order.clear();
-  };
-
   lines.push_back("repair journal: algorithm " + journal.algorithm() +
                   ", level " + journal.level());
   for (const JournalEvent& event : journal.events()) {
     if (event.kind == "group") {
-      const std::string decision = text(event, "decision");
-      const std::string reason = text(event, "reason");
-      std::string key = text(event, "phase") + " process " +
-                        process_name(num(event, "process")) + ": " + decision;
-      if (!reason.empty()) key += " (" + reason + ")";
-      auto [it, inserted] = tallies.try_emplace(key);
-      if (inserted) tally_order.push_back(key);
-      it->second.groups += 1;
-      it->second.trans += num(event, "trans");
-      if (decision == "rejected" && it->second.witness == nullptr &&
-          event.witness) {
-        it->second.witness = &*event.witness;
-      }
-      continue;
-    }
-    flush_groups();
-    if (event.kind == "round_start") {
+      lines.push_back("  " + text(event, "phase") + " process " +
+                      process_name(num(event, "process")) + ": accepted " +
+                      fmt_count(num(event, "trans")) + " transitions");
+    } else if (event.kind == "round_start") {
       lines.push_back("round " + fmt_count(num(event, "round")) + ":");
     } else if (event.kind == "fixpoint_round") {
       lines.push_back("  " + text(event, "phase") + " iteration " +
@@ -371,7 +312,6 @@ std::vector<std::string> describe_journal(const Journal& journal) {
                       (reason.empty() ? "" : " (" + reason + ")"));
     }
   }
-  flush_groups();
   return lines;
 }
 

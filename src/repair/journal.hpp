@@ -2,8 +2,8 @@
 
 // Repair decision journal: a structured event sink recording *which*
 // decisions one repair run made — per deadlock round the banned-state
-// count, every group enumerated/accepted/rejected (with the rejection
-// reason), every transition set pruned or added, and the fixpoint
+// count, the groups accepted per process and phase, every transition
+// set pruned (with the reason) or added, and the fixpoint
 // convergence deltas — so the lazy-vs-cautious tradeoff is inspectable
 // per round instead of only through aggregate timings.
 //
@@ -91,16 +91,9 @@ class Journal {
                         std::size_t fixpoint_rounds,
                         std::size_t recovery_layers);
 
-  /// Group accepted into δ_j.
+  /// Groups accepted into δ_j (one union per process and phase).
   void group_accepted(std::string_view phase, std::size_t process,
                       const bdd::Bdd& group);
-
-  /// Group rejected (reason: "closure", "safety" or "cycle") because some
-  /// member of `pre` lies outside `acceptable`; the witness is one such
-  /// member (drawn from pre ∖ acceptable).
-  void group_rejected(std::string_view phase, std::size_t process,
-                      std::string_view reason, const bdd::Bdd& group,
-                      const bdd::Bdd& pre, const bdd::Bdd& acceptable);
 
   /// Transition set pruned from a candidate delta: the pruned set is
   /// pre ∖ post, the witness one of its transitions. No-op when empty.

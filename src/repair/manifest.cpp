@@ -121,15 +121,12 @@ bool Manifest::save(const std::string& path) const {
 std::string options_fingerprint(const Options& options, bool cautious,
                                 bool verify) {
   std::string out = cautious ? "cautious" : "lazy";
-  out += options.group_method == GroupMethod::kOneShot ? "|oneshot"
-                                                       : "|paperloop";
   switch (options.level) {
     case ToleranceLevel::kFailsafe: out += "|failsafe"; break;
     case ToleranceLevel::kNonmasking: out += "|nonmasking"; break;
     case ToleranceLevel::kMasking: out += "|masking"; break;
   }
   out += options.restrict_to_reachable ? "|heuristic=1" : "|heuristic=0";
-  out += options.use_expand_group ? "|expand=1" : "|expand=0";
   out += "|order=";
   out += sym::order::mode_name(options.order_mode);
   if (options.order_mode == sym::order::Mode::kFile) {

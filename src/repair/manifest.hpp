@@ -18,7 +18,7 @@ struct ManifestEntry {
   std::string options_fingerprint;  ///< options_fingerprint() at run time
   /// "ok" | "failed" | "timeout". Only "ok" rows are resume candidates.
   std::string status;
-  std::string algorithm;            ///< display label ("lazy (group loop)")
+  std::string algorithm;            ///< display label ("lazy", "cautious")
   std::string export_path;          ///< repaired-model export ("" if none)
   std::string failure_reason;       ///< non-empty for failed/timeout rows
   std::size_t attempts = 0;         ///< how many times the task ran
@@ -41,7 +41,7 @@ struct ManifestEntry {
 ///   "entries": {
 ///     "<name>": {
 ///       "input_hash": "fnv1a:...", "options": "<fingerprint>",
-///       "status": "ok", "algorithm": "lazy (group loop)",
+///       "status": "ok", "algorithm": "lazy",
 ///       "export": "dir/repaired/<name>.lr", "failure_reason": "",
 ///       "attempts": 1, "seconds": 0.12, "model_states": 48,
 ///       "invariant_states": 14, "span_states": 16,
@@ -74,9 +74,9 @@ class Manifest {
 };
 
 /// Canonical fingerprint of everything that changes a repair's outcome:
-/// algorithm, tolerance level, group method, heuristic/ExpandGroup
-/// toggles, static order, iteration bound and whether the verifier ran. A manifest row
-/// whose fingerprint differs from the current invocation is stale and its
+/// algorithm, tolerance level, heuristic toggle, static order, iteration
+/// bound and whether the verifier ran. A manifest row whose fingerprint
+/// differs from the current invocation is stale and its
 /// task re-runs. Timeout/retry/jobs settings are deliberately excluded:
 /// they bound *when* a result is produced, not *what* it is.
 [[nodiscard]] std::string options_fingerprint(const Options& options,

@@ -27,10 +27,21 @@ namespace lr::repair {
 /// computed exactly instead of over-approximated; it is what lets the
 /// classic Byzantine-agreement solution through (see DESIGN.md).
 ///
-/// Groups are then accepted only when all their members are present;
-/// ExpandGroup (options.use_expand_group) merges groups that differ only in
-/// the value of a readable-but-unwritten variable, which removes an
-/// exponential number of loop iterations when it succeeds.
+/// Lines 7-22 enumerate groups one at a time: pick a transition, build
+/// its group, drop it when a member is missing from the pool, and widen it
+/// with ExpandGroup. Which groups that loop keeps is fixed by the initial
+/// pool, so one universal quantification per process computes them. With
+/// P_j the pool of process j (the don't-care-extended δ' minus self-loops,
+/// restricted to the transitions that write only W_j) and U_j its
+/// unreadable variables,
+///
+///   δ_j = group(j, P_j ∧ T') ∧ ∀U_j,U_j'. (same(U_j) ∧ valid_pair ⇒ P_j).
+///
+/// The ∀ term has no U_j variables left, so it commutes with the ∃ inside
+/// group(): when P_j ⊆ valid_pair (Line 1 conjoins valid_pair, and Step 1
+/// builds δ' inside it), this equals group(j, realizable_subset(j, P_j) ∧ T'),
+/// the groups of span behavior wholly inside the pool (DESIGN.md §6 item 9).
+/// tests/support/group_loops.hpp keeps the paper's loop as the test oracle.
 ///
 /// The returned δ_j contain exactly the accepted groups that carry some
 /// behavior inside `tolerance` (groups entirely outside it are don't-cares

@@ -13,15 +13,12 @@ namespace lr::repair {
 
 class Journal;
 
-/// How Algorithm 2 decomposes a transition predicate into per-process
-/// groups.
+/// Row label of the benchmark harness's table rows, which still carry
+/// the group method that Step 2 and cautious repair once switched on.
+/// Repair ignores it: both realize groups with one ∀ per process
+/// (repair/realize.hpp). To be deleted with the harness's method column.
 enum class GroupMethod {
-  /// The paper's loop (Algorithm 2 lines 7-22): pick a transition, build
-  /// its group, expand it variable-by-variable, include or discard.
   kPaperLoop,
-  /// One universal quantification per process:
-  /// δ_j = Δ_j ∧ ∀U_j,U_j'. (same(U_j) ⇒ Δ_j). Provably computes the same
-  /// set of fully-contained groups; used as an ablation and cross-check.
   kOneShot,
 };
 
@@ -61,9 +58,7 @@ struct Options {
   /// the performance", Section I/VI).
   bool restrict_to_reachable = true;
 
-  /// Enable Algorithm 2's ExpandGroup (lines 13-18).
-  bool use_expand_group = true;
-
+  /// Benchmark row label; repair ignores it (see GroupMethod).
   GroupMethod group_method = GroupMethod::kPaperLoop;
 
   /// Static initial variable order, applied before the model is compiled:
@@ -107,9 +102,11 @@ struct Stats {
 
   std::size_t outer_iterations = 0;       ///< Algorithm 1 repeat rounds
   std::size_t addmasking_rounds = 0;      ///< Step-1 outer fixpoint rounds
-  std::size_t group_iterations = 0;       ///< Algorithm 2 loop iterations
-  std::size_t expand_successes = 0;       ///< accepted ExpandGroup enlargements
-  std::size_t expand_failures = 0;        ///< rejected ExpandGroup enlargements
+  /// Always 0: Step 2 runs no group loop. Kept for the benchmark
+  /// harness, which still reads them; to be deleted with its method column.
+  std::size_t group_iterations = 0;
+  std::size_t expand_successes = 0;
+  std::size_t expand_failures = 0;
   std::size_t recovery_layers = 0;        ///< BFS layers of the fault span
 
   double reachable_states = -1.0;  ///< |Reach(S, δ_P ∪ f)| (table column 1)

@@ -127,13 +127,11 @@ TEST(ShardedFuzzTest, CautiousSuccessesAreSound) {
   const std::size_t count = sweep_models(128);
   FailureLog failures("Cautious");
   std::atomic<int> successes{0};
-  Options options;
-  options.group_method = GroupMethod::kOneShot;
   support::parallel_for(count, sweep_jobs(), [&](std::size_t i) {
     const std::uint64_t seed = testgen::model_seed(base, i);
     support::SplitMix64 rng(seed);
     auto program = testgen::random_program(rng);
-    const RepairResult result = cautious_repair(*program, options);
+    const RepairResult result = cautious_repair(*program);
     if (!result.success) return;
     successes.fetch_add(1, std::memory_order_relaxed);
     const VerifyReport report = verify_masking(*program, result);

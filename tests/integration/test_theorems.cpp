@@ -14,6 +14,7 @@
 #include "repair/cautious.hpp"
 #include "repair/lazy.hpp"
 #include "repair/verify.hpp"
+#include "../support/group_loops.hpp"
 
 namespace lr::repair {
 namespace {
@@ -48,31 +49,39 @@ void check(prog::DistributedProgram& program, const RepairResult& result,
 }
 
 TEST_P(TheoremsTest, LazyGroupLoopIsMaskingAndRealizable) {
+  // Algorithm 2's own loop, run over the repaired program with its fault
+  // span as T', keeps every transition the span uses: Step 2's one-∀
+  // output is a fixpoint of the paper's loop.
   auto program = GetParam().build();
-  check(*program, lazy_repair(*program), "lazy/group-loop");
+  const RepairResult result = lazy_repair(*program);
+  check(*program, result, "lazy/group-loop");
+  if (!result.success) return;
+  const testgen::GroupLoopResult loop = testgen::realize_group_loop(
+      *program, result.delta, result.fault_span, /*expand=*/true);
+  for (std::size_t j = 0; j < program->process_count(); ++j) {
+    EXPECT_TRUE((result.process_deltas[j] & result.fault_span)
+                    .leq(loop.deltas[j]))
+        << "process " << j;
+  }
+  EXPECT_EQ(loop.rejections, 0u);
 }
 
 TEST_P(TheoremsTest, LazyOneShotIsMaskingAndRealizable) {
   auto program = GetParam().build();
-  Options options;
-  options.group_method = GroupMethod::kOneShot;
-  check(*program, lazy_repair(*program, options), "lazy/one-shot");
+  check(*program, lazy_repair(*program), "lazy/one-shot");
 }
 
 TEST_P(TheoremsTest, LazyWithoutHeuristicIsMaskingAndRealizable) {
   auto program = GetParam().build();
   Options options;
   options.restrict_to_reachable = false;
-  options.group_method = GroupMethod::kOneShot;
   check(*program, lazy_repair(*program, options), "lazy/full-space");
 }
 
 TEST_P(TheoremsTest, CautiousIsMaskingAndRealizable) {
   if (!GetParam().run_cautious) GTEST_SKIP() << "cautious not expected here";
   auto program = GetParam().build();
-  Options options;
-  options.group_method = GroupMethod::kOneShot;  // keep the sweep fast
-  check(*program, cautious_repair(*program, options), "cautious");
+  check(*program, cautious_repair(*program), "cautious");
 }
 
 INSTANTIATE_TEST_SUITE_P(

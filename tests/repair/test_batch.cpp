@@ -58,7 +58,6 @@ std::vector<BatchTask> mixed_tasks() {
     BatchTask task;
     task.name = "tmr-cautious";
     task.algorithm = BatchTask::Algorithm::kCautious;
-    task.options.group_method = GroupMethod::kOneShot;
     task.make_program = [] { return cs::make_tmr({}); };
     tasks.push_back(std::move(task));
   }
@@ -103,7 +102,6 @@ TEST(BatchTest, ParallelResultsMatchSequentialExactly) {
     EXPECT_EQ(x.stats.invariant_states, y.stats.invariant_states) << x.name;
     EXPECT_EQ(x.stats.span_states, y.stats.span_states) << x.name;
     EXPECT_EQ(x.stats.outer_iterations, y.stats.outer_iterations) << x.name;
-    EXPECT_EQ(x.stats.group_iterations, y.stats.group_iterations) << x.name;
     EXPECT_EQ(x.stats.bdd.created_nodes, y.stats.bdd.created_nodes) << x.name;
   }
 }
@@ -157,8 +155,7 @@ TEST(BatchTest, RecordsAggregateAndPerTaskMetrics) {
   EXPECT_EQ(m.counter("testbatch.ok"), 1u);
   EXPECT_EQ(m.counter("testbatch.failed"), 0u);
   EXPECT_TRUE(m.has_gauge("testbatch.wall_seconds"));
-  EXPECT_TRUE(m.has_gauge(
-      "testbatch.tmr.lazy (group loop).repair.invariant_states"));
+  EXPECT_TRUE(m.has_gauge("testbatch.tmr.lazy.repair.invariant_states"));
   // The un-prefixed aggregate keys accumulate across the whole batch.
   EXPECT_TRUE(m.has_gauge("repair.invariant_states"));
   support::metrics::registry().clear();
@@ -341,7 +338,7 @@ TEST_F(BatchResumeTest, CorruptedExportInvalidatesTheManifestRow) {
 TEST_F(BatchResumeTest, ChangedOptionsFingerprintInvalidatesTheManifestRow) {
   (void)run_batch(tasks(), batch_options(true));
   std::vector<BatchTask> changed = tasks();
-  changed[0].options.use_expand_group = false;
+  changed[0].options.max_outer_iterations = 63;
   const BatchReport warm = run_batch(changed, batch_options(true));
   EXPECT_EQ(warm.skipped_count(), 0u);
 }

@@ -144,7 +144,7 @@ void verify_witnesses_nonempty(JournalRun& run) {
 }
 
 TEST(JournalTest, LazyWitnessesAreMachineVerified) {
-  // mutex_ring makes lazy's realize reject closure-violating groups, so
+  // mutex_ring makes lazy's realize drop closure-violating groups, so
   // the journal carries transition witnesses to verify.
   JournalRun run = run_with_journal("mutex_ring.lr", /*cautious=*/false);
   EXPECT_TRUE(run.result.success);
@@ -157,7 +157,7 @@ TEST(JournalTest, CautiousWitnessesAreMachineVerified) {
 }
 
 TEST(JournalTest, TmrWitnessesAreMachineVerified) {
-  // tmr journals have no rejections (the unreachable-member tolerance
+  // tmr journals have no prunes (the unreachable-member tolerance
   // covers every ref-flipped group member) — every witness that does
   // appear must still check out, for both algorithms.
   for (const bool cautious : {false, true}) {
@@ -172,10 +172,7 @@ TEST(JournalTest, TmrWitnessesAreMachineVerified) {
 double analysis_pruned_trans(const Journal& journal) {
   double total = 0.0;
   for (const JournalEvent& event : journal.events()) {
-    const bool rejected =
-        event.kind == "prune" ||
-        (event.kind == "group" && text_field(event, "decision") == "rejected");
-    if (!rejected) continue;
+    if (event.kind != "prune") continue;
     if (text_field(event, "phase").rfind("analysis.", 0) == 0) {
       total += num_field(event, "trans");
     }

@@ -126,21 +126,14 @@ TEST(ManifestTest, EraseSimulatesATruncatedSweep) {
 TEST(ManifestTest, FingerprintCoversEveryOutcomeRelevantOption) {
   Options base;
   const std::string fp = options_fingerprint(base, false, true);
-  EXPECT_EQ(fp, "lazy|paperloop|masking|heuristic=1|expand=1|"
-                "order=decl|maxouter=64|verify=1");
+  EXPECT_EQ(fp, "lazy|masking|heuristic=1|order=decl|maxouter=64|verify=1");
   EXPECT_NE(fp, options_fingerprint(base, true, true));   // algorithm
   EXPECT_NE(fp, options_fingerprint(base, false, false)); // verify
   Options changed = base;
   changed.level = ToleranceLevel::kFailsafe;
   EXPECT_NE(fp, options_fingerprint(changed, false, true));
   changed = base;
-  changed.group_method = GroupMethod::kOneShot;
-  EXPECT_NE(fp, options_fingerprint(changed, false, true));
-  changed = base;
   changed.restrict_to_reachable = false;
-  EXPECT_NE(fp, options_fingerprint(changed, false, true));
-  changed = base;
-  changed.use_expand_group = false;
   EXPECT_NE(fp, options_fingerprint(changed, false, true));
   changed = base;
   changed.max_outer_iterations = 7;
