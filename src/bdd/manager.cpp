@@ -217,7 +217,10 @@ NodeId Manager::alloc_node() {
   if (nodes_.size() == detail::kMaxNodes) {
     throw std::length_error("bdd::Manager: node pool is full (2^28 nodes)");
   }
-  nodes_.push_back(Node{});
+  // A free slot until make_node fills it, so grow_buckets leaves it out of
+  // the chains (a var-0 slot would be linked in, and make_node's `next`
+  // write would then cut off the rest of that bucket).
+  nodes_.push_back(Node{kFreeVar, kFalseId, kFalseId, kFalseId, 0});
   if (nodes_.size() > buckets_.size()) grow_buckets();
   return static_cast<NodeId>(nodes_.size() - 1);
 }

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <unordered_set>
+#include <vector>
 
 namespace lr::lang {
 
@@ -39,10 +40,13 @@ bdd::Bdd compile_action(sym::Space& space, const Action& a) {
     // No constraint: the next value is arbitrary within the domain (the
     // domain bound comes from valid_pair below).
   }
-  // Frame rule: everything not written keeps its value.
+  // Frame rule: everything not written keeps its value (one frame,
+  // built deepest-first by Space::unchanged).
+  std::vector<sym::VarId> untouched;
   for (sym::VarId v = 0; v < space.variable_count(); ++v) {
-    if (touched.count(v) == 0) t &= space.unchanged(v);
+    if (touched.count(v) == 0) untouched.push_back(v);
   }
+  t &= space.unchanged(untouched);
   // Keep both endpoints inside the valid encodings of every domain.
   t &= space.valid_pair();
   return t;

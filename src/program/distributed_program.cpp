@@ -1,6 +1,7 @@
 #include "program/distributed_program.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -8,6 +9,21 @@
 #include "symbolic/relation.hpp"
 
 namespace lr::prog {
+
+namespace {
+
+/// The union of `parts` as a balanced tree of ORs: each OR joins two
+/// unions of about the same size, where a left fold would re-walk the
+/// growing union once per part.
+bdd::Bdd balanced_union(sym::Space& space, std::span<const bdd::Bdd> parts) {
+  if (parts.empty()) return space.bdd_false();
+  if (parts.size() == 1) return parts.front();
+  const std::size_t half = parts.size() / 2;
+  return balanced_union(space, parts.first(half)) |
+         balanced_union(space, parts.subspan(half));
+}
+
+}  // namespace
 
 DistributedProgram::DistributedProgram(std::string name,
                                        bdd::Manager::Options options)
@@ -63,6 +79,7 @@ void DistributedProgram::add_bad_transitions(const lang::Expr& predicate) {
 void DistributedProgram::compile() {
   if (compiled_) return;
   compiled_ = true;
+  LR_TRACE_SPAN("program.compile");
 
   const bdd::Bdd valid_pair = space_.valid_pair();
   const bdd::Bdd identity = space_.identity();
@@ -70,23 +87,20 @@ void DistributedProgram::compile() {
   // Per-process transition predicates. Proper transitions only: the
   // stuttering rule of Definition 18 covers self-loops, and the paper's
   // read-restriction groups are defined over state-changing transitions.
-  actions_delta_ = space_.bdd_false();
   process_deltas_.reserve(processes_.size());
   for (const Process& p : processes_) {
-    bdd::Bdd delta = lang::compile_actions(space_, p.actions);
-    delta = delta.minus(identity);
-    process_deltas_.push_back(delta);
-    actions_delta_ |= delta;
+    process_deltas_.push_back(
+        lang::compile_actions(space_, p.actions).minus(identity));
   }
+  actions_delta_ = balanced_union(space_, process_deltas_);
   program_delta_ = stutter_completion(actions_delta_);
 
-  fault_delta_ = space_.bdd_false();
   fault_action_deltas_.reserve(faults_.size());
   for (const lang::Action& fault : faults_) {
-    bdd::Bdd delta = lang::compile_action(space_, fault).minus(identity);
-    fault_delta_ |= delta;
-    fault_action_deltas_.push_back(std::move(delta));
+    fault_action_deltas_.push_back(
+        lang::compile_action(space_, fault).minus(identity));
   }
+  fault_delta_ = balanced_union(space_, fault_action_deltas_);
 
   lang::Compiler compiler(space_);
   if (!invariant_expr_.has_value()) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -88,18 +89,30 @@ void Space::freeze() {
     }
   }
   swap_perm_ = mgr_.register_permutation(perm);
-  // Domain-validity constraints and the identity relation.
+  // Domain-validity constraints and the identity relation, conjoined from
+  // the deepest variable up like unchanged(vs).
+  std::vector<VarId> all(vars_.size());
+  std::iota(all.begin(), all.end(), VarId{0});
   valid_cur_ = mgr_.bdd_true();
   valid_next_ = mgr_.bdd_true();
-  identity_ = mgr_.bdd_true();
-  for (VarId v = 0; v < vars_.size(); ++v) {
+  for (const VarId v : deepest_first(all)) {
     const std::uint32_t domain = vars_[v].domain;
     if ((1u << vars_[v].bits) != domain) {
-      valid_cur_ &= value_lt(v, domain, Version::kCurrent);
-      valid_next_ &= value_lt(v, domain, Version::kNext);
+      valid_cur_ = value_lt(v, domain, Version::kCurrent) & valid_cur_;
+      valid_next_ = value_lt(v, domain, Version::kNext) & valid_next_;
     }
-    identity_ &= unchanged(v);
   }
+  valid_pair_ = valid_cur_ & valid_next_;
+  identity_ = unchanged(all);
+}
+
+std::vector<VarId> Space::deepest_first(std::span<const VarId> vs) const {
+  std::vector<VarId> sorted(vs.begin(), vs.end());
+  std::sort(sorted.begin(), sorted.end(), [this](VarId a, VarId b) {
+    return mgr_.level_of(vars_[a].cur_bits[0]) >
+           mgr_.level_of(vars_[b].cur_bits[0]);
+  });
+  return sorted;
 }
 
 bdd::Bdd Space::value_eq(VarId v, std::uint32_t value, Version ver) {
@@ -165,8 +178,11 @@ bdd::Bdd Space::unchanged(VarId v) {
 }
 
 bdd::Bdd Space::unchanged(std::span<const VarId> vs) {
+  // Deepest first, each new conjunct on the left: every AND then walks the
+  // small conjunct above the accumulated frame instead of re-walking the
+  // growing frame once per variable.
   bdd::Bdd result = mgr_.bdd_true();
-  for (const VarId v : vs) result &= unchanged(v);
+  for (const VarId v : deepest_first(vs)) result = unchanged(v) & result;
   return result;
 }
 
@@ -182,7 +198,7 @@ bdd::Bdd Space::valid(Version ver) {
 
 bdd::Bdd Space::valid_pair() {
   freeze();
-  return valid_cur_ & valid_next_;
+  return valid_pair_;
 }
 
 bdd::Bdd Space::cube(Version ver) {
@@ -384,7 +400,7 @@ double Space::count_states(const bdd::Bdd& set) {
 
 double Space::count_transitions(const bdd::Bdd& rel) {
   freeze();
-  bdd::Bdd counted = rel & valid_cur_ & valid_next_;
+  bdd::Bdd counted = rel & valid_pair_;
   return mgr_.sat_count(counted, 2 * bits_per_state_);
 }
 
@@ -425,7 +441,7 @@ void Space::foreach_transition(
     const std::function<void(std::span<const std::uint32_t>,
                              std::span<const std::uint32_t>)>& fn) {
   freeze();
-  const bdd::Bdd constrained = rel & valid_cur_ & valid_next_;
+  const bdd::Bdd constrained = rel & valid_pair_;
   const bdd::Bdd both = cube_cur_ & cube_next_;
   std::vector<std::uint32_t> from(vars_.size());
   std::vector<std::uint32_t> to(vars_.size());
@@ -505,7 +521,7 @@ std::optional<std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>>
 Space::witness_transition(const bdd::Bdd& rel) {
   freeze();
   const std::vector<signed char> bits =
-      bdd::sat_one(mgr_, rel & valid_cur_ & valid_next_);
+      bdd::sat_one(mgr_, rel & valid_pair_);
   if (bits.empty()) return std::nullopt;
   std::vector<std::uint32_t> from(vars_.size(), 0u);
   std::vector<std::uint32_t> to(vars_.size(), 0u);

@@ -89,7 +89,8 @@ class Space {
   /// Transition predicate "v keeps its value": v' == v.
   [[nodiscard]] bdd::Bdd unchanged(VarId v);
 
-  /// Conjunction of unchanged(v) over the given variables.
+  /// Conjunction of unchanged(v) over the given variables, built deepest
+  /// level first so that each AND only walks the new conjunct.
   [[nodiscard]] bdd::Bdd unchanged(std::span<const VarId> vs);
 
   /// The identity transition relation (every variable unchanged).
@@ -238,6 +239,10 @@ class Space {
 
  private:
   void freeze();
+  /// `vs` sorted by the level of each variable's first current bit,
+  /// deepest first (the order the frame conjunctions are built in).
+  [[nodiscard]] std::vector<VarId> deepest_first(
+      std::span<const VarId> vs) const;
   [[nodiscard]] const std::vector<bdd::VarIndex>& bits_of(VarId v,
                                                           Version ver) const {
     return ver == Version::kCurrent ? vars_[v].cur_bits : vars_[v].next_bits;
@@ -260,6 +265,7 @@ class Space {
   bdd::Bdd cube_next_;
   bdd::Bdd valid_cur_;
   bdd::Bdd valid_next_;
+  bdd::Bdd valid_pair_;
   bdd::Bdd identity_;
   std::optional<bdd::PermId> swap_perm_;
 };

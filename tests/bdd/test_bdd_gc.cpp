@@ -341,5 +341,43 @@ TEST(BddGcTest, NodePoolGrowsBeyondInitialCapacity) {
   EXPECT_FALSE(f.is_false());
 }
 
+TEST(BddGcTest, PoolGrowthKeepsEveryNodeFindable) {
+  // Each pool growth rehashes the unique table while the slot it just
+  // pushed is still blank. A node the rehash loses from its chain stays
+  // live but unfindable, so rebuilding its function makes a duplicate and
+  // `==` (an id comparison) fails on equal functions. Cubes conjoined
+  // deepest-first leave no dead intermediates: every node in the table
+  // belongs to a kept cube and is looked up again by the rebuild.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Manager::Options opts;
+    opts.initial_capacity = 64;
+    Manager mgr(opts);
+    std::vector<VarIndex> vars;
+    for (int i = 0; i < 24; ++i) vars.push_back(mgr.new_var());
+    const auto random_cube = [&](lr::support::SplitMix64 rng) {
+      Bdd cube = mgr.bdd_true();
+      for (auto v = vars.rbegin(); v != vars.rend(); ++v) {
+        if (rng.flip()) {
+          cube = (rng.flip() ? mgr.bdd_var(*v) : mgr.bdd_nvar(*v)) & cube;
+        }
+      }
+      return cube;
+    };
+    std::vector<lr::support::SplitMix64> cube_seeds;
+    lr::support::SplitMix64 rng(seed);
+    for (int i = 0; i < 4000; ++i) cube_seeds.emplace_back(rng.next());
+    std::vector<Bdd> built;
+    for (const auto& cube_seed : cube_seeds) {
+      built.push_back(random_cube(cube_seed));
+    }
+    EXPECT_GT(mgr.live_nodes(), 16 * opts.initial_capacity);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < cube_seeds.size(); ++i) {
+      if (random_cube(cube_seeds[i]) != built[i]) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace lr::bdd

@@ -241,5 +241,56 @@ TEST_F(ActionTest, OutOfDomainAssignmentYieldsNoTransitions) {
       t, space_.cube(Version::kNext))));
 }
 
+/// compile_action as the ascending left fold builds it: guard, assigned
+/// values, one unchanged(v) per untouched variable, then valid_pair.
+Bdd compile_action_by_left_fold(Space& space, const Action& a) {
+  Compiler compiler(space);
+  Bdd t = compiler.compile_bool(a.guard);
+  std::vector<bool> touched(space.variable_count(), false);
+  for (const Assignment& assign : a.assigns) {
+    touched[assign.var] = true;
+    Bdd alt = space.bdd_false();
+    for (const Expr& e : assign.alternatives) {
+      alt |= compiler.compile_bool(Expr::next(assign.var) == e);
+    }
+    t &= alt;
+  }
+  for (const VarId v : a.havoc) touched[v] = true;
+  for (VarId v = 0; v < space.variable_count(); ++v) {
+    if (!touched[v]) t &= space.unchanged(v);
+  }
+  return t & space.valid_pair();
+}
+
+TEST(CompileActionTest, FrameEqualsTheLeftFold) {
+  Space space;
+  const VarId a = space.add_variable("a", 3);
+  const VarId b = space.add_variable("b", 4);
+  const VarId c = space.add_variable("c", 5);
+  const VarId d = space.add_variable("d", 2);
+  const VarId e = space.add_variable("e", 7);
+  const std::vector<Action> actions = {
+      action("havoc", Expr::var(a) == 1u).havoc_var(c),
+      action("havoc2", Expr::var(e) != 0u).havoc_var(b).havoc_var(e),
+      action("multi", Expr::var(b) < Expr::var(c))
+          .assign(a, Expr::var(d))
+          .assign(e, Expr::var(c) + 1u)
+          .assign(b, Expr::constant(0)),
+      action("choose", Expr::var(d) == 0u)
+          .choose(c, {Expr::constant(1), Expr::var(a), Expr::var(b) + 2u}),
+      action("all", Expr::bool_const(true))
+          .assign(a, Expr::constant(2))
+          .assign(b, Expr::constant(3))
+          .assign(c, Expr::constant(4))
+          .assign(d, Expr::constant(1))
+          .assign(e, Expr::constant(6)),
+  };
+  for (const Action& act : actions) {
+    EXPECT_EQ(compile_action(space, act),
+              compile_action_by_left_fold(space, act))
+        << act.name;
+  }
+}
+
 }  // namespace
 }  // namespace lr::lang

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "bdd/order.hpp"
 #include "symbolic/space.hpp"
 
 namespace lr::sym {
@@ -101,6 +104,64 @@ TEST(SpaceTest, UnchangedAndIdentity) {
   EXPECT_FALSE(space.transition(s1, s2).leq(space.identity()));
   EXPECT_TRUE(space.transition(s1, s2).leq(space.unchanged(a)));
   EXPECT_FALSE(space.transition(s1, s2).leq(space.unchanged(b)));
+}
+
+/// The frames and domain constraints as the ascending left fold builds
+/// them, against Space's deepest-first builds: equal functions share one
+/// node, so each pair must have the same id.
+void expect_frames_match_left_fold(Space& space) {
+  std::vector<VarId> all(space.variable_count());
+  for (VarId v = 0; v < all.size(); ++v) all[v] = v;
+  std::vector<VarId> reversed(all.rbegin(), all.rend());
+  std::vector<VarId> odd;
+  for (VarId v = 1; v < all.size(); v += 2) odd.push_back(v);
+  const std::vector<VarId> scrambled = {3, 0, 5, 1};
+  for (const std::vector<VarId>& vs : {all, reversed, odd, scrambled}) {
+    Bdd fold = space.bdd_true();
+    for (const VarId v : vs) fold &= space.unchanged(v);
+    EXPECT_EQ(space.unchanged(vs), fold) << vs.size() << " variables";
+  }
+  Bdd identity = space.bdd_true();
+  Bdd valid_cur = space.bdd_true();
+  Bdd valid_next = space.bdd_true();
+  for (const VarId v : all) {
+    identity &= space.unchanged(v);
+    const std::uint32_t domain = space.info(v).domain;
+    valid_cur &= space.value_lt(v, domain, Version::kCurrent);
+    valid_next &= space.value_lt(v, domain, Version::kNext);
+  }
+  EXPECT_EQ(space.identity(), identity);
+  EXPECT_EQ(space.valid(Version::kCurrent), valid_cur);
+  EXPECT_EQ(space.valid(Version::kNext), valid_next);
+  EXPECT_EQ(space.valid_pair(), valid_cur & valid_next);
+}
+
+TEST(SpaceTest, FramesEqualTheLeftFoldUnderAnyOrder) {
+  Space space;
+  for (const std::uint32_t domain : {3u, 2u, 5u, 8u, 6u, 1u, 7u}) {
+    (void)space.add_variable("v" + std::to_string(domain), domain);
+  }
+  expect_frames_match_left_fold(space);
+  // Reverse the variables, each keeping its interleaved bit pairs, then
+  // swap every other pair of variables back: frames built afterwards
+  // sort by the new levels.
+  bdd::Manager& mgr = space.manager();
+  std::vector<VarId> var_order(space.variable_count());
+  for (VarId v = 0; v < var_order.size(); ++v) {
+    var_order[v] = static_cast<VarId>(var_order.size() - 1 - v);
+  }
+  for (std::size_t i = 0; i + 1 < var_order.size(); i += 4) {
+    std::swap(var_order[i], var_order[i + 1]);
+  }
+  std::vector<bdd::VarIndex> target;
+  for (const VarId v : var_order) {
+    for (std::uint32_t b = 0; b < space.info(v).bits; ++b) {
+      target.push_back(space.info(v).cur_bits[b]);
+      target.push_back(space.info(v).next_bits[b]);
+    }
+  }
+  ASSERT_GT(bdd::order::apply_order(mgr, target), 0u);
+  expect_frames_match_left_fold(space);
 }
 
 TEST(SpaceTest, PrimeUnprimeRoundTrip) {
