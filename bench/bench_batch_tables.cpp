@@ -1,30 +1,28 @@
-// Batch driver for the three paper tables: runs every Table I / II-a /
-// II-b configuration as one task list through the batch executor and
-// writes one merged JSON report — the checked-in BENCH_seed.json baseline
-// (see EXPERIMENTS.md "Benchmark baseline").
+// The driver for the paper's experiments: Table I (BA^n, lazy vs.
+// cautious), Table II-a (BAFS^n), Table II-b (Sc^n, domain 8) and
+// Ablation A1 (the Step-1 reachability heuristic on BAFS^n). Every row of
+// the chosen tables runs as one task list through the batch executor; the
+// driver then prints one titled table per artifact. `Steps` is the task's
+// op-cache lookups (stats.bdd.cache_lookups): deterministic work, the same
+// at every --jobs, printed next to the seconds, which are not.
 //
 // Usage:
-//   bench_batch_tables [--jobs=N] [--compare-jobs=M] [--order=decl|auto]
-//                      [--table=1|2|3|all] [--metrics-json=FILE]
-//                      [--trace-out=FILE]
+//   bench_batch_tables [--table=1|2|3|a1|all] [--jobs=N]
+//                      [--metrics-json=FILE] [--trace-out=FILE]
 //
-// --compare-jobs runs the sweep a second time at M jobs and reports the
-// wall-clock ratio (the batching speedup; meaningful only on multi-core
-// hardware — this is the number the ROADMAP's scaling trajectory tracks).
-//
-// --order=auto picks a static variable order per task (the interleave and
-// adjacency heuristics are its candidates; forcing one of them on a
-// hostile family blows up — EXPERIMENTS.md "Variable order"); --table
-// restricts the sweep to one paper table. CI sweeps --order=auto against
-// the committed BENCH_order.json baseline.
+// --table picks one artifact (default all four). --jobs sets the number of
+// concurrent repairs (default: the hardware threads). Exits 0 when every
+// row repaired, 1 when a row failed or a report could not be written, 2 on
+// a usage error.
 
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "repair/batch.hpp"
 #include "support/cli.hpp"
-#include "symbolic/order_heur.hpp"
 #include "support/metrics.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -32,10 +30,42 @@
 #include "support/trace.hpp"
 #include "table_specs.hpp"
 
+namespace {
+
+using lr::repair::BatchTask;
+
+struct Artifact {
+  const char* title;
+  std::vector<BatchTask> tasks;
+};
+
+/// Ablation A1: lazy repair on BAFS^n with and without the Step-1
+/// restriction to the states the fault-intolerant program reaches under
+/// faults (paper, Section V-A: "a pure lazy repair approach does not
+/// improve the performance"). BAFS's full space (24^n states) dwarfs its
+/// reachable set, which makes the contrast visible.
+std::vector<BatchTask> ablation_a1_tasks() {
+  std::vector<BatchTask> tasks;
+  for (const bool heuristic : {true, false}) {
+    for (const std::size_t n : {4, 6, 8, 10}) {
+      BatchTask task = lr::bench::byzantine_task(
+          n, true, BatchTask::Algorithm::kLazy,
+          lr::repair::GroupMethod::kOneShot);
+      task.options.restrict_to_reachable = heuristic;
+      task.algorithm_label = heuristic ? "lazy (reachable)"
+                                       : "lazy (full space)";
+      tasks.push_back(std::move(task));
+    }
+  }
+  return tasks;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const lr::support::CommandLine cli(argc, argv);
-  static const char* const kFlags[] = {"jobs",  "compare-jobs", "order",
-                                       "table", "metrics-json", "trace-out"};
+  static const char* const kFlags[] = {"jobs", "table", "metrics-json",
+                                       "trace-out"};
   for (const std::string& name : cli.option_names()) {
     if (std::find(std::begin(kFlags), std::end(kFlags), name) ==
         std::end(kFlags)) {
@@ -43,88 +73,80 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+
+  using lr::bench::distinct_repairs;
+  const std::string which = cli.get("table", "all");
+  std::vector<Artifact> artifacts;
+  if (which == "all" || which == "1") {
+    artifacts.push_back({"Table I — Byzantine agreement: cautious vs. lazy",
+                         distinct_repairs(lr::bench::table1_tasks())});
+  }
+  if (which == "all" || which == "2") {
+    artifacts.push_back(
+        {"Table II-a — Byzantine agreement with fail-stop faults",
+         distinct_repairs(lr::bench::table2_tasks())});
+  }
+  if (which == "all" || which == "3") {
+    artifacts.push_back({"Table II-b — Stabilizing chain (domain 8)",
+                         distinct_repairs(lr::bench::table3_tasks())});
+  }
+  if (which == "all" || which == "a1") {
+    artifacts.push_back({"Ablation A1 — Step-1 reachability heuristic",
+                         ablation_a1_tasks()});
+  }
+  if (artifacts.empty()) {
+    std::fprintf(stderr, "unknown table '%s' (1|2|3|a1|all)\n", which.c_str());
+    return 2;
+  }
+
   const std::string trace_path = cli.get("trace-out", "");
   if (!trace_path.empty()) lr::support::trace::start();
 
-  const std::string which_table = cli.get("table", "all");
-  std::vector<lr::repair::BatchTask> tasks;
-  if (which_table == "all" || which_table == "1") {
-    for (auto& t : lr::bench::table1_tasks()) tasks.push_back(std::move(t));
+  // One batch over every artifact's rows, so --jobs spreads the whole
+  // sweep; results come back in task order, artifact by artifact.
+  std::vector<BatchTask> tasks;
+  for (const Artifact& artifact : artifacts) {
+    tasks.insert(tasks.end(), artifact.tasks.begin(), artifact.tasks.end());
   }
-  if (which_table == "all" || which_table == "2") {
-    for (auto& t : lr::bench::table2_tasks()) tasks.push_back(std::move(t));
-  }
-  if (which_table == "all" || which_table == "3") {
-    for (auto& t : lr::bench::table3_tasks()) tasks.push_back(std::move(t));
-  }
-  if (tasks.empty()) {
-    std::fprintf(stderr, "unknown table '%s' (1|2|3|all)\n",
-                 which_table.c_str());
-    return 2;
-  }
-  tasks = lr::bench::distinct_repairs(std::move(tasks));
-
-  if (cli.has("order")) {
-    const std::string order_arg = cli.get("order", "");
-    if (order_arg != "decl" && order_arg != "auto") {
-      std::fprintf(stderr, "unknown order mode '%s' (decl|auto)\n",
-                   order_arg.c_str());
-      return 2;
-    }
-    const lr::sym::order::Mode mode = *lr::sym::order::parse_mode(order_arg);
-    for (lr::repair::BatchTask& task : tasks) task.options.order_mode = mode;
-  }
-
-  const auto jobs = static_cast<std::size_t>(cli.get_int(
+  const auto jobs = cli.get_int(
       "jobs",
-      static_cast<std::int64_t>(lr::support::ThreadPool::hardware_threads())));
-
+      static_cast<std::int64_t>(lr::support::ThreadPool::hardware_threads()));
   lr::repair::BatchOptions options;
-  options.jobs = jobs == 0 ? 1 : jobs;
+  options.jobs = jobs < 1 ? 1 : static_cast<std::size_t>(jobs);
   options.metrics_prefix = "bench";
-  const lr::repair::BatchReport report =
-      lr::repair::run_batch(tasks, options);
+  const lr::repair::BatchReport report = lr::repair::run_batch(tasks, options);
 
-  lr::support::Table table({"Instance", "Algorithm", "Reachable states",
-                            "Step 1", "Step 2", "Total", "|S'|", "Result"});
-  for (const lr::repair::BatchItemResult& item : report.items) {
-    table.add_row({item.name, item.algorithm,
-                   lr::support::format_state_count(item.stats.reachable_states),
-                   lr::support::format_duration(item.stats.step1_seconds),
-                   lr::support::format_duration(item.stats.step2_seconds),
-                   lr::support::format_duration(item.seconds),
-                   lr::support::format_state_count(item.stats.invariant_states),
-                   item.ok() ? "ok" : "FAILED"});
+  std::size_t next = 0;
+  for (const Artifact& artifact : artifacts) {
+    lr::support::Table table({"Instance", "Algorithm", "Reachable states",
+                              "Step 1", "Step 2", "Total", "Steps",
+                              "S' states", "Result"});
+    for (std::size_t i = 0; i < artifact.tasks.size(); ++i, ++next) {
+      const lr::repair::BatchItemResult& item = report.items[next];
+      // Cautious repair has no Step 2: its one phase is reported as Step 1.
+      const bool cautious =
+          artifact.tasks[i].algorithm == BatchTask::Algorithm::kCautious;
+      table.add_row(
+          {item.name, item.algorithm,
+           lr::support::format_state_count(item.stats.reachable_states),
+           lr::support::format_duration(item.stats.step1_seconds),
+           cautious ? "-"
+                    : lr::support::format_duration(item.stats.step2_seconds),
+           lr::support::format_duration(item.seconds),
+           std::to_string(item.stats.bdd.cache_lookups),
+           lr::support::format_state_count(item.stats.invariant_states),
+           item.ok() ? "ok" : "FAILED"});
+    }
+    std::printf("=== %s ===\n", artifact.title);
+    table.print(std::cout);
+    std::printf("\n");
   }
-  std::printf("=== Tables I + II-a + II-b, batched ===\n");
-  table.print(std::cout);
-  std::printf("\nsweep: %zu/%zu ok, wall %.3fs (jobs=%zu)\n",
-              report.ok_count(), report.items.size(), report.wall_seconds,
-              report.jobs);
+  std::printf("sweep: %zu/%zu ok, wall %.3fs (jobs=%zu)\n", report.ok_count(),
+              report.items.size(), report.wall_seconds, report.jobs);
+  lr::support::metrics::registry().set_gauge(
+      "bench.hardware_threads",
+      static_cast<double>(lr::support::ThreadPool::hardware_threads()));
 
-  lr::support::metrics::Registry& m = lr::support::metrics::registry();
-  const std::int64_t compare_jobs = cli.get_int("compare-jobs", 0);
-  if (compare_jobs > 0) {
-    lr::repair::BatchOptions compare_options;
-    compare_options.jobs = static_cast<std::size_t>(compare_jobs);
-    compare_options.record_metrics = false;  // keep per-task keys from run 1
-    const lr::repair::BatchReport compare =
-        lr::repair::run_batch(tasks, compare_options);
-    const double speedup = compare.wall_seconds > 0.0
-                               ? compare.wall_seconds / report.wall_seconds
-                               : 0.0;
-    std::printf("compare: wall %.3fs at jobs=%zu vs %.3fs at jobs=%zu "
-                "(speedup %.2fx)\n",
-                compare.wall_seconds, compare.jobs, report.wall_seconds,
-                report.jobs, speedup);
-    m.set_gauge("bench.compare.jobs", static_cast<double>(compare.jobs));
-    m.set_gauge("bench.compare.wall_seconds", compare.wall_seconds);
-    m.set_gauge("bench.compare.speedup", speedup);
-  }
-  m.set_gauge("bench.hardware_threads",
-              static_cast<double>(lr::support::ThreadPool::hardware_threads()));
-
-  const std::string metrics_path = cli.get("metrics-json", "");
   bool ok = true;
   if (!trace_path.empty()) {
     lr::support::trace::stop();
@@ -133,6 +155,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
+  const std::string metrics_path = cli.get("metrics-json", "");
   if (!metrics_path.empty() &&
       !lr::support::metrics::write_json_file(metrics_path)) {
     std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());

@@ -1,15 +1,14 @@
 #pragma once
 
-// The Table I–III sweep configurations, shared between the
-// google-benchmark binaries (serial, per-configuration measurement) and
-// the batch driver (`--batch-jobs=N`: the whole sweep as one
-// repair::run_batch call). Keeping one spec list guarantees the two paths
-// repair identical instances.
+// The configurations of Table I (BA^n), Table II-a (BAFS^n) and Table
+// II-b (Sc^n), shared between the paper-table driver
+// (bench_batch_tables.cpp) and the lr_bench workloads. Keeping one spec
+// list guarantees both repair identical instances.
 //
 // Each row still names a group method, which repair ignores (see
 // repair::GroupMethod): the lr_bench harness keys its rows on (name,
 // algorithm, method). Rows that differ only in that label repeat one
-// repair, and the sweeps run it once (distinct_repairs).
+// repair, and the driver runs it once (distinct_repairs).
 
 #include <algorithm>
 #include <cstddef>
@@ -66,8 +65,7 @@ inline std::vector<BatchTask> distinct_repairs(std::vector<BatchTask> tasks) {
   return out;
 }
 
-/// Table I — Byzantine agreement, cautious vs. lazy. Mirrors the
-/// BENCHMARK registrations in bench_table1_byzantine.cpp.
+/// Table I — Byzantine agreement, cautious vs. lazy.
 inline std::vector<BatchTask> table1_tasks() {
   std::vector<BatchTask> tasks;
   for (std::size_t n = 3; n <= 7; ++n) {

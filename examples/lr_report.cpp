@@ -4,7 +4,6 @@
 //
 // Usage:
 //   lr_report BASELINE.json CURRENT.json [options]
-//   lr_report CURRENT.json [options]          (baseline: BENCH_seed.json)
 //   lr_report --journal A.jsonl B.jsonl       (decision-journal diff)
 //   lr_report --flame A.collapsed B.collapsed (call-path profile diff)
 //   lr_report --order A.json B.json           (order-profile diff)
@@ -33,8 +32,9 @@
 // usage or parse error. Keys present on only one side and ratios with a
 // zero baseline print "n/a" instead of being skipped or dividing by
 // zero; a zero-baseline gate with a nonzero current fails the gate. CI
-// runs this against the committed BENCH_seed.json so a slowdown in the
-// repair engine fails the build instead of landing silently.
+// runs the --flame form against the committed BENCH_flame.collapsed, so
+// a growth in the repair engine's symbolic work fails the build instead
+// of landing silently.
 
 #include <algorithm>
 #include <cmath>
@@ -55,7 +55,6 @@
 
 namespace {
 
-constexpr const char* kDefaultBaseline = "BENCH_seed.json";
 constexpr const char* kDefaultKey = "bench.wall_seconds";
 constexpr double kListThreshold = 0.10;  ///< |ratio - 1| to list by default
 
@@ -500,21 +499,16 @@ int main(int argc, char** argv) {
     }
     return run_journal_diff(paths[0], paths[1]);
   }
-  if (cli.positional().empty() || cli.positional().size() > 2) {
+  if (cli.positional().size() != 2) {
     std::fprintf(stderr,
-                 "usage: %s [BASELINE.json] CURRENT.json [--key=NAME]\n"
+                 "usage: %s BASELINE.json CURRENT.json [--key=NAME]\n"
                  "       [--max-ratio=R] [--filter=SUBSTR] [--all]\n"
-                 "       %s --journal A.jsonl B.jsonl\n"
-                 "(one positional compares against %s)\n",
-                 cli.program().c_str(), cli.program().c_str(),
-                 kDefaultBaseline);
+                 "       %s --journal A.jsonl B.jsonl\n",
+                 cli.program().c_str(), cli.program().c_str());
     return 2;
   }
-  const bool have_baseline = cli.positional().size() == 2;
-  const std::string baseline_path =
-      have_baseline ? cli.positional()[0] : kDefaultBaseline;
-  const std::string current_path =
-      have_baseline ? cli.positional()[1] : cli.positional()[0];
+  const std::string baseline_path = cli.positional()[0];
+  const std::string current_path = cli.positional()[1];
   const std::string gate_key = cli.get("key", kDefaultKey);
   const std::string filter = cli.get("filter", "");
   const bool all = cli.has("all");

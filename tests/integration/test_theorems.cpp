@@ -66,11 +66,6 @@ TEST_P(TheoremsTest, LazyGroupLoopIsMaskingAndRealizable) {
   EXPECT_EQ(loop.rejections, 0u);
 }
 
-TEST_P(TheoremsTest, LazyOneShotIsMaskingAndRealizable) {
-  auto program = GetParam().build();
-  check(*program, lazy_repair(*program), "lazy/one-shot");
-}
-
 TEST_P(TheoremsTest, LazyWithoutHeuristicIsMaskingAndRealizable) {
   auto program = GetParam().build();
   Options options;

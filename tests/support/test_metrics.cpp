@@ -101,8 +101,8 @@ TEST(MetricsTest, EmptyRegistrySerializesToEmptyFamilies) {
 
 TEST(MetricsTest, ReportKeysAreSortedAndByteDeterministic) {
   // Two registries fed the same values in different orders must serialize
-  // byte-identically, with keys in sorted order — the guarantee the
-  // bench-regression diffing (lr_report) and the CI artifacts rely on.
+  // byte-identically, with keys in sorted order — the guarantee that
+  // lr_report's diffs of two run reports and the CI artifacts rely on.
   Registry a;
   a.add("z.counter", 7);
   a.add("a.counter", 1);
