@@ -1,8 +1,10 @@
 // The driver for the paper's experiments: Table I (BA^n, lazy vs.
 // cautious), Table II-a (BAFS^n), Table II-b (Sc^n, domain 8) and
 // Ablation A1 (the Step-1 reachability heuristic on BAFS^n). Every row of
-// the chosen tables runs as one task list through the batch executor; the
-// driver then prints one titled table per artifact. `Steps` is the task's
+// the chosen tables runs as one task list through the batch executor, and
+// a repair that two artifacts share (A1's reachable rows are Table II-a's
+// lazy rows) runs once; the driver then prints one titled table per
+// artifact. `Steps` is the task's
 // op-cache lookups (stats.bdd.cache_lookups): deterministic work, the same
 // at every --jobs, printed next to the seconds, which are not.
 //
@@ -34,10 +36,37 @@ namespace {
 
 using lr::repair::BatchTask;
 
+/// One printed row: a repair of the sweep and the label it prints under.
+struct Row {
+  std::size_t task;   ///< index into the sweep's task list
+  std::string label;  ///< the row's own algorithm label; empty: the task's
+};
+
 struct Artifact {
   const char* title;
-  std::vector<BatchTask> tasks;
+  std::vector<Row> rows;
 };
+
+/// Appends `artifact_tasks` to the sweep, reusing an earlier task that
+/// makes the same repair (name, algorithm, Step-1 restriction), and returns
+/// the artifact's rows in order.
+std::vector<Row> add_rows(std::vector<BatchTask>& sweep,
+                          std::vector<BatchTask> artifact_tasks) {
+  std::vector<Row> rows;
+  for (BatchTask& task : artifact_tasks) {
+    std::string label = task.algorithm_label;
+    const auto same = std::find_if(
+        sweep.begin(), sweep.end(), [&task](const BatchTask& kept) {
+          return kept.name == task.name && kept.algorithm == task.algorithm &&
+                 kept.options.restrict_to_reachable ==
+                     task.options.restrict_to_reachable;
+        });
+    const auto index = static_cast<std::size_t>(same - sweep.begin());
+    if (same == sweep.end()) sweep.push_back(std::move(task));
+    rows.push_back({index, std::move(label)});
+  }
+  return rows;
+}
 
 /// Ablation A1: lazy repair on BAFS^n with and without the Step-1
 /// restriction to the states the fault-intolerant program reaches under
@@ -76,23 +105,28 @@ int main(int argc, char** argv) {
 
   using lr::bench::distinct_repairs;
   const std::string which = cli.get("table", "all");
+  // One batch over every artifact's rows, so --jobs spreads the whole
+  // sweep; results come back in task order.
+  std::vector<BatchTask> tasks;
   std::vector<Artifact> artifacts;
   if (which == "all" || which == "1") {
-    artifacts.push_back({"Table I — Byzantine agreement: cautious vs. lazy",
-                         distinct_repairs(lr::bench::table1_tasks())});
+    artifacts.push_back(
+        {"Table I — Byzantine agreement: cautious vs. lazy",
+         add_rows(tasks, distinct_repairs(lr::bench::table1_tasks()))});
   }
   if (which == "all" || which == "2") {
     artifacts.push_back(
         {"Table II-a — Byzantine agreement with fail-stop faults",
-         distinct_repairs(lr::bench::table2_tasks())});
+         add_rows(tasks, distinct_repairs(lr::bench::table2_tasks()))});
   }
   if (which == "all" || which == "3") {
-    artifacts.push_back({"Table II-b — Stabilizing chain (domain 8)",
-                         distinct_repairs(lr::bench::table3_tasks())});
+    artifacts.push_back(
+        {"Table II-b — Stabilizing chain (domain 8)",
+         add_rows(tasks, distinct_repairs(lr::bench::table3_tasks()))});
   }
   if (which == "all" || which == "a1") {
     artifacts.push_back({"Ablation A1 — Step-1 reachability heuristic",
-                         ablation_a1_tasks()});
+                         add_rows(tasks, ablation_a1_tasks())});
   }
   if (artifacts.empty()) {
     std::fprintf(stderr, "unknown table '%s' (1|2|3|a1|all)\n", which.c_str());
@@ -102,12 +136,6 @@ int main(int argc, char** argv) {
   const std::string trace_path = cli.get("trace-out", "");
   if (!trace_path.empty()) lr::support::trace::start();
 
-  // One batch over every artifact's rows, so --jobs spreads the whole
-  // sweep; results come back in task order, artifact by artifact.
-  std::vector<BatchTask> tasks;
-  for (const Artifact& artifact : artifacts) {
-    tasks.insert(tasks.end(), artifact.tasks.begin(), artifact.tasks.end());
-  }
   const auto jobs = cli.get_int(
       "jobs",
       static_cast<std::int64_t>(lr::support::ThreadPool::hardware_threads()));
@@ -116,18 +144,17 @@ int main(int argc, char** argv) {
   options.metrics_prefix = "bench";
   const lr::repair::BatchReport report = lr::repair::run_batch(tasks, options);
 
-  std::size_t next = 0;
   for (const Artifact& artifact : artifacts) {
     lr::support::Table table({"Instance", "Algorithm", "Reachable states",
                               "Step 1", "Step 2", "Total", "Steps",
                               "S' states", "Result"});
-    for (std::size_t i = 0; i < artifact.tasks.size(); ++i, ++next) {
-      const lr::repair::BatchItemResult& item = report.items[next];
+    for (const Row& row : artifact.rows) {
+      const lr::repair::BatchItemResult& item = report.items[row.task];
       // Cautious repair has no Step 2: its one phase is reported as Step 1.
       const bool cautious =
-          artifact.tasks[i].algorithm == BatchTask::Algorithm::kCautious;
+          tasks[row.task].algorithm == BatchTask::Algorithm::kCautious;
       table.add_row(
-          {item.name, item.algorithm,
+          {item.name, row.label.empty() ? item.algorithm : row.label,
            lr::support::format_state_count(item.stats.reachable_states),
            lr::support::format_duration(item.stats.step1_seconds),
            cautious ? "-"

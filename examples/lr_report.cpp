@@ -1,12 +1,10 @@
 // Compares two --metrics-json run reports and gates on regressions, diffs
-// two repair decision journals, two collapsed flamegraphs, or two
-// persisted variable-order profiles.
+// two repair decision journals, or diffs two collapsed flamegraphs.
 //
 // Usage:
 //   lr_report BASELINE.json CURRENT.json [options]
 //   lr_report --journal A.jsonl B.jsonl       (decision-journal diff)
 //   lr_report --flame A.collapsed B.collapsed (call-path profile diff)
-//   lr_report --order A.json B.json           (order-profile diff)
 //
 //   --key=NAME        gate metric (default bench.wall_seconds)
 //   --max-ratio=R     fail when current/baseline of the gate metric
@@ -22,10 +20,6 @@
 //                     side-by-side decision comparison
 //   --flame           treat the two positionals as collapsed-stack
 //                     flamegraphs (repair_cli --flamegraph output)
-//   --order           treat the two positionals as persisted order
-//                     profiles (repair_cli --order-out output): compare
-//                     the summary stats and list the levels whose
-//                     variable or node population moved
 //
 // Prints an aligned diff table (key, baseline, current, ratio) and exits
 // 0 when the gate metric is within bounds, 1 on a regression, 2 on a
@@ -48,7 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "bdd/order.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
@@ -323,119 +316,6 @@ int run_flame_diff(const std::string& path_a, const std::string& path_b,
   return gate_ok ? 0 : 1;
 }
 
-/// `--order A B`: diff two persisted order profiles (repair_cli
-/// --order-out output) — summary stats plus the bit levels whose position
-/// or node population changed, biggest movers first.
-int run_order_diff(const std::string& path_a, const std::string& path_b,
-                   std::size_t top) {
-  const auto base = lr::bdd::order::load_profile(path_a);
-  const auto cur = lr::bdd::order::load_profile(path_b);
-  if (!base) {
-    std::fprintf(stderr, "lr_report: cannot load order profile %s\n",
-                 path_a.c_str());
-    return 2;
-  }
-  if (!cur) {
-    std::fprintf(stderr, "lr_report: cannot load order profile %s\n",
-                 path_b.c_str());
-    return 2;
-  }
-
-  std::printf("order profile diff: %s (baseline) vs %s\n", path_a.c_str(),
-              path_b.c_str());
-  lr::support::Table summary({"field", "baseline", "current"});
-  summary.add_row({"model", base->model, cur->model});
-  summary.add_row({"source mode", base->source, cur->source});
-  summary.add_row({"levels", format_value(double(base->levels.size())),
-                   format_value(double(cur->levels.size()))});
-  summary.add_row({"live nodes", format_value(double(base->live_nodes)),
-                   format_value(double(cur->live_nodes))});
-  summary.add_row({"peak nodes", format_value(double(base->peak_nodes)),
-                   format_value(double(cur->peak_nodes))});
-  summary.print(std::cout);
-
-  // Per-label comparison: where did each bit sit, how many nodes lived on
-  // its level. A label on one side only means the profiles are for
-  // different models (still listed, with "n/a").
-  struct LevelInfo {
-    std::size_t level = 0;
-    std::size_t nodes = 0;
-  };
-  std::map<std::string, LevelInfo> base_levels;
-  std::map<std::string, LevelInfo> cur_levels;
-  for (std::size_t i = 0; i < base->levels.size(); ++i) {
-    base_levels[base->levels[i].label] = {i, base->levels[i].nodes};
-  }
-  for (std::size_t i = 0; i < cur->levels.size(); ++i) {
-    cur_levels[cur->levels[i].label] = {i, cur->levels[i].nodes};
-  }
-  struct Mover {
-    std::string label;
-    const LevelInfo* base = nullptr;
-    const LevelInfo* cur = nullptr;
-    /// |level delta|, with one-sided labels sorted first.
-    std::size_t magnitude = 0;
-  };
-  std::vector<Mover> movers;
-  std::size_t unchanged = 0;
-  std::map<std::string, char> labels;  // union, sorted
-  for (const auto& [label, info] : base_levels) labels.emplace(label, 0);
-  for (const auto& [label, info] : cur_levels) labels.emplace(label, 0);
-  for (const auto& [label, ignored] : labels) {
-    const auto base_it = base_levels.find(label);
-    const auto cur_it = cur_levels.find(label);
-    Mover mover;
-    mover.label = label;
-    if (base_it != base_levels.end()) mover.base = &base_it->second;
-    if (cur_it != cur_levels.end()) mover.cur = &cur_it->second;
-    if (mover.base != nullptr && mover.cur != nullptr) {
-      if (mover.base->level == mover.cur->level &&
-          mover.base->nodes == mover.cur->nodes) {
-        ++unchanged;
-        continue;
-      }
-      mover.magnitude = mover.base->level > mover.cur->level
-                            ? mover.base->level - mover.cur->level
-                            : mover.cur->level - mover.base->level;
-    } else {
-      mover.magnitude = labels.size();  // one-sided: sort first
-    }
-    movers.push_back(std::move(mover));
-  }
-  std::sort(movers.begin(), movers.end(), [](const Mover& a, const Mover& b) {
-    if (a.magnitude != b.magnitude) return a.magnitude > b.magnitude;
-    return a.label < b.label;
-  });
-  if (movers.empty()) {
-    std::printf("level order and node histogram identical (%zu levels)\n",
-                unchanged);
-    return 0;
-  }
-  lr::support::Table table(
-      {"bit", "baseline level", "current level", "baseline nodes",
-       "current nodes"});
-  const std::size_t shown = std::min(top, movers.size());
-  for (std::size_t i = 0; i < shown; ++i) {
-    const Mover& mover = movers[i];
-    table.add_row(
-        {mover.label,
-         mover.base == nullptr ? "n/a"
-                               : format_value(double(mover.base->level)),
-         mover.cur == nullptr ? "n/a" : format_value(double(mover.cur->level)),
-         mover.base == nullptr ? "n/a"
-                               : format_value(double(mover.base->nodes)),
-         mover.cur == nullptr ? "n/a"
-                              : format_value(double(mover.cur->nodes))});
-  }
-  std::printf("%zu levels moved (%zu unchanged):\n", movers.size(), unchanged);
-  table.print(std::cout);
-  if (shown < movers.size()) {
-    std::printf("(%zu of %zu movers listed; --top=N for more)\n", shown,
-                movers.size());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -449,23 +329,6 @@ int main(int argc, char** argv) {
   if (max_ratio <= 0.0) {
     std::fprintf(stderr, "lr_report: bad --max-ratio value\n");
     return 2;
-  }
-  if (cli.has("order")) {
-    // Same parser quirk as --journal/--flame: "--order A" binds A as the
-    // flag's value.
-    std::vector<std::string> paths;
-    const std::string flag_value = cli.get("order", "");
-    if (!flag_value.empty()) paths.push_back(flag_value);
-    paths.insert(paths.end(), cli.positional().begin(),
-                 cli.positional().end());
-    if (paths.size() != 2) {
-      std::fprintf(stderr, "usage: %s --order A.order.json B.order.json\n",
-                   cli.program().c_str());
-      return 2;
-    }
-    const std::size_t top = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, cli.get_int("top", 10)));
-    return run_order_diff(paths[0], paths[1], top);
   }
   if (cli.has("flame")) {
     // Same parser quirk as --journal: "--flame A" binds A as the flag's

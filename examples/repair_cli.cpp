@@ -27,7 +27,6 @@
 #include <iostream>
 
 #include "bdd/meminfo.hpp"
-#include "bdd/order.hpp"
 #include "bdd/profile.hpp"
 #include "casestudies/chain.hpp"
 #include "lang/parser.hpp"
@@ -122,20 +121,6 @@ int run_batch_mode(const lr::support::CommandLine& cli,
     }
   }
 
-  // --order=file:DIR points at a directory of per-model profiles in batch
-  // mode; --order-out=DIR writes one NAME.order.json per model (before the
-  // export restores the creation order).
-  const std::string order_out_dir = cli.get("order-out", "");
-  if (!order_out_dir.empty()) {
-    std::error_code mk_ec;
-    fs::create_directories(order_out_dir, mk_ec);
-    if (mk_ec) {
-      std::fprintf(stderr, "cannot create order profile dir %s: %s\n",
-                   order_out_dir.c_str(), mk_ec.message().c_str());
-      return 2;
-    }
-  }
-
   const bool cautious = cli.has("cautious");
   const bool verify = !cli.has("no-verify");
   std::vector<lr::repair::BatchTask> tasks;
@@ -161,27 +146,6 @@ int run_batch_mode(const lr::support::CommandLine& cli,
     if (!journal_dir.empty()) {
       task.journal_path =
           (fs::path(journal_dir) / (task.name + ".journal.jsonl")).string();
-    }
-    if (task.options.order_mode == lr::sym::order::Mode::kFile) {
-      const fs::path profile =
-          fs::path(options.order_file) / (task.name + ".order.json");
-      std::error_code exists_ec;
-      if (fs::exists(profile, exists_ec)) {
-        task.options.order_file = profile.string();
-      } else {
-        // Warm-start profiles are an optimization, not an input: a model
-        // without one (new file, renamed model) runs in declaration order.
-        std::fprintf(stderr,
-                     "batch: no order profile %s for %s, "
-                     "falling back to declaration order\n",
-                     profile.string().c_str(), task.name.c_str());
-        task.options.order_mode = lr::sym::order::Mode::kDecl;
-        task.options.order_file.clear();
-      }
-    }
-    if (!order_out_dir.empty()) {
-      task.order_out_path =
-          (fs::path(order_out_dir) / (task.name + ".order.json")).string();
     }
     tasks.push_back(std::move(task));
   }
@@ -334,19 +298,12 @@ int main(int argc, char** argv) {
   if (cli.has("no-heuristic")) options.restrict_to_reachable = false;
   if (cli.has("order")) {
     const std::string order_arg = cli.get("order", "");
-    if (order_arg.rfind("file:", 0) == 0) {
-      options.order_mode = lr::sym::order::Mode::kFile;
-      options.order_file = order_arg.substr(5);
-      if (options.order_file.empty()) {
-        std::fprintf(stderr, "--order=file: needs a path (see --help)\n");
-        return 2;
-      }
-    } else if (order_arg == "decl" || order_arg == "auto") {
+    if (order_arg == "decl" || order_arg == "auto") {
       // The heuristics (interleave, adjacency) are auto's candidates, not
       // modes of their own: forcing one blows up on hostile families.
       options.order_mode = *lr::sym::order::parse_mode(order_arg);
     } else {
-      std::fprintf(stderr, "unknown order mode '%s' (decl|auto|file:PATH)\n",
+      std::fprintf(stderr, "unknown order mode '%s' (decl|auto)\n",
                    order_arg.c_str());
       return 2;
     }
@@ -399,17 +356,6 @@ int main(int argc, char** argv) {
 
   std::printf("model: %s (%.3g states)\n", program->name().c_str(),
               program->space().state_space_size());
-
-  // Fail fast on a bad --order=file: profile (unreadable, wrong model)
-  // instead of letting the repair entry point throw mid-run.
-  if (options.order_mode == lr::sym::order::Mode::kFile) {
-    try {
-      (void)lr::repair::order_plan(*program, options);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "--order: %s\n", error.what());
-      return 2;
-    }
-  }
 
   const double task_timeout = std::atof(cli.get("task-timeout", "0").c_str());
   if (task_timeout > 0.0) {
@@ -544,20 +490,6 @@ int main(int argc, char** argv) {
         std::printf("  %s\n", line.c_str());
       }
     }
-  }
-
-  // The profile must be captured before the export: export_model restores
-  // the creation order to keep exports canonical.
-  const std::string order_out_path = cli.get("order-out", "");
-  if (!order_out_path.empty()) {
-    const lr::bdd::order::OrderProfile profile =
-        lr::repair::capture_order_profile(*program, options);
-    if (!lr::bdd::order::save_profile(profile, order_out_path)) {
-      std::fprintf(stderr, "cannot write %s\n", order_out_path.c_str());
-      write_reports();
-      return 1;
-    }
-    std::printf("\norder profile written to %s\n", order_out_path.c_str());
   }
 
   const std::string export_path = cli.get("export", "");

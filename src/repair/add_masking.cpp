@@ -102,6 +102,20 @@ StepOneResult add_masking(prog::DistributedProgram& program,
   bdd::Bdd rec_part;
   sym::TransitionRelation rec_rel(space);
   std::size_t shrink_rounds = 0;
+  // The manager's memory counters, sampled once per shrink round and per
+  // recovery layer onto the trace's counter tracks.
+  const auto trace_manager_counters = [&mgr] {
+    support::trace::counter("bdd.live_nodes",
+                            static_cast<double>(mgr.live_nodes()));
+    support::trace::counter("bdd.unique_load", mgr.unique_load());
+    const bdd::ManagerStats& cache = mgr.stats();
+    support::trace::counter(
+        "bdd.cache_hit_rate",
+        cache.cache_lookups == 0
+            ? 0.0
+            : static_cast<double>(cache.cache_hits) /
+                  static_cast<double>(cache.cache_lookups));
+  };
   {
   LR_TRACE_SPAN("add_masking.shrink_fixpoint");
   support::progress::Heartbeat heartbeat("add_masking.shrink");
@@ -109,15 +123,7 @@ StepOneResult add_masking(prog::DistributedProgram& program,
       throw_if_cancelled(options.cancel);
       ++stats.addmasking_rounds;
       ++shrink_rounds;
-      support::trace::counter("bdd.live_nodes",
-                              static_cast<double>(mgr.live_nodes()));
-      support::trace::counter("bdd.unique_load", mgr.unique_load());
-      support::trace::counter(
-          "bdd.cache_hit_rate",
-          mgr.stats().cache_lookups == 0
-              ? 0.0
-              : static_cast<double>(mgr.stats().cache_hits) /
-                    static_cast<double>(mgr.stats().cache_lookups));
+      trace_manager_counters();
       if (heartbeat.due()) {
         heartbeat.emit("round " + std::to_string(stats.addmasking_rounds) +
                        ", live nodes " + std::to_string(mgr.live_nodes()));
@@ -190,15 +196,7 @@ StepOneResult add_masking(prog::DistributedProgram& program,
                                         space.count_states(layer),
                                         layer_added);
       }
-      support::trace::counter("bdd.live_nodes",
-                              static_cast<double>(mgr.live_nodes()));
-      support::trace::counter("bdd.unique_load", mgr.unique_load());
-      support::trace::counter(
-          "bdd.cache_hit_rate",
-          mgr.stats().cache_lookups == 0
-              ? 0.0
-              : static_cast<double>(mgr.stats().cache_hits) /
-                    static_cast<double>(mgr.stats().cache_lookups));
+      trace_manager_counters();
       if (heartbeat.due()) {
         heartbeat.emit("layer " + std::to_string(stats.recovery_layers) +
                        ", live nodes " + std::to_string(mgr.live_nodes()));

@@ -10,7 +10,6 @@
 #include "lang/parser.hpp"
 #include "repair/cautious.hpp"
 #include "repair/export.hpp"
-#include "repair/order_setup.hpp"
 #include "repair/journal.hpp"
 #include "repair/lazy.hpp"
 #include "repair/manifest.hpp"
@@ -129,17 +128,6 @@ BatchItemResult run_task(const BatchTask& task, const BatchOptions& batch) {
             verify_masking(*program, result, options.level);
         item.verify_ok = report.ok;
         item.verify_failures = report.failures;
-      }
-      // Profile before export: export_model restores the creation order,
-      // which would wipe the end-of-run order the profile snapshots.
-      if (result.success && !task.order_out_path.empty()) {
-        const bdd::order::OrderProfile profile =
-            capture_order_profile(*program, options);
-        if (!bdd::order::save_profile(profile, task.order_out_path)) {
-          LR_LOG(warn) << "[batch] " << task.name
-                       << ": cannot write order profile "
-                       << task.order_out_path;
-        }
       }
       if (result.success && !task.export_path.empty()) {
         if (export_model_file(*program, result, task.export_path)) {

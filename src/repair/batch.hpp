@@ -52,10 +52,6 @@ struct BatchTask {
   /// contents depend only on the task — never on scheduling — so the files
   /// are byte-identical across --jobs counts. Empty disables journaling.
   std::string journal_path;
-  /// Where to write the persisted order profile (`--order-out` in batch
-  /// mode: one file per task). Written after a successful repair, *before*
-  /// the export restores the creation order. Empty disables it.
-  std::string order_out_path;
 };
 
 /// Outcome of one task. Everything needed for reporting is copied out of

@@ -2,36 +2,19 @@
 
 #include <algorithm>
 #include <ostream>
-#include <stdexcept>
 
 #include "support/log.hpp"
 #include "support/metrics.hpp"
 
 namespace lr::repair {
 
-sym::order::Plan order_plan(prog::DistributedProgram& program,
-                            const Options& options) {
-  const sym::order::Structure structure = program.order_structure();
-  if (options.order_mode == sym::order::Mode::kFile) {
-    const std::optional<bdd::order::OrderProfile> profile =
-        bdd::order::load_profile(options.order_file);
-    if (!profile) {
-      throw std::runtime_error("cannot read order profile '" +
-                               options.order_file + "'");
-    }
-    return sym::order::plan_from_labels(program.space(), structure,
-                                        profile->levels);
-  }
-  return sym::order::plan_order(program.space(), structure,
-                                options.order_mode);
-}
-
 void apply_order_options(prog::DistributedProgram& program,
                          const Options& options) {
   // Declaration order is the engine's native order: skip entirely so
   // default runs stay byte-identical (no new metrics keys, no swaps).
   if (options.order_mode == sym::order::Mode::kDecl) return;
-  const sym::order::Plan plan = order_plan(program, options);
+  const sym::order::Plan plan = sym::order::plan_order(
+      program.space(), program.order_structure(), options.order_mode);
   const std::size_t swaps = sym::order::apply_plan(program.space(), plan);
   support::metrics::Registry& m = support::metrics::registry();
   m.set_gauge("bdd.order.applied", 1.0);
@@ -47,22 +30,14 @@ void apply_order_options(prog::DistributedProgram& program,
                 << " decl=" << plan.decl_span_cost << " swaps=" << swaps;
 }
 
-bdd::order::OrderProfile capture_order_profile(
-    prog::DistributedProgram& program, const Options& options) {
-  const std::vector<std::string> labels =
-      sym::order::bit_labels(program.space());
-  return bdd::order::capture_profile(
-      program.space().manager(), labels, program.name(),
-      sym::order::mode_name(options.order_mode));
-}
-
 void write_order_report(prog::DistributedProgram& program,
                         const Options& options, std::ostream& out,
                         std::size_t max_levels) {
   sym::Space& space = program.space();
   bdd::Manager& mgr = space.manager();
-  const sym::order::Plan plan = order_plan(program, options);
   const sym::order::Structure structure = program.order_structure();
+  const sym::order::Plan plan =
+      sym::order::plan_order(space, structure, options.order_mode);
   const std::vector<double> predicted =
       sym::order::predicted_level_pressure(space, structure);
   const std::vector<std::size_t> histogram = mgr.level_histogram();
@@ -78,7 +53,7 @@ void write_order_report(prog::DistributedProgram& program,
       << plan.decl_span_cost << ")\n";
 
   // Heaviest levels first (ties by level) — predicted pressure vs the
-  // actual live-node histogram, the profile's quality evidence.
+  // actual live-node histogram, the order's quality evidence.
   std::vector<std::uint32_t> levels(histogram.size());
   for (std::uint32_t level = 0; level < levels.size(); ++level) {
     levels[level] = level;

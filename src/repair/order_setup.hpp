@@ -3,7 +3,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "bdd/order.hpp"
 #include "program/distributed_program.hpp"
 #include "repair/types.hpp"
 
@@ -15,23 +14,9 @@ namespace lr::repair {
 /// Idempotent — the CLI may have applied the same plan already for its
 /// report. A no-op for kDecl, which keeps default runs byte-identical to
 /// the pre-order engine. Records `bdd.order.*` metrics for non-default
-/// modes. Throws std::runtime_error when order_mode == kFile and the
-/// profile is unreadable or does not match the model.
+/// modes.
 void apply_order_options(prog::DistributedProgram& program,
                          const Options& options);
-
-/// The plan apply_order_options would apply (kFile loads and validates the
-/// profile; same exceptions).
-[[nodiscard]] sym::order::Plan order_plan(prog::DistributedProgram& program,
-                                          const Options& options);
-
-/// Snapshots the end-of-run order with the meminfo level histogram as
-/// quality evidence (`--order-out`). Must run *before* the .lr exporter,
-/// which restores the creation order to keep exports canonical. The
-/// profile's `source` field records only the mode name, never a path, so
-/// warm-started runs reach a byte-stable fixpoint.
-[[nodiscard]] bdd::order::OrderProfile capture_order_profile(
-    prog::DistributedProgram& program, const Options& options);
 
 /// Renders the --stats "bdd order" section: the chosen mode, its span-cost
 /// proxy vs declaration order, and the predicted-pressure vs actual

@@ -62,17 +62,9 @@ struct Options {
   GroupMethod group_method = GroupMethod::kPaperLoop;
 
   /// Static initial variable order, applied before the model is compiled:
-  /// kDecl keeps declaration order, the heuristic modes compute one from
-  /// the parsed structure, and kFile warm-starts from a persisted order
-  /// profile (`order_file`).
-  /// See sym::order and repair/order_setup.hpp.
+  /// kDecl keeps declaration order, the other modes compute one from the
+  /// parsed structure. See sym::order and repair/order_setup.hpp.
   sym::order::Mode order_mode = sym::order::Mode::kDecl;
-
-  /// Path of the persisted order profile when order_mode == kFile. The
-  /// repair entry points throw std::runtime_error when it is unreadable or
-  /// does not match the model (the CLI pre-validates; the batch executor
-  /// records the error per task).
-  std::string order_file;
 
   /// Bound on Algorithm 1's outer repeat loop (defensive; case studies
   /// converge in 1-2 iterations).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace lr::sym::order {
 
@@ -129,9 +128,8 @@ const char* mode_name(Mode mode) noexcept {
     case Mode::kAuto: return "auto";
     case Mode::kInterleave: return "interleave";
     case Mode::kAdjacency: return "adjacency";
-    case Mode::kFile: break;
   }
-  return "file";
+  return "unknown";
 }
 
 std::optional<Mode> parse_mode(std::string_view name) noexcept {
@@ -204,66 +202,8 @@ Plan plan_order(const Space& space, const Structure& structure, Mode mode) {
       }
       return best;
     }
-    case Mode::kFile:
-      throw std::invalid_argument(
-          "plan_order: kFile needs a loaded profile (plan_from_labels)");
   }
   throw std::invalid_argument("plan_order: unknown mode");
-}
-
-Plan plan_from_labels(const Space& space, const Structure& structure,
-                      std::span<const bdd::order::ProfileLevel> levels) {
-  const std::vector<std::string> labels = bit_labels(space);
-  std::unordered_map<std::string, bdd::VarIndex> index_of;
-  for (bdd::VarIndex v = 0; v < labels.size(); ++v) index_of[labels[v]] = v;
-  if (levels.size() != labels.size()) {
-    throw std::runtime_error(
-        "order profile does not match this model: expected " +
-        std::to_string(labels.size()) + " levels, got " +
-        std::to_string(levels.size()));
-  }
-
-  Plan plan;
-  plan.requested = Mode::kFile;
-  plan.chosen = Mode::kFile;
-  plan.var_at_level.reserve(levels.size());
-  std::vector<bool> seen(labels.size(), false);
-  for (const bdd::order::ProfileLevel& level : levels) {
-    const auto it = index_of.find(level.label);
-    if (it == index_of.end()) {
-      throw std::runtime_error("order profile names unknown bit '" +
-                               level.label + "'");
-    }
-    if (seen[it->second]) {
-      throw std::runtime_error("order profile lists bit '" + level.label +
-                               "' twice");
-    }
-    seen[it->second] = true;
-    plan.var_at_level.push_back(it->second);
-  }
-
-  // Program-variable order for reporting: first appearance of each
-  // variable's bits in the level order.
-  std::vector<VarId> owner(labels.size(), 0);
-  for (VarId v = 0; v < space.variable_count(); ++v) {
-    const VariableInfo& info = space.info(v);
-    for (std::uint32_t k = 0; k < info.bits; ++k) {
-      owner[info.cur_bits[k]] = v;
-      owner[info.next_bits[k]] = v;
-    }
-  }
-  std::vector<bool> listed(space.variable_count(), false);
-  for (const bdd::VarIndex bit : plan.var_at_level) {
-    const VarId v = owner[bit];
-    if (!listed[v]) {
-      listed[v] = true;
-      plan.var_order.push_back(v);
-    }
-  }
-  plan.span_cost = span_cost(space, structure, plan.var_at_level);
-  plan.decl_span_cost =
-      span_cost(space, structure, expand_bits(space, declaration_order(space)));
-  return plan;
 }
 
 std::size_t apply_plan(Space& space, const Plan& plan) {

@@ -21,14 +21,12 @@ enum class Mode {
   kAuto,        ///< score every heuristic with the span-cost proxy, keep best
   kInterleave,  ///< process locality: each process's writes, then its reads
   kAdjacency,   ///< greedy placement on the weighted co-occurrence graph
-  kFile,        ///< a persisted order profile (--order=file:PATH)
 };
 
-/// Display name ("decl", "auto", "interleave", "adjacency", "file").
+/// Display name ("decl", "auto", "interleave", "adjacency").
 [[nodiscard]] const char* mode_name(Mode mode) noexcept;
 
-/// Parses a heuristic mode name; "file" and "file:PATH" are *not* accepted
-/// here (the CLI splits the path off first and passes kFile explicitly).
+/// Parses a mode name (any of the four; the CLI accepts only decl|auto).
 [[nodiscard]] std::optional<Mode> parse_mode(std::string_view name) noexcept;
 
 /// The variable-dependence structure the heuristics consume, extracted from
@@ -56,8 +54,8 @@ struct Plan {
 };
 
 /// Canonical bit labels indexed by bdd::VarIndex: "x.0" for bit 0 of x's
-/// current copy, "x.0'" for its next copy. The persisted profile format
-/// keys levels by these labels.
+/// current copy, "x.0'" for its next copy. The --stats order report names
+/// levels by these labels.
 [[nodiscard]] std::vector<std::string> bit_labels(const Space& space);
 
 /// Static order-quality proxy: the sum over action support sets of the
@@ -69,17 +67,9 @@ struct Plan {
 
 /// Computes the order a heuristic mode chooses. kDecl returns the identity;
 /// kAuto scores kDecl/kInterleave/kAdjacency and keeps the cheapest
-/// (declaration order wins ties). kFile is not computable here — use
-/// plan_from_labels with a loaded profile.
+/// (declaration order wins ties).
 [[nodiscard]] Plan plan_order(const Space& space, const Structure& structure,
                               Mode mode);
-
-/// Reconstructs a plan from a persisted profile's level labels. Throws
-/// std::runtime_error when the labels do not exactly cover this space's
-/// bits (wrong model, renamed variable, truncated file).
-[[nodiscard]] Plan plan_from_labels(const Space& space,
-                                    const Structure& structure,
-                                    std::span<const bdd::order::ProfileLevel> levels);
 
 /// Applies a plan to the space's manager (adjacent-exchange based; valid
 /// before or after freeze). Returns the number of adjacent swaps.

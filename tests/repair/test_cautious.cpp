@@ -89,9 +89,9 @@ TEST(CautiousRepairTest, FailStopVariantVerified) {
 }
 
 TEST(CautiousRepairTest, LazyTakesFewerLookupsThanCautiousOnTableOne) {
-  // Table I's shape: on BA^3 and BA^4 lazy repair does less work than the
-  // cautious baseline, with both realizing groups by one ∀ per process.
-  for (const std::size_t n : {3, 4}) {
+  // Table I's shape: on BA^3 through BA^6 lazy repair does less work than
+  // the cautious baseline, with both realizing groups by one ∀ per process.
+  for (const std::size_t n : {3, 4, 5, 6}) {
     auto p1 = cs::make_byzantine({.non_generals = n});
     const RepairResult lazy = lazy_repair(*p1);
     auto p2 = cs::make_byzantine({.non_generals = n});

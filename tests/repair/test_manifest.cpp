@@ -141,15 +141,6 @@ TEST(ManifestTest, FingerprintCoversEveryOutcomeRelevantOption) {
   changed = base;
   changed.order_mode = sym::order::Mode::kAuto;
   EXPECT_NE(fp, options_fingerprint(changed, false, true));
-  // Two different warm-start profiles are two different orders: the path
-  // must be part of a kFile fingerprint.
-  changed = base;
-  changed.order_mode = sym::order::Mode::kFile;
-  changed.order_file = "a.order.json";
-  Options other_file = changed;
-  other_file.order_file = "b.order.json";
-  EXPECT_NE(options_fingerprint(changed, false, true),
-            options_fingerprint(other_file, false, true));
   // Cancellation settings bound *when* a result exists, not *what* it is.
   changed = base;
   changed.cancel = CancelToken::with_timeout(1.0);

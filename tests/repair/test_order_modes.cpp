@@ -2,7 +2,8 @@
 // the *results* of a repair untouched — same invariant, same fault span,
 // byte-identical exported model — because the order only changes how the
 // fixpoints are computed, never what they compute. Also covers the
-// heuristic planner itself (plan_order / plan_from_labels round trips).
+// heuristic planner itself (plan_order) and pins that a repair ends under
+// the order it planned.
 
 #include <gtest/gtest.h>
 
@@ -10,11 +11,13 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "casestudies/byzantine.hpp"
 #include "casestudies/chain.hpp"
 #include "casestudies/token_ring.hpp"
+#include "lang/parser.hpp"
 #include "repair/cautious.hpp"
 #include "repair/export.hpp"
 #include "repair/lazy.hpp"
@@ -163,53 +166,6 @@ TEST(OrderModesTest, AutoNeverBeatsItsOwnCandidates) {
   }
 }
 
-TEST(OrderModesTest, PlanFromLabelsRoundTripsAPlan) {
-  auto program = cs::make_chain({.length = 3, .domain = 4});
-  const sym::order::Structure structure = program->order_structure();
-  const sym::order::Plan plan = sym::order::plan_order(
-      program->space(), structure, sym::order::Mode::kAdjacency);
-  // Turn the plan into profile levels (what --order-out persists)...
-  const std::vector<std::string> labels =
-      sym::order::bit_labels(program->space());
-  std::vector<bdd::order::ProfileLevel> levels;
-  for (const bdd::VarIndex v : plan.var_at_level) {
-    levels.push_back({labels[v], 0});
-  }
-  // ...and back: the reconstructed plan realizes the same level order.
-  const sym::order::Plan rebuilt =
-      sym::order::plan_from_labels(program->space(), structure, levels);
-  EXPECT_EQ(rebuilt.requested, sym::order::Mode::kFile);
-  EXPECT_EQ(rebuilt.var_at_level, plan.var_at_level);
-}
-
-TEST(OrderModesTest, PlanFromLabelsRejectsMismatchedProfiles) {
-  auto program = cs::make_chain({.length = 3, .domain = 4});
-  const sym::order::Structure structure = program->order_structure();
-  const std::vector<std::string> labels =
-      sym::order::bit_labels(program->space());
-  std::vector<bdd::order::ProfileLevel> levels;
-  for (const std::string& label : labels) levels.push_back({label, 0});
-
-  // Too few levels (truncated profile).
-  std::vector<bdd::order::ProfileLevel> truncated(levels.begin(),
-                                                  levels.end() - 1);
-  EXPECT_THROW((void)sym::order::plan_from_labels(program->space(), structure,
-                                                  truncated),
-               std::runtime_error);
-  // Unknown label (profile from another model).
-  std::vector<bdd::order::ProfileLevel> foreign = levels;
-  foreign[0].label = "nosuch.0";
-  EXPECT_THROW((void)sym::order::plan_from_labels(program->space(), structure,
-                                                  foreign),
-               std::runtime_error);
-  // Duplicate label.
-  std::vector<bdd::order::ProfileLevel> duplicated = levels;
-  duplicated[1].label = duplicated[0].label;
-  EXPECT_THROW((void)sym::order::plan_from_labels(program->space(), structure,
-                                                  duplicated),
-               std::runtime_error);
-}
-
 TEST(OrderModesTest, ApplyOrderOptionsIsIdempotent) {
   auto program = cs::make_chain({.length = 3, .domain = 3});
   Options options;
@@ -226,49 +182,36 @@ TEST(OrderModesTest, ApplyOrderOptionsIsIdempotent) {
   }
 }
 
-TEST(OrderModesTest, OrderFileModeRoundTripsThroughRepair) {
-  // Run 1 persists its end-of-run order; run 2 warm-starts from it and
-  // must reach the identical result and an identical re-captured profile.
-  const std::string path = ::testing::TempDir() + "order_modes_profile.json";
-  std::string first_json;
-  {
-    auto program = cs::make_chain({.length = 4, .domain = 3});
-    Options options;
-    options.order_mode = sym::order::Mode::kAdjacency;
-    const RepairResult result = lazy_repair(*program, options);
-    ASSERT_TRUE(result.success) << result.failure_reason;
-    bdd::order::OrderProfile profile =
-        capture_order_profile(*program, options);
-    ASSERT_TRUE(bdd::order::save_profile(profile, path));
-  }
-  {
-    auto program = cs::make_chain({.length = 4, .domain = 3});
-    Options options;
-    options.order_mode = sym::order::Mode::kFile;
-    options.order_file = path;
-    const RepairResult result = lazy_repair(*program, options);
-    ASSERT_TRUE(result.success) << result.failure_reason;
-    EXPECT_TRUE(verify_masking(*program, result).ok);
-    const bdd::order::OrderProfile recaptured =
-        capture_order_profile(*program, options);
-    const auto saved = bdd::order::load_profile(path);
-    ASSERT_TRUE(saved.has_value());
-    // Same level order as the profile that seeded the run.
-    ASSERT_EQ(recaptured.levels.size(), saved->levels.size());
-    for (std::size_t i = 0; i < saved->levels.size(); ++i) {
-      EXPECT_EQ(recaptured.levels[i].label, saved->levels[i].label);
+TEST(OrderModesTest, RepairLeavesThePlannedOrderInPlace) {
+  // Nothing reorders during a repair: the levels a run ends with are the
+  // levels plan_order computes from the parsed model, so the plan is the
+  // one source of the order and an end-of-run order holds nothing new.
+  const std::vector<std::pair<std::string, Factory>> models = {
+      {"chain-4", [] { return cs::make_chain({.length = 4}); }},
+      {"tmr.lr",
+       [] {
+         return lang::parse_program_file(std::string(LR_SOURCE_DIR) +
+                                         "/models/tmr.lr");
+       }},
+  };
+  for (const auto& [name, make] : models) {
+    for (const sym::order::Mode mode : kHeuristicModes) {
+      SCOPED_TRACE(name + " under " + sym::order::mode_name(mode));
+      auto program = make();
+      const sym::order::Plan plan = sym::order::plan_order(
+          program->space(), program->order_structure(), mode);
+      Options options;
+      options.order_mode = mode;
+      const RepairResult result = lazy_repair(*program, options);
+      ASSERT_TRUE(result.success) << result.failure_reason;
+      const bdd::Manager& mgr = program->space().manager();
+      std::vector<bdd::VarIndex> levels(mgr.var_count());
+      for (std::uint32_t l = 0; l < mgr.var_count(); ++l) {
+        levels[l] = mgr.var_at_level(l);
+      }
+      EXPECT_EQ(levels, plan.var_at_level);
     }
-    EXPECT_EQ(recaptured.source, "file");
   }
-  std::remove(path.c_str());
-}
-
-TEST(OrderModesTest, RepairThrowsOnUnreadableOrderFile) {
-  auto program = cs::make_chain({.length = 3, .domain = 3});
-  Options options;
-  options.order_mode = sym::order::Mode::kFile;
-  options.order_file = "/no/such/profile.json";
-  EXPECT_THROW((void)lazy_repair(*program, options), std::runtime_error);
 }
 
 }  // namespace
