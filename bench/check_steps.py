@@ -17,6 +17,11 @@ or failed instances, or a counted metric leaves the band
 below it the ledger is stale, and a later regression of up to the same
 ratio would pass unseen, so it must be refreshed. A change that moves the
 counts on purpose refreshes the ledger.
+
+peak_rss_mb is checked from above only, against ledger * rss_max_ratio:
+resident memory follows heap layout as well as work, so it is not exact
+like the step counts and a lower reading is never stale. The wider ratio
+still catches a regression of the size of a whole export held in memory.
 """
 
 import json
@@ -49,14 +54,17 @@ def main(argv):
         for metric, want in ledger["workloads"][workload].items():
             got = result["metrics"][metric]["value"]
             ratio = got / want
-            if ratio > limit:
+            upper_only = metric == "peak_rss_mb"
+            if ratio > (ledger["rss_max_ratio"] if upper_only else limit):
                 verdict = "FAIL"
-            elif ratio < 1 / limit:
+            elif ratio < 1 / limit and not upper_only:
                 verdict = "STALE: refresh the ledger"
             else:
                 verdict = "ok"
-            print(f"{workload:12} {metric:13} {got:>12,} / {want:>12,} = "
-                  f"{ratio:.4f}  {verdict}")
+            shown = [f"{v:,}" if isinstance(v, int) else f"{v:,.2f}"
+                     for v in (got, want)]
+            print(f"{workload:12} {metric:13} {shown[0]:>12} / {shown[1]:>12}"
+                  f" = {ratio:.4f}  {verdict}")
             failed = failed or verdict != "ok"
     return 1 if failed else 0
 

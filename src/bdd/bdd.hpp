@@ -211,6 +211,33 @@ struct GcRecord {
   double seconds = 0.0;
 };
 
+/// An irredundant sum of products, as Manager::isop computed it: a DAG of
+/// cubes that no longer refers to the manager, so it may be walked any
+/// number of times, with the manager in use or not, at no BDD cost.
+class IsopCover {
+ public:
+  /// Invokes `fn` for every cube: values are per manager variable (as many
+  /// as the manager had when the cover was computed), -1 = don't care,
+  /// 0/1 = literal value. Cubes come in the same order on every walk.
+  void foreach_cube(
+      const std::function<void(std::span<const signed char>)>& fn) const;
+
+ private:
+  friend class Manager;
+  // Entry 0 is the empty cover, entry 1 the cover holding only the empty
+  // cube, and every other entry is ¬var·lo ∪ var·hi ∪ dc over the entries
+  // it names.
+  struct Node {
+    VarIndex var;
+    std::uint32_t lo, hi, dc;
+  };
+  static constexpr std::uint32_t kNoCubes = 0;
+  static constexpr std::uint32_t kEmptyCube = 1;
+  std::vector<Node> nodes_ = std::vector<Node>(2);
+  std::uint32_t root_ = kNoCubes;
+  std::uint32_t num_vars_ = 0;
+};
+
 /// A shared-node, reduced, ordered BDD manager (the CUDD substitute).
 ///
 /// Design notes:
@@ -362,11 +389,15 @@ class Manager {
   void foreach_minterm(const Bdd& f, const Bdd& cube,
                        const std::function<void(std::span<const bool>)>& fn);
 
-  /// Invokes `fn` for every path to the 1-terminal: values are per manager
-  /// variable, -1 = don't care, 0/1 = literal value. Used for printing
+  /// An irredundant sum of products f with lower ≤ f ≤ upper: every cube
+  /// lies inside `upper` and covers a minterm of `lower` that no other cube
+  /// covers; lower == upper gives a cover of exactly that function. This is
+  /// Minato–Morreale's ISOP (Minato, SASIMI 1992) over the interval
+  /// [lower, upper], memoized on (lower, upper) for the call; its
+  /// diff/and/or steps go through the op cache. Throws
+  /// std::invalid_argument unless lower ≤ upper. Used for printing
   /// synthesized programs compactly.
-  void foreach_cube(const Bdd& f,
-                    const std::function<void(std::span<const signed char>)>& fn);
+  [[nodiscard]] IsopCover isop(const Bdd& lower, const Bdd& upper);
 
   /// Evaluates f under a total assignment (indexed by variable; missing
   /// trailing variables default to false). Linear in the depth of f.

@@ -525,25 +525,71 @@ void Manager::foreach_minterm(
   walk(f.id(), 0);
 }
 
-void Manager::foreach_cube(
-    const Bdd& f,
-    const std::function<void(std::span<const signed char>)>& fn) {
-  assert(f.manager() == this);
+IsopCover Manager::isop(const Bdd& lower, const Bdd& upper) {
+  check_same_manager(this, lower, upper);
+  ScopedOp profiled(*this, OpClass::kApply);
+  maybe_gc();
+  IsopCover cover;
+  cover.num_vars_ = num_vars_;
+  // (lower, upper) -> the cover's function and its DAG entry.
+  struct Isop {
+    NodeId f;
+    std::uint32_t cover;
+  };
+  std::unordered_map<std::uint64_t, Isop> memo;
+  const auto isop = [&](const auto& self, NodeId l, NodeId u) -> Isop {
+    if (l == kFalseId) return {kFalseId, IsopCover::kNoCubes};
+    if (u == kTrueId) return {kTrueId, IsopCover::kEmptyCube};
+    if (u == kFalseId) {
+      throw std::invalid_argument("isop: lower does not imply upper");
+    }
+    const std::uint64_t key = std::uint64_t{l} << 32 | u;
+    if (const auto it = memo.find(key); it != memo.end()) return it->second;
+    const Node nl = nodes_[l];
+    const Node nu = nodes_[u];
+    const std::uint32_t ll = node_level(nl.var);
+    const std::uint32_t lu = node_level(nu.var);
+    const VarIndex top = ll <= lu ? nl.var : nu.var;
+    const NodeId l0 = ll <= lu ? nl.lo : l;
+    const NodeId l1 = ll <= lu ? nl.hi : l;
+    const NodeId u0 = lu <= ll ? nu.lo : u;
+    const NodeId u1 = lu <= ll ? nu.hi : u;
+    // Minterms that only a cube with the literal can cover, then what the
+    // two sides left for cubes without it.
+    const Isop r0 = self(self, diff_rec(l0, u1), u0);
+    const Isop r1 = self(self, diff_rec(l1, u0), u1);
+    const Isop rd = self(self, or_rec(diff_rec(l0, r0.f), diff_rec(l1, r1.f)),
+                         and_rec(u0, u1));
+    Isop r{make_node(top, or_rec(r0.f, rd.f), or_rec(r1.f, rd.f)), rd.cover};
+    if (r0.cover != IsopCover::kNoCubes || r1.cover != IsopCover::kNoCubes) {
+      cover.nodes_.push_back({top, r0.cover, r1.cover, rd.cover});
+      r.cover = static_cast<std::uint32_t>(cover.nodes_.size() - 1);
+    }
+    memo.emplace(key, r);
+    return r;
+  };
+  cover.root_ = isop(isop, lower.id(), upper.id()).cover;
+  return cover;
+}
+
+void IsopCover::foreach_cube(
+    const std::function<void(std::span<const signed char>)>& fn) const {
   std::vector<signed char> values(num_vars_, -1);
-  std::function<void(NodeId)> walk = [&](NodeId g) {
-    if (g == kFalseId) return;
-    if (g == kTrueId) {
+  const auto walk = [&](const auto& self, std::uint32_t c) -> void {
+    if (c == kNoCubes) return;
+    if (c == kEmptyCube) {
       fn(std::span<const signed char>(values.data(), values.size()));
       return;
     }
-    const Node n = nodes_[g];
+    const Node n = nodes_[c];
     values[n.var] = 0;
-    walk(n.lo);
+    self(self, n.lo);
     values[n.var] = 1;
-    walk(n.hi);
+    self(self, n.hi);
     values[n.var] = -1;
+    self(self, n.dc);
   };
-  walk(f.id());
+  walk(walk, root_);
 }
 
 bool Manager::eval(const Bdd& f, std::span<const bool> assignment) const {

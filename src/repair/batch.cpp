@@ -304,25 +304,22 @@ BatchReport run_batch(const std::vector<BatchTask>& tasks,
         options.metrics_prefix.empty() ? "batch" : options.metrics_prefix;
     for (std::size_t i = 0; i < report.items.size(); ++i) {
       const BatchItemResult& item = report.items[i];
+      // Keyed on (name, algorithm): one instance may run under both.
+      const std::string key = prefix + "." + item.name + "." + item.algorithm;
       if (tasks[i].predicted_cost >= 0.0) {
-        m.set_gauge(prefix + "." + item.name + ".predicted_states",
-                    tasks[i].predicted_cost);
+        m.set_gauge(key + ".predicted_states", tasks[i].predicted_cost);
       }
       // Checkpoint lifecycle: 1 = ok, 0 = failed, 2 = timed out.
-      m.set_gauge(prefix + "." + item.name + ".status",
+      m.set_gauge(key + ".status",
                   item.timed_out ? 2.0 : (item.ok() ? 1.0 : 0.0));
-      m.set_gauge(prefix + "." + item.name + ".attempts",
-                  static_cast<double>(item.attempts));
-      m.set_gauge(prefix + "." + item.name + ".resumed",
-                  item.skipped ? 1.0 : 0.0);
+      m.set_gauge(key + ".attempts", static_cast<double>(item.attempts));
+      m.set_gauge(key + ".resumed", item.skipped ? 1.0 : 0.0);
       if (!item.build_ok || item.skipped) continue;
-      m.max_gauge(prefix + "." + item.name + ".peak_nodes",
+      m.max_gauge(key + ".peak_nodes",
                   static_cast<double>(item.stats.bdd.peak_nodes));
       record_run_metrics(item.stats);
-      record_run_metrics(item.stats,
-                         prefix + "." + item.name + "." + item.algorithm);
-      m.set_gauge(prefix + "." + item.name + "." + item.algorithm + ".seconds",
-                  item.seconds);
+      record_run_metrics(item.stats, key);
+      m.set_gauge(key + ".seconds", item.seconds);
     }
     m.add(prefix + ".tasks", tasks.size());
     m.add(prefix + ".ok", report.ok_count());

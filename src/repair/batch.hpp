@@ -103,8 +103,10 @@ struct BatchOptions {
   /// thread in task order, so the merged report's key set is independent
   /// of scheduling.
   bool record_metrics = true;
-  /// Dotted prefix for per-task metric keys:
-  /// "<prefix>.<name>.<algorithm>.repair.*".
+  /// Dotted prefix for per-task metric keys, all keyed on the instance
+  /// name and the algorithm label: "<prefix>.<name>.<algorithm>.repair.*"
+  /// and ".status", ".attempts", ".resumed", ".predicted_states",
+  /// ".peak_nodes", ".seconds".
   std::string metrics_prefix = "batch";
   /// Cooperative per-task deadline in seconds (<= 0: none). Checked at
   /// fixpoint-round granularity inside the repair algorithms via

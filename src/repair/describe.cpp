@@ -40,17 +40,18 @@ std::string render_bits(const sym::VariableInfo& info,
 
 }  // namespace
 
-bdd::Bdd project_process_view(prog::DistributedProgram& program,
-                              std::size_t process_index,
-                              const bdd::Bdd& shown) {
+ProcessCover process_cover(prog::DistributedProgram& program,
+                           std::size_t process_index,
+                           const bdd::Bdd& delta_j,
+                           const bdd::Bdd& restrict_to) {
   sym::Space& space = program.space();
   bdd::Manager& mgr = space.manager();
   const prog::Process& proc = program.process(process_index);
+  const bdd::Bdd& unreadable = program.unreadable_cube(process_index);
   // Project away the unreadable variables: the result is over readable
   // current values and written next values only (group-closure makes this
   // lossless; `same_unreadable` was a tautology on δ_j anyway).
-  const bdd::Bdd readable =
-      mgr.exists(shown, program.unreadable_cube(process_index));
+  const bdd::Bdd readable = mgr.exists(delta_j, unreadable);
   // Drop next-state copies of unwritten-but-readable variables (they equal
   // their current values).
   std::vector<bdd::VarIndex> frame_bits;
@@ -60,7 +61,10 @@ bdd::Bdd project_process_view(prog::DistributedProgram& program,
     frame_bits.insert(frame_bits.end(), info.next_bits.begin(),
                       info.next_bits.end());
   }
-  return mgr.exists(readable, mgr.make_cube(frame_bits));
+  const bdd::Bdd projected = mgr.exists(readable, mgr.make_cube(frame_bits));
+  if (!restrict_to.valid()) return {projected, projected};
+  const bdd::Bdd completable = mgr.exists(restrict_to, unreadable);
+  return {projected & completable, projected | ~completable};
 }
 
 std::vector<std::string> describe_process_program(
@@ -68,39 +72,36 @@ std::vector<std::string> describe_process_program(
     const bdd::Bdd& delta_j, const bdd::Bdd& restrict_to,
     std::size_t max_lines) {
   sym::Space& space = program.space();
-  bdd::Manager& mgr = space.manager();
   const prog::Process& proc = program.process(process_index);
-
-  bdd::Bdd shown = delta_j;
-  if (restrict_to.valid()) shown &= restrict_to;
-  const bdd::Bdd projected =
-      project_process_view(program, process_index, shown);
+  const ProcessCover bounds =
+      process_cover(program, process_index, delta_j, restrict_to);
 
   std::vector<std::string> lines;
   bool truncated = false;
-  mgr.foreach_cube(projected, [&](std::span<const signed char> cube) {
-    if (lines.size() >= max_lines) {
-      truncated = true;
-      return;
-    }
-    std::string guard;
-    std::string update;
-    for (const sym::VarId r : proc.reads) {
-      const std::string value = render_bits(space.info(r), cube, false);
-      if (value.empty()) continue;
-      if (!guard.empty()) guard += " && ";
-      guard += space.info(r).name + "==" + value;
-    }
-    for (const sym::VarId w : proc.writes) {
-      const std::string value = render_bits(space.info(w), cube, true);
-      if (value.empty()) continue;
-      if (!update.empty()) update += ", ";
-      update += space.info(w).name + ":=" + value;
-    }
-    if (update.empty()) return;  // frame-only cube: no visible effect
-    if (guard.empty()) guard = "true";
-    lines.push_back(guard + "  -->  " + update);
-  });
+  space.manager().isop(bounds.lower, bounds.upper).foreach_cube(
+      [&](std::span<const signed char> cube) {
+        if (lines.size() >= max_lines) {
+          truncated = true;
+          return;
+        }
+        std::string guard;
+        std::string update;
+        for (const sym::VarId r : proc.reads) {
+          const std::string value = render_bits(space.info(r), cube, false);
+          if (value.empty()) continue;
+          if (!guard.empty()) guard += " && ";
+          guard += space.info(r).name + "==" + value;
+        }
+        for (const sym::VarId w : proc.writes) {
+          const std::string value = render_bits(space.info(w), cube, true);
+          if (value.empty()) continue;
+          if (!update.empty()) update += ", ";
+          update += space.info(w).name + ":=" + value;
+        }
+        if (update.empty()) return;  // frame-only cube: no visible effect
+        if (guard.empty()) guard = "true";
+        lines.push_back(guard + "  -->  " + update);
+      });
   if (truncated) lines.push_back("...");
   return lines;
 }

@@ -9,27 +9,40 @@
 
 namespace lr::repair {
 
-/// Process j's view of a transition predicate `shown` (a subset of δ_j):
-/// ∃ over the unreadable variables, then ∃ over the next copies of the
-/// variables j reads but does not write. The result is over readable
-/// current values and written next values only, which is lossless for a
-/// realizable δ_j. describe_process_program and export_model render it.
-[[nodiscard]] bdd::Bdd project_process_view(prog::DistributedProgram& program,
-                                            std::size_t process_index,
-                                            const bdd::Bdd& shown);
+/// The interval process j's guarded commands are rendered from, in j's
+/// view (readable current bits × written next bits). proj(δ_j) is ∃ over
+/// the unreadable variables, then ∃ over the next copies of the variables j
+/// reads but does not write, which is lossless for a realizable δ_j. With
+/// no valid `restrict_to`, lower == upper == proj(δ_j). With one, the
+/// j-views that have no completion in it are don't-cares: with
+/// C = ∃unreadable. restrict_to, lower = proj(δ_j) ∧ C (equal to
+/// proj(δ_j ∧ restrict_to), since δ_j is group-closed) and
+/// upper = proj(δ_j) ∨ ¬C. Any cover between the two shows exactly δ_j on
+/// every state of `restrict_to`, and what it adds starts at j-views with no
+/// state there.
+struct ProcessCover {
+  bdd::Bdd lower;
+  bdd::Bdd upper;
+};
+[[nodiscard]] ProcessCover process_cover(prog::DistributedProgram& program,
+                                         std::size_t process_index,
+                                         const bdd::Bdd& delta_j,
+                                         const bdd::Bdd& restrict_to);
 
 /// Renders a realizable process transition predicate as guarded commands.
 ///
 /// Because δ_j satisfies the read restriction, projecting away the
-/// unreadable variables loses nothing; each BDD cube of the projection then
+/// unreadable variables loses nothing; each cube of an irredundant cover of
+/// the projection (Manager::isop over process_cover's interval) then
 /// corresponds to a family of transitions "if <readable values> then
 /// <writes>", which is exactly the guarded-command shape a developer would
 /// deploy. Don't-care variables are omitted from the guard.
 ///
-/// `restrict_to` limits the rendering to transitions starting in a state
-/// set (typically the fault span — the rest are unreachable don't-cares);
-/// pass an invalid Bdd for no restriction. At most `max_lines` commands are
-/// returned, followed by a "..." marker when truncated.
+/// `restrict_to` makes the j-views with no state in a state set (typically
+/// the fault span, which no computation from S′ leaves) don't-cares, so the
+/// commands are exact on that set only; pass an invalid Bdd for an exact
+/// rendering of δ_j. At most `max_lines` commands are returned, followed by
+/// a "..." marker when truncated.
 [[nodiscard]] std::vector<std::string> describe_process_program(
     prog::DistributedProgram& program, std::size_t process_index,
     const bdd::Bdd& delta_j, const bdd::Bdd& restrict_to,

@@ -115,24 +115,33 @@ class TermTable {
 };
 
 /// The export text as a walk that hands each piece to a sink (any callable
-/// taking std::string_view). The projections are computed once, in the
-/// constructor; render() may then run any number of times and emits the
-/// same bytes each time, so export_model can measure the text in one walk
-/// and write it into an exact-size buffer in a second.
+/// taking std::string_view). Every cover (each process's and S′'s) is
+/// computed once, in the constructor; render() may then run any number of
+/// times and emits the same bytes each time, so export_model can measure
+/// the text in one walk and write it into an exact-size buffer in a second.
 class Renderer {
  public:
   Renderer(prog::DistributedProgram& program, const RepairResult& result)
       : program_(program), space_(program.space()) {
-    // foreach_cube enumerates DAG cubes, which depend on the variable
-    // order: restore the creation order so exports are canonical no matter
-    // which --order mode the run used. Handles survive the swaps.
+    // The cover depends on the variable order: restore the creation order
+    // so exports are canonical no matter which --order mode the run used.
+    // Handles survive the swaps.
     (void)bdd::order::restore_creation_order(space_.manager());
-    // Restricted to the fault span: everything else is an unreachable
-    // don't-care.
+    // Exact on the fault span; the j-views with no state in it are
+    // don't-cares, since no computation from the exported invariant S′
+    // leaves the span. Each cover is computed once and walked by every
+    // render().
+    bdd::Manager& mgr = space_.manager();
     for (std::size_t j = 0; j < program.process_count(); ++j) {
-      const bdd::Bdd shown = result.process_deltas[j] & result.fault_span;
-      projected_.push_back(project_process_view(program, j, shown));
+      const ProcessCover bounds = process_cover(
+          program, j, result.process_deltas[j], result.fault_span);
+      covers_.push_back(mgr.isop(bounds.lower, bounds.upper));
     }
+    // S′ itself, with the invalid encodings (which the parser excludes
+    // again) as don't-cares.
+    invariant_ = mgr.isop(result.invariant,
+                          result.invariant |
+                              ~space_.valid(sym::Version::kCurrent));
     for (sym::VarId v = 0; v < space_.variable_count(); ++v) {
       guards_.emplace_back(space_.info(v), false);
       updates_.emplace_back(space_.info(v), true);
@@ -166,7 +175,7 @@ class Renderer {
       sink("\n");
     }
     sink("\ninvariant ");
-    sink(program_.invariant_expression().to_string(space_));
+    render_invariant(sink);
     sink(";\n");
     for (const lang::Expr& e : program_.bad_state_expressions()) {
       sink("bad_state ");
@@ -207,38 +216,62 @@ class Renderer {
     put_names(sink, proc.writes);
     sink(";\n");
 
-    // Skipped cubes (inconsistent encodings, no writes) take no number.
+    // Skipped cubes (no valid written value, no writes) take no number.
     std::size_t counter = 0;
     std::vector<const std::string*> cube_updates;
-    space_.manager().foreach_cube(
-        projected_[j], [&](std::span<const signed char> cube) {
-          cube_updates.clear();
-          for (const sym::VarId w : proc.writes) {
-            const std::optional<std::string>& term = updates_[w].lookup(cube);
-            if (!term) return;
-            cube_updates.push_back(&*term);
-          }
-          if (cube_updates.empty()) return;
-          sink("  action a");
-          put_number(sink, counter++);
-          sink(": ");
-          bool guarded = false;
-          for (const sym::VarId r : proc.reads) {
-            const std::string& term = *guards_[r].lookup(cube);
-            if (term.empty()) continue;
-            if (guarded) sink(" && ");
-            sink(term);
-            guarded = true;
-          }
-          if (!guarded) sink("true");
-          sink(" -> ");
-          for (std::size_t i = 0; i < cube_updates.size(); ++i) {
-            if (i > 0) sink(", ");
-            sink(*cube_updates[i]);
-          }
-          sink(";\n");
-        });
+    covers_[j].foreach_cube([&](std::span<const signed char> cube) {
+      cube_updates.clear();
+      for (const sym::VarId w : proc.writes) {
+        const std::optional<std::string>& term = updates_[w].lookup(cube);
+        if (!term) return;
+        cube_updates.push_back(&*term);
+      }
+      if (cube_updates.empty()) return;
+      sink("  action a");
+      put_number(sink, counter++);
+      sink(": ");
+      bool guarded = false;
+      for (const sym::VarId r : proc.reads) {
+        const std::string& term = *guards_[r].lookup(cube);
+        if (term.empty()) continue;
+        if (guarded) sink(" && ");
+        sink(term);
+        guarded = true;
+      }
+      if (!guarded) sink("true");
+      sink(" -> ");
+      for (std::size_t i = 0; i < cube_updates.size(); ++i) {
+        if (i > 0) sink(", ");
+        sink(*cube_updates[i]);
+      }
+      sink(";\n");
+    });
     sink("}\n");
+  }
+
+  /// S′ as a disjunction of its cover's cubes, each the conjunction of its
+  /// guard terms.
+  template <typename Sink>
+  void render_invariant(Sink& sink) {
+    bool first_cube = true;
+    std::vector<const std::string*> terms;
+    invariant_.foreach_cube([&](std::span<const signed char> cube) {
+      terms.clear();
+      for (sym::VarId v = 0; v < space_.variable_count(); ++v) {
+        const std::string& term = *guards_[v].lookup(cube);
+        if (!term.empty()) terms.push_back(&term);
+      }
+      if (!first_cube) sink(" || ");
+      first_cube = false;
+      if (terms.empty()) sink("true");
+      if (terms.size() > 1) sink("(");
+      for (std::size_t i = 0; i < terms.size(); ++i) {
+        if (i > 0) sink(" && ");
+        sink(*terms[i]);
+      }
+      if (terms.size() > 1) sink(")");
+    });
+    if (first_cube) sink("false");
   }
 
   template <typename Sink>
@@ -275,7 +308,8 @@ class Renderer {
 
   const prog::DistributedProgram& program_;
   sym::Space& space_;
-  std::vector<bdd::Bdd> projected_;
+  std::vector<bdd::IsopCover> covers_;
+  bdd::IsopCover invariant_;
   std::vector<TermTable> guards_;   ///< per variable, current copy
   std::vector<TermTable> updates_;  ///< per variable, next copy
 };

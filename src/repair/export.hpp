@@ -8,20 +8,28 @@
 namespace lr::repair {
 
 /// Renders a repair result as a complete model in the textual `.lr`
-/// format: the original variables, faults, invariant and safety
-/// specification, with each process's actions replaced by the
-/// *synthesized* realizable guarded commands (restricted to the fault
-/// span; unreachable don't-cares are dropped).
+/// format: the original variables, faults and safety specification, the
+/// repair's invariant S′ in place of the declared one, and each process's
+/// actions replaced by the *synthesized* realizable guarded commands: one
+/// command per cube of an irredundant cover of process j's view of δ_j
+/// (Manager::isop over process_cover's interval). The cover is exact on the
+/// fault span T′; the j-views with no state in T′ are don't-cares, so the
+/// commands may add transitions there, and only there. T′ is closed under
+/// the program and the faults, so no computation from S′ reaches those
+/// states, and verify_tolerant_model, which derives S′ back from the
+/// exported invariant, never visits them. S′ is written as the
+/// disjunction of its own irredundant cover's cubes.
 ///
 /// The output parses back through lang::parse_program and — being already
 /// masking fault-tolerant — re-repairs to itself (the round-trip is
 /// regression-tested). Partial-value cubes are rendered with disjunctive
-/// guards and nondeterministic `{...}` choices, so the export is exact.
+/// guards and nondeterministic `{...}` choices over the values in the
+/// variables' domains.
 ///
-/// The text is rendered in two walks over the projected process programs:
-/// the first only measures it, the second writes it into a string reserved
-/// to exactly that size, so the export is never held twice. Throws
-/// std::logic_error if the two walks disagree on the length.
+/// The covers are computed once; the text is rendered in two walks over
+/// them: the first only measures it, the second writes it into a string
+/// reserved to exactly that size, so the export is never held twice.
+/// Throws std::logic_error if the two walks disagree on the length.
 [[nodiscard]] std::string export_model(prog::DistributedProgram& program,
                                        const RepairResult& result);
 

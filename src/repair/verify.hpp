@@ -94,10 +94,9 @@ struct LivelockCertificate {
 /// span is fresh forward reachability from that set. The derived set
 /// contains any genuine repair's S', so a corrupted or hand-edited export
 /// fails at least one check of verify_masking — the staleness signal batch
-/// --resume needs, at a fraction of the cost of re-running the repair. A
-/// correct export is still rejected when the repair shrank S' below the
-/// derived set and the repaired program is not tolerant from the
-/// difference (BA^3 at masking); --resume then re-runs the task.
+/// --resume needs, at a fraction of the cost of re-running the repair. An
+/// export declares the repair's S' as its invariant, so for a correct one
+/// the derived set is S' itself and its span lies in the repair's T'.
 [[nodiscard]] VerifyReport verify_tolerant_model(
     prog::DistributedProgram& program,
     ToleranceLevel level = ToleranceLevel::kMasking);

@@ -163,10 +163,10 @@ TEST_F(BddQuantifyTest, ForeachMintermCountMatchesSatCount) {
   EXPECT_DOUBLE_EQ(static_cast<double>(count), mgr_.sat_count(f, 4));
 }
 
-TEST_F(BddQuantifyTest, ForeachCubeCoversFunctionExactly) {
+TEST_F(BddQuantifyTest, ForeachIsopCubeCoversFunctionExactly) {
   const Bdd f = (v(0) & v(1)) | ((~v(0)) & v(2));
   Bdd rebuilt = mgr_.bdd_false();
-  mgr_.foreach_cube(f, [&](std::span<const signed char> values) {
+  mgr_.isop(f, f).foreach_cube([&](std::span<const signed char> values) {
     Bdd term = mgr_.bdd_true();
     for (std::size_t i = 0; i < values.size(); ++i) {
       if (values[i] == 0) term &= mgr_.bdd_nvar(static_cast<VarIndex>(i));

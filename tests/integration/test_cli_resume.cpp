@@ -140,12 +140,12 @@ TEST_F(CliResumeTest, TruncatedManifestResumesWithByteIdenticalStdout) {
   // Exactly the 3 recorded tasks were skipped; the 3 dropped ones re-ran.
   const std::string metrics = dir_ + "/metrics_resumed.json";
   for (int i = 1; i <= 3; ++i) {
-    EXPECT_EQ(gauge(metrics, "batch." + model_name(i) + ".resumed"),
+    EXPECT_EQ(gauge(metrics, "batch." + model_name(i) + ".lazy.resumed"),
               std::optional<double>(1.0))
         << model_name(i);
   }
   for (int i = 4; i <= 6; ++i) {
-    EXPECT_EQ(gauge(metrics, "batch." + model_name(i) + ".resumed"),
+    EXPECT_EQ(gauge(metrics, "batch." + model_name(i) + ".lazy.resumed"),
               std::optional<double>(0.0))
         << model_name(i);
   }
@@ -165,7 +165,7 @@ TEST_F(CliResumeTest, EditedModelAloneRerunsOnResume) {
       << "the edit is semantically neutral, so stdout must not change";
   const std::string metrics = dir_ + "/metrics_stale.json";
   for (int i = 1; i <= 6; ++i) {
-    EXPECT_EQ(gauge(metrics, "batch." + model_name(i) + ".resumed"),
+    EXPECT_EQ(gauge(metrics, "batch." + model_name(i) + ".lazy.resumed"),
               std::optional<double>(i == 2 ? 0.0 : 1.0))
         << model_name(i);
   }
@@ -179,7 +179,7 @@ TEST_F(CliResumeTest, FullyRecordedSweepSkipsEverythingAndStaysGreen) {
   EXPECT_EQ(warm.output, cold.output);
   const std::string metrics = dir_ + "/metrics_warm.json";
   for (int i = 1; i <= 6; ++i) {
-    EXPECT_EQ(gauge(metrics, "batch." + model_name(i) + ".resumed"),
+    EXPECT_EQ(gauge(metrics, "batch." + model_name(i) + ".lazy.resumed"),
               std::optional<double>(1.0))
         << model_name(i);
   }

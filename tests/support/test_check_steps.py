@@ -3,12 +3,14 @@
 
 Usage: test_check_steps.py PATH/TO/check_steps.py
 
-Each case writes a two-workload ledger (max_ratio 1.10) and lr_bench-style
-result lines to a temporary directory, runs the script and checks its exit
-code and verdict: counts inside the band pass; a count above it fails as a
-regression; a count below ledger / max_ratio fails as a stale ledger; a
-ledger workload without a result, a result for a workload the ledger lacks
-and a result with failed instances all fail.
+Each case writes a two-workload ledger (max_ratio 1.10, rss_max_ratio
+1.25) and lr_bench-style result lines to a temporary directory, runs the
+script and checks its exit code and verdict: counts inside the band pass;
+a count above it fails as a regression; a count below ledger / max_ratio
+fails as a stale ledger; peak_rss_mb fails above ledger * rss_max_ratio
+and passes at any lower reading; a ledger workload without a result, a
+result for a workload the ledger lacks and a result with failed instances
+all fail.
 """
 
 import json
@@ -23,17 +25,22 @@ SCRIPT = None
 LEDGER = {
     "seed": 1,
     "max_ratio": 1.10,
+    "rss_max_ratio": 1.25,
     "workloads": {
-        "alpha": {"repair_steps": 1000, "total_steps": 2000},
-        "beta": {"repair_steps": 500, "total_steps": 800},
+        "alpha": {"repair_steps": 1000, "total_steps": 2000,
+                  "peak_rss_mb": 40.0},
+        "beta": {"repair_steps": 500, "total_steps": 800,
+                 "peak_rss_mb": 20.0},
     },
 }
 
 
-def result_line(repair_steps, total_steps, correct=True, failed=0):
+def result_line(repair_steps, total_steps, correct=True, failed=0,
+                peak_rss_mb=20.0):
     metrics = {
         "repair_steps": {"value": repair_steps, "unit": "count"},
         "total_steps": {"value": total_steps, "unit": "count"},
+        "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
     }
     return json.dumps({"correct": correct, "attempted": 3, "failed": failed,
                        "metrics": metrics})
@@ -81,6 +88,23 @@ class CheckStepsTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("refresh the ledger", out)
         self.assertNotIn("FAIL", out)
+
+    def test_peak_rss_over_its_ratio_fails(self):
+        code, out = self.run_check({
+            "alpha": result_line(1000, 2000, peak_rss_mb=50.1),  # 1.2525
+            "beta": result_line(500, 800),
+        })
+        self.assertEqual(code, 1, out)
+        self.assertIn("FAIL", out)
+
+    def test_peak_rss_inside_its_ratio_or_lower_passes(self):
+        code, out = self.run_check({
+            "alpha": result_line(1000, 2000, peak_rss_mb=49.9),  # 1.2475
+            "beta": result_line(500, 800, peak_rss_mb=5.0),      # 0.25
+        })
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("FAIL", out)
+        self.assertNotIn("STALE", out)
 
     def test_a_missing_workload_fails(self):
         code, out = self.run_check({"alpha": result_line(1000, 2000)})
