@@ -288,12 +288,15 @@ std::size_t Manager::live_nodes() const noexcept {
 
 void Manager::maybe_gc() {
   if (live_nodes() < gc_threshold_) return;
-  collect_garbage_impl(GcTrigger::kThreshold);
+  const std::size_t retained = collect_garbage_impl(GcTrigger::kThreshold);
   // If the collection freed little, raise the threshold so we do not thrash.
-  if (live_nodes() * 4 > gc_threshold_ * 3) gc_threshold_ *= 2;
+  // The nodes kept only for the cache's hit set do not count: the next
+  // collection frees them unless they are hit again.
+  if ((live_nodes() - retained) * 4 > gc_threshold_ * 3) gc_threshold_ *= 2;
 }
 
-void Manager::mark(NodeId root, std::vector<NodeId>& stack) {
+std::size_t Manager::mark(NodeId root, std::vector<NodeId>& stack) {
+  std::size_t marked = 0;
   stack.push_back(root);
   while (!stack.empty()) {
     const NodeId id = stack.back();
@@ -304,14 +307,16 @@ void Manager::mark(NodeId root, std::vector<NodeId>& stack) {
     // kTerminalVar never collide with real variables (< 2^31 of them).
     if ((n.var & 0x80000000u) != 0) continue;  // already marked
     n.var |= 0x80000000u;
+    ++marked;
     stack.push_back(n.lo);
     stack.push_back(n.hi);
   }
+  return marked;
 }
 
 void Manager::collect_garbage() { collect_garbage_impl(GcTrigger::kExplicit); }
 
-void Manager::collect_garbage_impl(GcTrigger trigger) {
+std::size_t Manager::collect_garbage_impl(GcTrigger trigger) {
   // Nested inside whatever operation triggered the collection: the depth
   // guard keeps the outer hook as the sole accountant, so this only charges
   // for explicitly requested collections.
@@ -326,6 +331,24 @@ void Manager::collect_garbage_impl(GcTrigger trigger) {
     const Node& n = nodes_[id];
     if (n.var != kFreeVar && n.refs > 0 && (n.var & 0x80000000u) == 0) {
       mark(id, stack);
+    }
+  }
+  // A threshold collection also keeps the cache's hit set: an entry hit
+  // since the last collection whose operands survive keeps its result, so
+  // the fixpoint that hit it finds it again instead of recomputing it. One
+  // pass in slot order; terminals read as marked (kTerminalVar has the mark
+  // bit), and no entry names a free node, since the collection that frees
+  // a node drops every entry naming it.
+  std::size_t retained = 0;
+  if (trigger == GcTrigger::kThreshold) {
+    const auto is_marked = [this](std::uint32_t word) {
+      return (nodes_[detail::entry_id(word)].var & 0x80000000u) != 0;
+    };
+    for (const CacheEntry& e : cache_) {
+      if ((e.a & detail::kCacheRefBit) != 0 && is_marked(e.a) &&
+          is_marked(e.b) && is_marked(e.c)) {
+        retained += mark(detail::entry_id(e.result), stack);
+      }
     }
   }
   // Sweep: rebuild the unique table from marked nodes, free the rest, and
@@ -364,15 +387,20 @@ void Manager::collect_garbage_impl(GcTrigger trigger) {
   // Op-cache entries whose operands and result all survived stay valid:
   // a live node is never rewritten by a collection. Drop the rest now,
   // before any freed slot can be reused and alias them. (Empty entries
-  // name only node 0.)
+  // name only node 0.) A threshold collection also clears every reference
+  // bit, so the next one keeps only what is hit from here on.
   const auto is_live = [&live](std::uint32_t word) {
     const NodeId id = detail::entry_id(word);
     return ((live[id >> 6] >> (id & 63)) & 1u) != 0;
   };
+  const std::uint32_t kept_bits =
+      trigger == GcTrigger::kThreshold ? ~detail::kCacheRefBit : ~0u;
   for (CacheEntry& e : cache_) {
     if (!is_live(e.a) || !is_live(e.b) || !is_live(e.c) ||
         !is_live(e.result)) {
       e = CacheEntry{};
+    } else {
+      e.a &= kept_bits;
     }
   }
   stats_.live_nodes = live_nodes();
@@ -385,6 +413,7 @@ void Manager::collect_garbage_impl(GcTrigger trigger) {
     record.live_before = live_before;
     record.live_after = stats_.live_nodes;
     record.reclaimed = live_before - stats_.live_nodes;
+    record.retained = retained;
     record.seconds = gc_seconds;
     gc_log_.push_back(record);
   } else {
@@ -394,7 +423,9 @@ void Manager::collect_garbage_impl(GcTrigger trigger) {
     span.attr("trigger", std::string_view(gc_trigger_name(trigger)));
     span.attr("live_before", static_cast<std::uint64_t>(live_before));
     span.attr("live_after", static_cast<std::uint64_t>(stats_.live_nodes));
+    span.attr("retained", static_cast<std::uint64_t>(retained));
   }
+  return retained;
 }
 
 // --- Memory & structure telemetry --------------------------------------------

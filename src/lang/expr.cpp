@@ -58,6 +58,25 @@ Expr Expr::ite(const Expr& cond, const Expr& then_e, const Expr& else_e) {
   return make(Kind::kIte, {cond, then_e, else_e});
 }
 
+Expr::Node::~Node() {
+  // A subtree some other Expr still holds is left to its last owner.
+  std::vector<std::shared_ptr<const Node>> owned;
+  const auto take_children = [&owned](Node& node) {
+    for (Expr& child : node.children) {
+      if (child.node_ != nullptr && child.node_.use_count() == 1) {
+        owned.push_back(std::move(child.node_));
+      }
+    }
+  };
+  take_children(*this);
+  while (!owned.empty()) {
+    const std::shared_ptr<const Node> node = std::move(owned.back());
+    owned.pop_back();
+    // Sole owner, and every Node is created non-const by make_shared.
+    take_children(const_cast<Node&>(*node));
+  }  // `node` dies here with no sole-owned child left to recurse into
+}
+
 const Expr::Node& Expr::node() const {
   if (node_ == nullptr) type_error("use of empty expression");
   return *node_;
@@ -185,9 +204,28 @@ bdd::Bdd Compiler::compile_bool(const Expr& e) {
     case Expr::Kind::kNot:
       return ~compile_bool(n.children[0]);
     case Expr::Kind::kAnd:
-      return compile_bool(n.children[0]) & compile_bool(n.children[1]);
-    case Expr::Kind::kOr:
-      return compile_bool(n.children[0]) | compile_bool(n.children[1]);
+    case Expr::Kind::kOr: {
+      // The parser builds a same-operator chain left-deep, so a || b || c
+      // is ((a || b) || c), and an exported guard can list tens of
+      // thousands of values: walk the left spine in a loop. The right
+      // operands are compiled first, from the top of the chain down, then
+      // the leftmost one, and the fold runs left to right, releasing each
+      // right operand once it is folded in. That is the order of BDD
+      // operations, with the same handles alive at each, that GCC gives
+      // the recursive compile_bool(l) | compile_bool(r) (right operand
+      // first); the step ledger and goldens are measured in it.
+      std::vector<bdd::Bdd> rights;
+      const Expr* left = &e;
+      for (; left->node().kind == n.kind; left = &left->node().children[0]) {
+        rights.push_back(compile_bool(left->node().children[1]));
+      }
+      bdd::Bdd acc = compile_bool(*left);
+      for (; !rights.empty(); rights.pop_back()) {
+        acc = n.kind == Expr::Kind::kAnd ? acc & rights.back()
+                                         : acc | rights.back();
+      }
+      return acc;
+    }
     case Expr::Kind::kImplies:
       return compile_bool(n.children[0]).implies(compile_bool(n.children[1]));
     case Expr::Kind::kIff:

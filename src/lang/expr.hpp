@@ -111,6 +111,13 @@ class Expr {
     std::uint32_t value = 0;  // IntConst value / BoolConst (0/1) / VarId
     sym::Version version = sym::Version::kCurrent;  // for kVar
     std::vector<Expr> children;
+
+    Node() = default;
+    Node(const Node&) = delete;
+    Node& operator=(const Node&) = delete;
+    /// Releases the subtrees this node alone owns from a local stack, so a
+    /// long left-deep `||` chain is torn down without one frame per link.
+    ~Node();
   };
 
   explicit Expr(std::shared_ptr<const Node> node) : node_(std::move(node)) {}

@@ -157,7 +157,8 @@ TEST(BddGcTest, CacheEntryNamingAFreedNodeIsDropped) {
 
 TEST(BddGcTest, ReferencedEntryNamingAFreedNodeIsDropped) {
   // A one-entry cache is at its cap, so a hit entry refuses the next
-  // colliding store; the GC must still drop it once its result dies.
+  // colliding store; the GC must still drop it once its result dies. An
+  // explicit collection keeps no hit set, so the result does die.
   Manager::Options options;
   options.cache_bytes = 16;
   Manager mgr(options);
@@ -181,6 +182,132 @@ TEST(BddGcTest, ReferencedEntryNamingAFreedNodeIsDropped) {
   const std::uint64_t hits = mgr.stats().cache_hits;
   EXPECT_EQ(mgr.bdd_var(2) & mgr.bdd_var(3), other);
   EXPECT_EQ(mgr.stats().cache_hits, hits + 1);
+}
+
+// --- The cache's hit set across threshold collections ------------------------
+
+constexpr std::size_t kTinyThreshold = 32;
+
+/// A manager whose threshold collection runs as soon as 32 nodes are
+/// allocated.
+Manager::Options tiny_threshold() {
+  Manager::Options options;
+  options.gc_threshold = kTinyThreshold;
+  return options;
+}
+
+/// Fills the pool with dead single-node functions of variables 2 and up (a
+/// variable whose node is live adds none) until live nodes reach the
+/// threshold, then enters one operation, which collects. Neither the
+/// padding nor that operation touches the cache.
+void run_threshold_gc(Manager& mgr) {
+  const std::uint64_t runs = mgr.stats().gc_runs;
+  for (VarIndex v = 2; mgr.live_nodes() < kTinyThreshold; ++v) {
+    (void)mgr.bdd_var(v);
+  }
+  (void)(mgr.bdd_true() & mgr.bdd_true());
+  ASSERT_EQ(mgr.stats().gc_runs, runs + 1);
+  ASSERT_EQ(mgr.gc_log().back().trigger, GcTrigger::kThreshold);
+}
+
+/// x0 ∧ x1 is one node whose cofactors are terminals or x1, so computing
+/// it probes the cache exactly once, and x0 and x1 stay live throughout.
+struct HitSetFixture {
+  Manager mgr{tiny_threshold()};
+  Bdd x0, x1;
+  NodeId conj_id = 0;
+
+  explicit HitSetFixture(bool hit) {
+    for (int i = 0; i < 48; ++i) (void)mgr.new_var();
+    x0 = mgr.bdd_var(0);
+    x1 = mgr.bdd_var(1);
+    const Bdd conj = x0 & x1;
+    conj_id = conj.id();
+    if (hit) {
+      const std::uint64_t hits = mgr.stats().cache_hits;
+      EXPECT_EQ(x0 & x1, conj);
+      EXPECT_EQ(mgr.stats().cache_hits, hits + 1);
+    }
+  }
+
+  /// Recomputes x0 ∧ x1: true when its one probe hit.
+  bool conj_hits() {
+    const std::uint64_t lookups = mgr.stats().cache_lookups;
+    const std::uint64_t hits = mgr.stats().cache_hits;
+    const Bdd again = x0 & x1;
+    EXPECT_EQ(mgr.stats().cache_lookups, lookups + 1);
+    EXPECT_TRUE(mgr.eval(again, std::array<bool, 2>{true, true}));
+    EXPECT_FALSE(mgr.eval(again, std::array<bool, 2>{true, false}));
+    return mgr.stats().cache_hits == hits + 1;
+  }
+};
+
+TEST(BddGcTest, ThresholdGcKeepsTheResultOfAnEntryHitSinceTheLastOne) {
+  HitSetFixture t(/*hit=*/true);
+  const std::uint64_t reclaimed = t.mgr.stats().gc_reclaimed;
+  run_threshold_gc(t.mgr);
+  // Only the padding died; x0 ∧ x1, unreferenced, was kept for its entry.
+  EXPECT_EQ(t.mgr.live_nodes(), 5u);
+  EXPECT_EQ(t.mgr.gc_log().back().retained, 1u);
+  EXPECT_EQ(t.mgr.stats().gc_reclaimed - reclaimed, kTinyThreshold - 5);
+  EXPECT_TRUE(t.conj_hits()) << "the hit entry was dropped";
+  EXPECT_EQ((t.x0 & t.x1).id(), t.conj_id);
+}
+
+TEST(BddGcTest, ThresholdGcDropsAnEntryNotHitSinceTheLastOne) {
+  HitSetFixture t(/*hit=*/false);
+  run_threshold_gc(t.mgr);
+  EXPECT_EQ(t.mgr.live_nodes(), 4u) << "the unhit result was kept";
+  EXPECT_FALSE(t.conj_hits()) << "an entry naming a freed node answered";
+}
+
+TEST(BddGcTest, ThresholdGcClearsTheHitSet) {
+  // The first collection keeps x0 ∧ x1 and clears the entry's reference
+  // bit; nothing hits it again, so the second frees it.
+  HitSetFixture t(/*hit=*/true);
+  run_threshold_gc(t.mgr);
+  EXPECT_EQ(t.mgr.live_nodes(), 5u);
+  run_threshold_gc(t.mgr);
+  EXPECT_EQ(t.mgr.live_nodes(), 4u) << "the result outlived its hit set";
+  EXPECT_FALSE(t.conj_hits());
+}
+
+TEST(BddGcTest, NodesKeptForTheHitSetDoNotRaiseTheThreshold) {
+  // Twelve hit entries x0 ∧ xi keep twelve dead one-node results: the
+  // collection leaves 27 nodes, more than 3/4 of the threshold, but only
+  // 15 without them, so the threshold stays and the next padding to 32
+  // nodes collects again.
+  constexpr VarIndex kHit = 12;
+  Manager mgr(tiny_threshold());
+  for (int i = 0; i < 48; ++i) (void)mgr.new_var();
+  const Bdd x0 = mgr.bdd_var(0);
+  std::vector<Bdd> kept;
+  for (VarIndex v = 1; v <= kHit; ++v) kept.push_back(mgr.bdd_var(v));
+  for (const Bdd& xi : kept) {
+    const Bdd conj = x0 & xi;
+    EXPECT_EQ(x0 & xi, conj);
+  }
+  run_threshold_gc(mgr);
+  ASSERT_EQ(mgr.gc_log().back().retained, std::size_t{kHit});
+  ASSERT_EQ(mgr.live_nodes(), 3 + 2 * std::size_t{kHit});
+  run_threshold_gc(mgr);
+  EXPECT_EQ(mgr.gc_log().back().retained, 0u);
+  EXPECT_EQ(mgr.live_nodes(), 3 + std::size_t{kHit});
+}
+
+TEST(BddGcTest, ThresholdGcKeepsNoResultForAHitEntryWithADeadOperand) {
+  Manager mgr(tiny_threshold());
+  for (int i = 0; i < 48; ++i) (void)mgr.new_var();
+  const Bdd x1 = mgr.bdd_var(1);
+  {
+    const Bdd x0 = mgr.bdd_var(0);
+    const Bdd conj = x0 & x1;
+    EXPECT_EQ(x0 & x1, conj);  // hit: the entry is referenced
+  }
+  // x0 died, so the entry can never be probed again: its result must go.
+  run_threshold_gc(mgr);
+  EXPECT_EQ(mgr.live_nodes(), 3u);
+  EXPECT_EQ(mgr.cache_entries_used(), 0u);
 }
 
 TEST(BddGcTest, ReusedSlotNeverReturnsTheOldResult) {

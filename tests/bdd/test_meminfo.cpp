@@ -104,8 +104,8 @@ void churn_cache(Manager& mgr) {
 TEST(BddMeminfoCacheTest, CacheStartsSmallAndGrowsUnderEvictionPressure) {
   Manager mgr;
   EXPECT_EQ(mgr.cache_entry_count(), 4096u);
-  EXPECT_EQ(Manager::Options{}.cache_bytes, std::size_t{20} << 20);
-  EXPECT_EQ(mgr.cache_entry_cap(), 1310720u) << "20 MiB of 16-byte entries";
+  EXPECT_EQ(Manager::Options{}.cache_bytes, std::size_t{8} << 20);
+  EXPECT_EQ(mgr.cache_entry_cap(), 524288u) << "8 MiB of 16-byte entries";
   EXPECT_EQ(mgr.stats().cache_resizes, 0u);
   const std::size_t fresh_peak = mgr.stats().peak_bytes;
 
@@ -126,7 +126,7 @@ TEST(BddMeminfoCacheTest, CacheStartsSmallAndGrowsUnderEvictionPressure) {
   EXPECT_EQ(info.cache_resizes, stats.cache_resizes);
   std::ostringstream out;
   meminfo::write_report(info, out);
-  EXPECT_NE(out.str().find("(cap 1310720, " +
+  EXPECT_NE(out.str().find("(cap 524288, " +
                            std::to_string(stats.cache_resizes) + " resize"),
             std::string::npos)
       << out.str();

@@ -90,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(
                  true},
         Scenario{"ba5",
                  [] { return cs::make_byzantine({.non_generals = 5}); },
-                 false},
+                 true},
         Scenario{"bafs2",
                  [] {
                    return cs::make_byzantine(
@@ -102,7 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
                    return cs::make_byzantine(
                        {.non_generals = 3, .fail_stop = true});
                  },
-                 false},
+                 true},
         Scenario{"chain3x2",
                  [] { return cs::make_chain({.length = 3, .domain = 2}); },
                  false},

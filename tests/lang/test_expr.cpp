@@ -128,6 +128,30 @@ TEST_F(ExprTest, TypeErrors) {
   EXPECT_THROW((void)(Expr{} == 3u), std::invalid_argument);
 }
 
+TEST_F(ExprTest, LongLeftDeepChainsCompileAndTearDownWithoutDeepRecursion) {
+  // A left-deep chain as the parser builds it for `a || b || c ...`,
+  // deeper than one stack frame per operand would fit in a default stack.
+  // Every operand shares the same four terms, so only the chain is large.
+  constexpr int kLength = 200000;
+  const Expr terms[4] = {Expr::var(0) == 0u, Expr::var(0) == 2u,
+                         Expr::var(1) == 1u, Expr::var(1) == 3u};
+  Compiler compiler(space_);
+  {
+    Expr any = terms[0];
+    Expr all = !terms[0];
+    for (int i = 1; i < kLength; ++i) {
+      any = any || terms[i % 4];
+      all = all && !terms[i % 4];
+    }
+    check_against(space_, x_, y_, any, [](std::uint32_t a, std::uint32_t b) {
+      return a == 0 || a == 2 || b == 1 || b == 3;
+    });
+    EXPECT_EQ(compiler.compile_bool(all), ~compiler.compile_bool(any));
+  }  // both chains are torn down here
+  // A shared subtree outlives the chains that held it.
+  EXPECT_EQ(terms[3].to_string(), "(v1 == 3)");
+}
+
 TEST_F(ExprTest, ToStringIsReadable) {
   const Expr e = (Expr::var(0) == 2u) && (Expr::var(1) != Expr::var(0));
   EXPECT_EQ(e.to_string(), "((v0 == 2) && (v1 != v0))");

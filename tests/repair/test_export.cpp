@@ -408,17 +408,15 @@ void expect_irredundant_process_cover(prog::DistributedProgram& program,
 
 /// Repairs `program`, exports it and checks the export against the
 /// repair: byte for byte against reference_export, each process's commands
-/// an irredundant cover (expect_irredundant_process_cover), and with
-/// `parse_back`, the parsed export's invariant exactly S′ and its relation
-/// of each process on the fault span T′ exactly the repaired δ_j ∧ T′.
-/// export_model itself throws if its
-/// measuring walk and its writing walk disagree on the length. With
+/// an irredundant cover (expect_irredundant_process_cover), the parsed
+/// export's invariant exactly S′ and its relation of each process on the
+/// fault span T′ exactly the repaired δ_j ∧ T′. export_model itself throws
+/// if its measuring walk and its writing walk disagree on the length. With
 /// `file_path`, export_model_file must write the same bytes. False when
 /// the repair fails (nothing to export).
 bool expect_export_matches_repair(prog::DistributedProgram& program,
                                   const std::string& what,
-                                  const std::string& file_path = "",
-                                  bool parse_back = true) {
+                                  const std::string& file_path = "") {
   const RepairResult result = lazy_repair(program);
   if (!result.success) return false;
   const std::string text = export_model(program, result);
@@ -426,22 +424,19 @@ bool expect_export_matches_repair(prog::DistributedProgram& program,
   for (std::size_t j = 0; j < program.process_count(); ++j) {
     expect_irredundant_process_cover(program, result, j, text, what);
   }
-  if (parse_back) {
-    bdd::Manager& mgr = program.space().manager();
-    const std::unique_ptr<prog::DistributedProgram> reparsed =
-        lang::parse_program(text);
-    EXPECT_EQ(reparsed->process_count(), program.process_count()) << what;
-    bdd::Manager& other = reparsed->space().manager();
-    EXPECT_EQ(reparsed->invariant(),
-              transfer(mgr, result.invariant, other))
-        << what;
-    const bdd::Bdd span = transfer(mgr, result.fault_span, other);
-    for (std::size_t j = 0; j < program.process_count(); ++j) {
-      const bdd::Bdd expected =
-          transfer(mgr, result.process_deltas[j] & result.fault_span, other);
-      EXPECT_EQ(reparsed->process_delta(j) & span, expected)
-          << what << " process " << j;
-    }
+  bdd::Manager& mgr = program.space().manager();
+  const std::unique_ptr<prog::DistributedProgram> reparsed =
+      lang::parse_program(text);
+  EXPECT_EQ(reparsed->process_count(), program.process_count()) << what;
+  bdd::Manager& other = reparsed->space().manager();
+  EXPECT_EQ(reparsed->invariant(), transfer(mgr, result.invariant, other))
+      << what;
+  const bdd::Bdd span = transfer(mgr, result.fault_span, other);
+  for (std::size_t j = 0; j < program.process_count(); ++j) {
+    const bdd::Bdd expected =
+        transfer(mgr, result.process_deltas[j] & result.fault_span, other);
+    EXPECT_EQ(reparsed->process_delta(j) & span, expected)
+        << what << " process " << j;
   }
   if (!file_path.empty()) {
     EXPECT_TRUE(export_model_file(program, result, file_path)) << what;
@@ -575,27 +570,11 @@ TEST(ExportRendererTest, RandomModelsMatchReference) {
   EXPECT_GT(compared, per_shard);
 }
 
-// The parser builds a `||` chain as a left-deep tree that lang::Compiler
-// and the tree's destructor walk recursively, one stack frame per operand,
-// and a sanitizer build's larger frames overflow the stack on the
-// 32768-value guards of the wide model below.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitizerBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitizerBuild = true;
-#else
-constexpr bool kSanitizerBuild = false;
-#endif
-#else
-constexpr bool kSanitizerBuild = false;
-#endif
-
 // A 16-bit variable: the term memo must be filled on demand (a table over
 // every partial assignment would need 3^16 entries). `x != 0` projects to
 // partial cubes whose guards list up to 32768 values each; the reference
-// renderer checks every one of them. The export is parsed back except in
-// sanitizer builds (kSanitizerBuild).
+// renderer checks every one of them, and the parse-back compiles and tears
+// down `||` chains that long.
 TEST(ExportRendererTest, WideDomainMatchesReference) {
   auto p = lang::parse_program(R"(
 program wide;
@@ -611,8 +590,7 @@ fault glitch: x == 0 && y == 0 -> havoc x;
 invariant y == 1 || x == 0;
 )");
   EXPECT_TRUE(expect_export_matches_repair(
-      *p, "wide", ::testing::TempDir() + "export_renderer_wide.lr",
-      /*parse_back=*/!kSanitizerBuild));
+      *p, "wide", ::testing::TempDir() + "export_renderer_wide.lr"));
 }
 
 }  // namespace

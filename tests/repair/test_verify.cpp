@@ -138,9 +138,17 @@ TEST(LivelockCertificateTest, RankOverHiddenVariablesIsRejected) {
   const sym::VarId foreign = c.program->process(c.program->process_count() - 1)
                                  .writes.front();
   const sym::VarId foreign_vars[1] = {foreign};
-  const bdd::Bdd value = space.manager().pick_minterm(
+  // pick_minterm's cube must hold the support, so project the valid
+  // encodings onto the foreign variable first.
+  std::vector<sym::VarId> others;
+  for (sym::VarId v = 0; v < space.variable_count(); ++v) {
+    if (v != foreign) others.push_back(v);
+  }
+  const bdd::Bdd foreign_valid = space.manager().exists(
       space.valid(sym::Version::kCurrent),
-      space.cube_of(foreign_vars, sym::Version::kCurrent));
+      space.cube_of(others, sym::Version::kCurrent));
+  const bdd::Bdd value = space.manager().pick_minterm(
+      foreign_valid, space.cube_of(foreign_vars, sym::Version::kCurrent));
   LivelockCertificate split = *cert;
   split.ranks[0].clear();
   for (const bdd::Bdd& rank : cert->ranks[0]) {
