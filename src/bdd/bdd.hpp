@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "bdd/chunked_pool.hpp"
+
 namespace lr::bdd {
 
 namespace profile {
@@ -248,11 +250,13 @@ class IsopCover {
 ///  * No complement edges. This costs a constant factor on negation-heavy
 ///    workloads but keeps canonicity trivially simple; negation results are
 ///    memoized so repeated NOT is cheap.
-///  * Nodes are pool indices (below 2^28), the unique table is a chained
-///    hash over the pool, and the operation cache is a direct-mapped array
-///    of 16-byte entries keyed by (op, a, b, c), the 15-bit op code and a
-///    reference bit packed into the ids' spare top bits
-///    (detail::CacheEntry). A key's slot is its mixed hash range-reduced by
+///  * Nodes are pool indices (below 2^28). The pool grows in fixed chunks
+///    of 2^16 nodes that never move (detail::ChunkedPool), so growth
+///    copies nothing and the pool never holds an old and a new array at
+///    once. The unique table is a chained hash over the pool, and the
+///    operation cache is a direct-mapped array of 16-byte entries keyed
+///    by (op, a, b, c), the 15-bit op code and a reference bit packed
+///    into the ids' spare top bits (detail::CacheEntry). A key's slot is its mixed hash range-reduced by
 ///    multiply-shift (Lemire 2016), so the size need not be a power of two.
 ///    The cache starts at 2^12 entries and doubles, up to
 ///    Options::cache_bytes / 16 entries (the last step lands exactly on
@@ -283,7 +287,10 @@ class IsopCover {
 class Manager {
  public:
   struct Options {
-    /// Initial node pool capacity (grows on demand).
+    /// Initial unique-table size, rounded up to a power of two (at least
+    /// 64); the table doubles whenever the pool outgrows it. The node pool
+    /// itself always grows in fixed chunks of 2^16 nodes, so a small value
+    /// here forces bucket growth only, not pool growth.
     std::size_t initial_capacity = 1u << 16;
     /// Bytes the operation cache may grow to. Its entry cap is
     /// cache_bytes / 16 (at least 1, at most 2^32 entries, or the
@@ -433,6 +440,19 @@ class Manager {
   /// Forces a garbage collection (also runs automatically under pressure).
   void collect_garbage();
 
+  /// Checks the engine's structural invariants and throws std::logic_error
+  /// naming the first one broken:
+  ///  * every live node is findable in its unique-table bucket, and no
+  ///    (var, lo, hi) triple occurs twice;
+  ///  * a node's children sit at deeper levels, and lo != hi;
+  ///  * the free list holds only free slots, none of them on a chain;
+  ///  * no op-cache entry names a free slot (a GC drops every entry that
+  ///    names a node it frees).
+  /// Linear in the pool, table and cache. Builds configured with the CMake
+  /// option LR_BDD_CHECK run it after every GC, unique-table growth, new
+  /// pool chunk, op-cache growth and level swap, and abort on a failure.
+  void check_invariants() const;
+
   // --- Memory & structure telemetry ------------------------------------------
   /// Live internal nodes per *level* (index = order position). One pool
   /// walk, no allocation beyond the result vector.
@@ -463,8 +483,10 @@ class Manager {
   }
   [[nodiscard]] std::size_t cache_entries_used() const;
 
-  /// Bytes currently held by the node pool, unique table and op cache
-  /// (container sizes, not capacities, so the figure is deterministic).
+  /// Bytes currently held by the node pool, unique table and op cache:
+  /// node count × sizeof(Node) plus the bucket and cache entry counts ×
+  /// their sizes. Sizes, not the pool's whole chunks or the cache's
+  /// reserved capacity, so the figure is deterministic.
   [[nodiscard]] std::size_t allocated_bytes() const noexcept {
     return nodes_.size() * sizeof(Node) + buckets_.size() * sizeof(NodeId) +
            cache_.size() * sizeof(CacheEntry);
@@ -520,7 +542,17 @@ class Manager {
     kOpLimit = 0x8000
   };
 
+  /// log2 of the nodes per pool chunk (2^16 nodes, 1.25 MiB).
+  static constexpr unsigned kPoolChunkBits = 16;
+
   void init_pool(std::size_t capacity);
+  /// check_invariants() after a structural change, in LR_BDD_CHECK builds
+  /// only (a no-op otherwise); prints `after` and aborts on a failure.
+#ifdef LR_BDD_CHECK
+  void self_check(const char* after) const;
+#else
+  void self_check(const char* /*after*/) const noexcept {}
+#endif
   NodeId make_node(VarIndex var, NodeId lo, NodeId hi);
   NodeId alloc_node();
   void grow_buckets();
@@ -582,12 +614,15 @@ class Manager {
     return nodes_[id].var;
   }
 
-  std::vector<Node> nodes_;
+  detail::ChunkedPool<Node, kPoolChunkBits> nodes_;
   std::vector<NodeId> buckets_;   // unique table heads; size is a power of 2
   std::size_t bucket_mask_ = 0;
   NodeId free_head_ = 0;
   std::size_t free_count_ = 0;
   bool has_free_ = false;
+  /// Set while swap_adjacent_levels rewrites nodes: levels are exchanged
+  /// only at its end, so self_check waits for that.
+  bool swapping_ = false;
 
   std::vector<CacheEntry> cache_;  // capacity reserved to cache_cap_ up front
   std::size_t cache_cap_ = 0;

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "bdd/profile.hpp"
@@ -159,8 +162,11 @@ Manager::Manager(const Options& options)
 Manager::~Manager() = default;
 
 void Manager::init_pool(std::size_t capacity) {
-  nodes_.reserve(capacity);
-  // Terminal nodes occupy slots 0 and 1 and are never collected.
+  // Terminal nodes occupy slots 0 and 1 and are never collected. The
+  // first push allocates the pool's chunk table and first chunk, after the
+  // cache's reserve and before the buckets: the setup time of thousands of
+  // fresh managers follows this heap placement (EXPERIMENTS.md "Node pool
+  // in fixed chunks").
   nodes_.push_back(Node{kTerminalVar, kFalseId, kFalseId, 0, 1});
   nodes_.push_back(Node{kTerminalVar, kTrueId, kTrueId, 0, 1});
   std::size_t buckets = 1;
@@ -220,7 +226,9 @@ NodeId Manager::alloc_node() {
   // A free slot until make_node fills it, so grow_buckets leaves it out of
   // the chains (a var-0 slot would be linked in, and make_node's `next`
   // write would then cut off the rest of that bucket).
+  const std::size_t chunks = nodes_.chunk_count();
   nodes_.push_back(Node{kFreeVar, kFalseId, kFalseId, kFalseId, 0});
+  if (nodes_.chunk_count() != chunks) self_check("a new pool chunk");
   if (nodes_.size() > buckets_.size()) grow_buckets();
   return static_cast<NodeId>(nodes_.size() - 1);
 }
@@ -268,6 +276,7 @@ void Manager::grow_buckets() {
   buckets_ = std::move(fresh);
   bucket_mask_ = mask;
   note_peak_bytes();
+  self_check("unique-table growth");
 }
 
 std::size_t Manager::unique_bucket(VarIndex var, NodeId lo,
@@ -425,8 +434,103 @@ std::size_t Manager::collect_garbage_impl(GcTrigger trigger) {
     span.attr("live_after", static_cast<std::uint64_t>(stats_.live_nodes));
     span.attr("retained", static_cast<std::uint64_t>(retained));
   }
+  self_check("a garbage collection");
   return retained;
 }
+
+// --- Invariants ------------------------------------------------------------------
+
+void Manager::check_invariants() const {
+  const auto fail = [](const std::string& what, std::size_t at) {
+    throw std::logic_error("bdd::Manager invariant broken: " + what +
+                           " (at " + std::to_string(at) + ")");
+  };
+  const std::size_t size = nodes_.size();
+  const auto in_pool = [size](NodeId id) { return id < size; };
+  if (size < 2 || nodes_[kFalseId].var != kTerminalVar ||
+      nodes_[kTrueId].var != kTerminalVar) {
+    fail("terminals missing", 0);
+  }
+  // Bucket chains: each node is linked once, under its own triple, and no
+  // triple is linked twice (equal triples would share a bucket).
+  std::vector<bool> on_chain(size, false);
+  std::vector<NodeId> chain;
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    chain.clear();
+    for (NodeId cur = buckets_[b]; cur != kFalseId; cur = nodes_[cur].next) {
+      if (!in_pool(cur) || cur == kTrueId) fail("chain leaves the pool", cur);
+      if (on_chain[cur]) fail("node linked twice", cur);
+      on_chain[cur] = true;
+      const Node& n = nodes_[cur];
+      if (n.var == kFreeVar) fail("free slot on a bucket chain", cur);
+      if (n.var >= num_vars_) fail("bad variable on a chain", cur);
+      if (unique_bucket(n.var, n.lo, n.hi) != b) {
+        fail("node in a wrong bucket", cur);
+      }
+      for (const NodeId other : chain) {
+        const Node& o = nodes_[other];
+        if (o.var == n.var && o.lo == n.lo && o.hi == n.hi) {
+          fail("duplicate (var, lo, hi) triple", cur);
+        }
+      }
+      chain.push_back(cur);
+    }
+  }
+  // Every node that is not a free slot is reduced, ordered and findable.
+  for (NodeId id = 2; id < size; ++id) {
+    const Node& n = nodes_[id];
+    if (n.var == kFreeVar) continue;
+    if (n.var >= num_vars_) fail("bad variable or stray mark bit", id);
+    if (!on_chain[id]) fail("live node not findable in its bucket", id);
+    if (n.lo == n.hi) fail("redundant node (lo == hi)", id);
+    for (const NodeId child : {n.lo, n.hi}) {
+      if (!in_pool(child) || nodes_[child].var == kFreeVar) {
+        fail("child is not a node", id);
+      }
+      if (node_level(nodes_[child].var) <= level_of_var_[n.var]) {
+        fail("child not at a deeper level", id);
+      }
+    }
+  }
+  // The free list: free_count_ distinct free slots, so none on a chain.
+  if (has_free_ != (free_count_ > 0)) fail("has_free_ disagrees", free_count_);
+  std::vector<bool> listed(size, false);
+  NodeId cur = free_head_;
+  for (std::size_t k = 0; k < free_count_; ++k) {
+    if (!in_pool(cur) || cur < 2) fail("free list leaves the pool", cur);
+    if (listed[cur]) fail("free list loops", cur);
+    listed[cur] = true;
+    if (nodes_[cur].var != kFreeVar) fail("live node on the free list", cur);
+    cur = nodes_[cur].next;
+  }
+  // Op-cache entries name nodes only (empty entries name node 0).
+  for (std::size_t slot = 0; slot < cache_.size(); ++slot) {
+    const CacheEntry& e = cache_[slot];
+    const std::uint32_t op = detail::entry_op(e);
+    if (op == kOpNone) continue;
+    if (op >= kOpPermBase + permutations_.size()) {
+      fail("unknown op code in the op cache", slot);
+    }
+    for (const std::uint32_t word : {e.a, e.b, e.c, e.result}) {
+      const NodeId id = detail::entry_id(word);
+      if (!in_pool(id) || nodes_[id].var == kFreeVar) {
+        fail("op-cache entry names a free slot", slot);
+      }
+    }
+  }
+}
+
+#ifdef LR_BDD_CHECK
+void Manager::self_check(const char* after) const {
+  if (swapping_) return;
+  try {
+    check_invariants();
+  } catch (const std::logic_error& e) {
+    std::fprintf(stderr, "LR_BDD_CHECK after %s: %s\n", after, e.what());
+    std::abort();
+  }
+}
+#endif
 
 // --- Memory & structure telemetry --------------------------------------------
 
@@ -532,6 +636,7 @@ void Manager::grow_cache() {
   cache_evictions_since_resize_ = 0;
   ++stats_.cache_resizes;
   note_peak_bytes();
+  self_check("op-cache growth");
 }
 
 }  // namespace lr::bdd

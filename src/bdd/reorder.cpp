@@ -40,8 +40,8 @@ std::ptrdiff_t Manager::swap_adjacent_levels(std::uint32_t level) {
     if (nodes_[n.lo].var == y || nodes_[n.hi].var == y) rewrite.push_back(id);
   }
 
+  swapping_ = true;
   for (const NodeId id : rewrite) {
-    // Copy fields first: make_node below may reallocate the pool.
     const NodeId f0 = nodes_[id].lo;
     const NodeId f1 = nodes_[id].hi;
     const bool lo_is_y = nodes_[f0].var == y;
@@ -65,6 +65,8 @@ std::ptrdiff_t Manager::swap_adjacent_levels(std::uint32_t level) {
 
   std::swap(var_at_level_[level], var_at_level_[level + 1]);
   std::swap(level_of_var_[x], level_of_var_[y]);
+  swapping_ = false;
+  self_check("a level swap");
   return static_cast<std::ptrdiff_t>(live_nodes()) - before;
 }
 

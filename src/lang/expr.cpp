@@ -226,28 +226,41 @@ bdd::Bdd Compiler::compile_bool(const Expr& e) {
       }
       return acc;
     }
+    // A member call's object expression is sequenced before its
+    // arguments (C++17), so these compile the left operand first whatever
+    // the compiler.
     case Expr::Kind::kImplies:
       return compile_bool(n.children[0]).implies(compile_bool(n.children[1]));
     case Expr::Kind::kIff:
       return compile_bool(n.children[0]).iff(compile_bool(n.children[1]));
-    case Expr::Kind::kEq:
-      return bits_eq(compile_bits(n.children[0]),
-                     compile_bits(n.children[1]));
-    case Expr::Kind::kNe:
-      return ~bits_eq(compile_bits(n.children[0]),
-                      compile_bits(n.children[1]));
-    case Expr::Kind::kLt:
-      return bits_lt(compile_bits(n.children[0]),
-                     compile_bits(n.children[1]));
-    case Expr::Kind::kLe:
-      return ~bits_lt(compile_bits(n.children[1]),
-                      compile_bits(n.children[0]));
-    case Expr::Kind::kGt:
-      return bits_lt(compile_bits(n.children[1]),
-                     compile_bits(n.children[0]));
-    case Expr::Kind::kGe:
-      return ~bits_lt(compile_bits(n.children[0]),
-                      compile_bits(n.children[1]));
+    // A comparison compiles both operand bit-vectors before bits_eq /
+    // bits_lt runs, the one it takes second first. As two call arguments
+    // their order would be unspecified; GCC evaluates such arguments right
+    // to left, and the step ledger and goldens are measured in that order.
+    case Expr::Kind::kEq: {
+      const auto [x, y] = compile_bits_pair(n.children[0], n.children[1]);
+      return bits_eq(x, y);
+    }
+    case Expr::Kind::kNe: {
+      const auto [x, y] = compile_bits_pair(n.children[0], n.children[1]);
+      return ~bits_eq(x, y);
+    }
+    case Expr::Kind::kLt: {
+      const auto [x, y] = compile_bits_pair(n.children[0], n.children[1]);
+      return bits_lt(x, y);
+    }
+    case Expr::Kind::kLe: {
+      const auto [x, y] = compile_bits_pair(n.children[1], n.children[0]);
+      return ~bits_lt(x, y);
+    }
+    case Expr::Kind::kGt: {
+      const auto [x, y] = compile_bits_pair(n.children[1], n.children[0]);
+      return bits_lt(x, y);
+    }
+    case Expr::Kind::kGe: {
+      const auto [x, y] = compile_bits_pair(n.children[0], n.children[1]);
+      return ~bits_lt(x, y);
+    }
     default:
       throw std::invalid_argument(
           "Compiler::compile_bool: numeric expression used as boolean: " +
@@ -330,6 +343,13 @@ std::vector<bdd::Bdd> Compiler::compile_bits(const Expr& e) {
           "Compiler::compile_bits: boolean expression used as numeric: " +
           e.to_string());
   }
+}
+
+std::pair<std::vector<bdd::Bdd>, std::vector<bdd::Bdd>>
+Compiler::compile_bits_pair(const Expr& x, const Expr& y) {
+  std::vector<bdd::Bdd> y_bits = compile_bits(y);
+  std::vector<bdd::Bdd> x_bits = compile_bits(x);
+  return {std::move(x_bits), std::move(y_bits)};
 }
 
 bdd::Bdd Compiler::bits_eq(const std::vector<bdd::Bdd>& a,

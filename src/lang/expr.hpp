@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -147,6 +148,9 @@ class Compiler {
   [[nodiscard]] std::vector<bdd::Bdd> compile_bits(const Expr& e);
 
  private:
+  /// The bits of x and of y, compiled y first (see compile_bool).
+  [[nodiscard]] std::pair<std::vector<bdd::Bdd>, std::vector<bdd::Bdd>>
+  compile_bits_pair(const Expr& x, const Expr& y);
   [[nodiscard]] bdd::Bdd bits_eq(const std::vector<bdd::Bdd>& a,
                                  const std::vector<bdd::Bdd>& b);
   [[nodiscard]] bdd::Bdd bits_lt(const std::vector<bdd::Bdd>& a,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <vector>
@@ -504,6 +505,117 @@ TEST(BddGcTest, PoolGrowthKeepsEveryNodeFindable) {
     }
     EXPECT_EQ(mismatches, 0u) << "seed " << seed;
   }
+}
+
+TEST(BddGcTest, ChunkedPoolKeepsFunctionsAcrossGcReuseAndSwaps) {
+  // The pool grows in chunks of 2^16 nodes. Drive it past three chunk
+  // boundaries with threshold GCs running, free nodes in every chunk, let
+  // the free list hand them out again, and swap levels so that nodes in
+  // every chunk are rewritten in place. Each kept handle must keep its
+  // function, and the engine its invariants.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  constexpr int kVars = 20;
+  Manager::Options opts;
+  opts.gc_threshold = 1u << 15;
+  Manager mgr(opts);
+  std::vector<VarIndex> vars;
+  for (int i = 0; i < kVars; ++i) vars.push_back(mgr.new_var());
+
+  // A random DNF, rebuilt identically from its seed; its intermediate
+  // disjunctions die and leave garbage for the threshold GCs.
+  const auto build = [&](std::uint64_t seed) {
+    lr::support::SplitMix64 rng(seed);
+    Bdd f = mgr.bdd_false();
+    for (int t = 0; t < 6; ++t) {
+      Bdd term = mgr.bdd_true();
+      for (const VarIndex v : vars) {
+        if (rng.chance(1, 2)) {
+          term &= rng.flip() ? mgr.bdd_var(v) : mgr.bdd_nvar(v);
+        }
+      }
+      f |= term;
+    }
+    return f;
+  };
+  std::vector<std::array<bool, kVars>> samples(32);
+  lr::support::SplitMix64 sample_rng(99);
+  for (auto& sample : samples) {
+    for (bool& bit : sample) bit = sample_rng.flip();
+  }
+  struct Kept {
+    std::uint64_t seed;
+    Bdd f;
+    double count;
+    std::vector<bool> values;
+  };
+  const auto keep = [&](std::uint64_t seed) {
+    Kept k{seed, build(seed), 0.0, {}};
+    k.count = mgr.sat_count(k.f, kVars);
+    for (const auto& sample : samples) {
+      k.values.push_back(mgr.eval(k.f, sample));
+    }
+    return k;
+  };
+  const auto expect_unchanged = [&](const std::vector<Kept>& all,
+                                    const char* when) {
+    for (const Kept& k : all) {
+      ASSERT_EQ(mgr.sat_count(k.f, kVars), k.count)
+          << when << ", seed " << k.seed;
+      for (std::size_t s = 0; s < samples.size(); ++s) {
+        ASSERT_EQ(mgr.eval(k.f, samples[s]), k.values[s])
+            << when << ", seed " << k.seed << ", sample " << s;
+      }
+    }
+  };
+
+  std::vector<Kept> kept;
+  std::uint64_t next_seed = 1;
+  while (mgr.stats().peak_nodes <= 3 * kChunk + 2) {
+    ASSERT_LT(next_seed, 100000u) << "the pool stopped growing";
+    kept.push_back(keep(next_seed++));
+  }
+  ASSERT_NO_THROW(mgr.check_invariants());
+
+  // Drop every other function: its nodes sit in every chunk.
+  std::vector<Kept> halved;
+  for (std::size_t i = 0; i < kept.size(); i += 2) {
+    halved.push_back(std::move(kept[i]));
+  }
+  kept = std::move(halved);
+  const auto threshold_gcs = [&mgr] {
+    std::size_t n = 0;
+    for (const GcRecord& r : mgr.gc_log()) {
+      n += r.trigger == GcTrigger::kThreshold ? 1 : 0;
+    }
+    return n;
+  };
+  const std::size_t gcs_before = threshold_gcs();
+  std::vector<std::size_t> chunks_reused;
+  for (int i = 0; i < 2000 || threshold_gcs() == gcs_before; ++i) {
+    ASSERT_LT(i, 100000) << "no threshold GC ran";
+    const bool after_gc = threshold_gcs() > gcs_before;
+    kept.push_back(keep(next_seed++));
+    if (after_gc) chunks_reused.push_back(kept.back().f.id() / kChunk);
+  }
+  std::sort(chunks_reused.begin(), chunks_reused.end());
+  chunks_reused.erase(std::unique(chunks_reused.begin(), chunks_reused.end()),
+                      chunks_reused.end());
+  EXPECT_GE(chunks_reused.size(), 2u)
+      << "new roots after the GC should land in freed slots of several chunks";
+  ASSERT_NO_THROW(mgr.check_invariants());
+  expect_unchanged(kept, "after GC reuse");
+
+  // Swaps rewrite nodes in place, wherever in the pool they sit.
+  for (const std::uint32_t level : {0u, 7u, 13u, 18u, 7u}) {
+    mgr.swap_adjacent_levels(level);
+    ASSERT_NO_THROW(mgr.check_invariants()) << "after swapping " << level;
+  }
+  expect_unchanged(kept, "after the swaps");
+  // Canonicity under the new order: a rebuild finds the kept node.
+  for (std::size_t i = 0; i < kept.size(); i += 97) {
+    EXPECT_EQ(build(kept[i].seed), kept[i].f) << "seed " << kept[i].seed;
+  }
+  ASSERT_NO_THROW(mgr.check_invariants());
 }
 
 }  // namespace
