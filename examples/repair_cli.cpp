@@ -37,7 +37,6 @@
 #include "repair/export.hpp"
 #include "repair/journal.hpp"
 #include "repair/lazy.hpp"
-#include "repair/order_setup.hpp"
 #include "repair/relation_setup.hpp"
 #include "repair/report.hpp"
 #include "repair/verify.hpp"
@@ -296,18 +295,6 @@ int main(int argc, char** argv) {
 
   lr::repair::Options options;
   if (cli.has("no-heuristic")) options.restrict_to_reachable = false;
-  if (cli.has("order")) {
-    const std::string order_arg = cli.get("order", "");
-    if (order_arg == "decl" || order_arg == "auto") {
-      // The heuristics (interleave, adjacency) are auto's candidates, not
-      // modes of their own: forcing one blows up on hostile families.
-      options.order_mode = *lr::sym::order::parse_mode(order_arg);
-    } else {
-      std::fprintf(stderr, "unknown order mode '%s' (decl|auto)\n",
-                   order_arg.c_str());
-      return 2;
-    }
-  }
   const std::string level = cli.get("level", "masking");
   if (level == "failsafe") {
     options.level = lr::repair::ToleranceLevel::kFailsafe;
@@ -465,10 +452,6 @@ int main(int argc, char** argv) {
     lr::bdd::meminfo::write_gc_report(manager, std::cout);
     std::printf("\n");
     lr::repair::write_relation_report(*program, std::cout);
-    if (cli.has("order")) {
-      std::printf("\n");
-      lr::repair::write_order_report(*program, options, std::cout);
-    }
   }
 
   if (explain) {

@@ -20,11 +20,10 @@ class Profiler;
 /// 1 (true); all other ids denote internal nodes.
 using NodeId = std::uint32_t;
 
-/// A boolean variable. Variables are identified by their creation index;
-/// their *position* in the order is a separate notion (the level), which
-/// starts out equal to the creation index and changes only through
-/// Manager::swap_adjacent_levels() (bdd::order::apply_order). The symbolic
-/// layer fixes a static order before any BDD is built.
+/// A boolean variable, identified by its creation index, which is also its
+/// level: variable 0 is tested at the root, and a node's children always
+/// test larger variables. The symbolic layer creates its variables in
+/// declaration order (sym::Space), so that is the one order.
 using VarIndex = std::uint32_t;
 
 /// Identifier of a registered variable permutation (see
@@ -34,6 +33,8 @@ using PermId = std::uint32_t;
 
 inline constexpr NodeId kFalseId = 0;
 inline constexpr NodeId kTrueId = 1;
+/// The terminals' variable: larger than every real one, so comparing
+/// variables puts the terminals below every level.
 inline constexpr VarIndex kTerminalVar = 0xffffffffu;
 
 class Manager;
@@ -275,9 +276,7 @@ class IsopCover {
 ///    GC itself). A threshold collection (from maybe_gc) also keeps the
 ///    results of the entries hit since the previous one whose operands
 ///    survive, and then clears every reference bit; an explicit
-///    collect_garbage() keeps only what external handles reach. A level
-///    swap leaves the cache alone: it rewrites nodes in place without
-///    changing any node's function.
+///    collect_garbage() keeps only what external handles reach.
 ///  * Garbage collection is mark-and-sweep from externally referenced
 ///    nodes. It runs only at public operation entry points, never inside a
 ///    recursion, so intermediate results need no protection.
@@ -315,22 +314,6 @@ class Manager {
 
   /// Creates a new boolean variable at the bottom of the order.
   VarIndex new_var();
-
-  /// Current level (order position) of a variable; levels change under
-  /// swap_adjacent_levels(). Terminals sort below every variable.
-  [[nodiscard]] std::uint32_t level_of(VarIndex v) const noexcept {
-    return level_of_var_[v];
-  }
-
-  /// The variable currently at a level.
-  [[nodiscard]] VarIndex var_at_level(std::uint32_t level) const noexcept {
-    return var_at_level_[level];
-  }
-
-  /// In-place exchange of the variables at `level` and `level + 1` (the
-  /// primitive behind bdd::order::apply_order). Returns the change in
-  /// live-node count. Semantics of every existing handle are preserved.
-  std::ptrdiff_t swap_adjacent_levels(std::uint32_t level);
 
   /// Number of variables created so far.
   [[nodiscard]] std::uint32_t var_count() const noexcept {
@@ -444,18 +427,18 @@ class Manager {
   /// naming the first one broken:
   ///  * every live node is findable in its unique-table bucket, and no
   ///    (var, lo, hi) triple occurs twice;
-  ///  * a node's children sit at deeper levels, and lo != hi;
+  ///  * a node's children test larger variables, and lo != hi;
   ///  * the free list holds only free slots, none of them on a chain;
   ///  * no op-cache entry names a free slot (a GC drops every entry that
   ///    names a node it frees).
   /// Linear in the pool, table and cache. Builds configured with the CMake
   /// option LR_BDD_CHECK run it after every GC, unique-table growth, new
-  /// pool chunk, op-cache growth and level swap, and abort on a failure.
+  /// pool chunk and op-cache growth, and abort on a failure.
   void check_invariants() const;
 
   // --- Memory & structure telemetry ------------------------------------------
-  /// Live internal nodes per *level* (index = order position). One pool
-  /// walk, no allocation beyond the result vector.
+  /// Live internal nodes per level, that is per variable. One pool walk,
+  /// no allocation beyond the result vector.
   [[nodiscard]] std::vector<std::size_t> level_histogram() const;
 
   /// Unique-table shape: total buckets and buckets with at least one node.
@@ -568,17 +551,9 @@ class Manager {
     if (bytes > stats_.peak_bytes) stats_.peak_bytes = bytes;
   }
 
-  /// Level of a node's variable; terminals (and the free marker) get the
-  /// maximum level so ordering comparisons treat them as deepest.
-  [[nodiscard]] std::uint32_t node_level(VarIndex var) const noexcept {
-    return var < num_vars_ ? level_of_var_[var] : 0xffffffffu;
-  }
-
   /// Unique-table bucket of a (var, lo, hi) triple.
   [[nodiscard]] std::size_t unique_bucket(VarIndex var, NodeId lo,
                                           NodeId hi) const noexcept;
-  void unlink_node(NodeId id);  ///< removes id from its unique-table bucket
-  void relink_node(NodeId id);  ///< re-inserts id under its current triple
 
   void inc_ref(NodeId id) noexcept;
   void dec_ref(NodeId id) noexcept;
@@ -620,17 +595,12 @@ class Manager {
   NodeId free_head_ = 0;
   std::size_t free_count_ = 0;
   bool has_free_ = false;
-  /// Set while swap_adjacent_levels rewrites nodes: levels are exchanged
-  /// only at its end, so self_check waits for that.
-  bool swapping_ = false;
 
   std::vector<CacheEntry> cache_;  // capacity reserved to cache_cap_ up front
   std::size_t cache_cap_ = 0;
   std::size_t cache_evictions_since_resize_ = 0;
 
   std::uint32_t num_vars_ = 0;
-  std::vector<std::uint32_t> level_of_var_;  // var -> level
-  std::vector<VarIndex> var_at_level_;       // level -> var
   std::vector<std::vector<VarIndex>> permutations_;
 
   std::size_t gc_threshold_;

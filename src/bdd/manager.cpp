@@ -175,12 +175,7 @@ void Manager::init_pool(std::size_t capacity) {
   bucket_mask_ = buckets - 1;
 }
 
-VarIndex Manager::new_var() {
-  const VarIndex v = num_vars_++;
-  level_of_var_.push_back(v);   // new variables start at the bottom level
-  var_at_level_.push_back(v);
-  return v;
-}
+VarIndex Manager::new_var() { return num_vars_++; }
 
 Bdd Manager::bdd_false() { return wrap(kFalseId); }
 Bdd Manager::bdd_true() { return wrap(kTrueId); }
@@ -197,9 +192,7 @@ Bdd Manager::bdd_nvar(VarIndex v) {
 
 Bdd Manager::make_cube(std::span<const VarIndex> vars) {
   std::vector<VarIndex> sorted(vars.begin(), vars.end());
-  std::sort(sorted.begin(), sorted.end(), [this](VarIndex a, VarIndex b) {
-    return level_of_var_[a] < level_of_var_[b];
-  });
+  std::sort(sorted.begin(), sorted.end());
   NodeId acc = kTrueId;
   for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
     assert(*it < num_vars_);
@@ -487,8 +480,8 @@ void Manager::check_invariants() const {
       if (!in_pool(child) || nodes_[child].var == kFreeVar) {
         fail("child is not a node", id);
       }
-      if (node_level(nodes_[child].var) <= level_of_var_[n.var]) {
-        fail("child not at a deeper level", id);
+      if (nodes_[child].var <= n.var) {
+        fail("child does not test a larger variable", id);
       }
     }
   }
@@ -522,7 +515,6 @@ void Manager::check_invariants() const {
 
 #ifdef LR_BDD_CHECK
 void Manager::self_check(const char* after) const {
-  if (swapping_) return;
   try {
     check_invariants();
   } catch (const std::logic_error& e) {
@@ -539,7 +531,7 @@ std::vector<std::size_t> Manager::level_histogram() const {
   for (NodeId id = 2; id < nodes_.size(); ++id) {
     const VarIndex var = nodes_[id].var;
     if (var == kFreeVar || var == kTerminalVar) continue;
-    ++hist[level_of_var_[var]];
+    ++hist[var];
   }
   return hist;
 }

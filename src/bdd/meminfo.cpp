@@ -78,10 +78,6 @@ MemInfo collect(const Manager& mgr) {
                 static_cast<double>(info.cache_lookups);
 
   info.level_histogram = mgr.level_histogram();
-  info.var_at_level.reserve(info.level_histogram.size());
-  for (std::uint32_t level = 0; level < info.level_histogram.size(); ++level) {
-    info.var_at_level.push_back(mgr.var_at_level(level));
-  }
   return info;
 }
 
@@ -120,7 +116,7 @@ void write_report(const MemInfo& info, std::ostream& out,
   for (const std::size_t level : levels) {
     if (shown == max_levels || info.level_histogram[level] == 0) break;
     table.add_row({std::to_string(level),
-                   "v" + std::to_string(info.var_at_level[level]),
+                   "v" + std::to_string(level),
                    std::to_string(info.level_histogram[level]),
                    percent(static_cast<double>(info.level_histogram[level]) /
                            static_cast<double>(internal == 0 ? 1 : internal))});

@@ -37,8 +37,7 @@ struct MemInfo {
   std::uint64_t cache_evictions = 0;
   double cache_hit_rate = 0.0;
 
-  std::vector<std::size_t> level_histogram;  ///< live nodes per level
-  std::vector<VarIndex> var_at_level;        ///< level -> variable (labels)
+  std::vector<std::size_t> level_histogram;  ///< live nodes per level (= var)
 };
 
 [[nodiscard]] MemInfo collect(const Manager& mgr);

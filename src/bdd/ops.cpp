@@ -80,13 +80,11 @@ NodeId Manager::and_rec(NodeId f, NodeId g) {
   if (cache_get(kOpAnd, f, g, 0, key, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
-  const std::uint32_t lf = node_level(nf.var);
-  const std::uint32_t lg = node_level(ng.var);
-  const VarIndex top = lf <= lg ? nf.var : ng.var;
-  const NodeId flo = lf <= lg ? nf.lo : f;
-  const NodeId fhi = lf <= lg ? nf.hi : f;
-  const NodeId glo = lg <= lf ? ng.lo : g;
-  const NodeId ghi = lg <= lf ? ng.hi : g;
+  const VarIndex top = std::min(nf.var, ng.var);
+  const NodeId flo = nf.var == top ? nf.lo : f;
+  const NodeId fhi = nf.var == top ? nf.hi : f;
+  const NodeId glo = ng.var == top ? ng.lo : g;
+  const NodeId ghi = ng.var == top ? ng.hi : g;
   const NodeId lo = and_rec(flo, glo);
   const NodeId hi = and_rec(fhi, ghi);
   const NodeId r = make_node(top, lo, hi);
@@ -104,13 +102,11 @@ NodeId Manager::or_rec(NodeId f, NodeId g) {
   if (cache_get(kOpOr, f, g, 0, key, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
-  const std::uint32_t lf = node_level(nf.var);
-  const std::uint32_t lg = node_level(ng.var);
-  const VarIndex top = lf <= lg ? nf.var : ng.var;
-  const NodeId flo = lf <= lg ? nf.lo : f;
-  const NodeId fhi = lf <= lg ? nf.hi : f;
-  const NodeId glo = lg <= lf ? ng.lo : g;
-  const NodeId ghi = lg <= lf ? ng.hi : g;
+  const VarIndex top = std::min(nf.var, ng.var);
+  const NodeId flo = nf.var == top ? nf.lo : f;
+  const NodeId fhi = nf.var == top ? nf.hi : f;
+  const NodeId glo = ng.var == top ? ng.lo : g;
+  const NodeId ghi = ng.var == top ? ng.hi : g;
   const NodeId lo = or_rec(flo, glo);
   const NodeId hi = or_rec(fhi, ghi);
   const NodeId r = make_node(top, lo, hi);
@@ -130,13 +126,11 @@ NodeId Manager::xor_rec(NodeId f, NodeId g) {
   if (cache_get(kOpXor, f, g, 0, key, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
-  const std::uint32_t lf = node_level(nf.var);
-  const std::uint32_t lg = node_level(ng.var);
-  const VarIndex top = lf <= lg ? nf.var : ng.var;
-  const NodeId flo = lf <= lg ? nf.lo : f;
-  const NodeId fhi = lf <= lg ? nf.hi : f;
-  const NodeId glo = lg <= lf ? ng.lo : g;
-  const NodeId ghi = lg <= lf ? ng.hi : g;
+  const VarIndex top = std::min(nf.var, ng.var);
+  const NodeId flo = nf.var == top ? nf.lo : f;
+  const NodeId fhi = nf.var == top ? nf.hi : f;
+  const NodeId glo = ng.var == top ? ng.lo : g;
+  const NodeId ghi = ng.var == top ? ng.hi : g;
   const NodeId lo = xor_rec(flo, glo);
   const NodeId hi = xor_rec(fhi, ghi);
   const NodeId r = make_node(top, lo, hi);
@@ -153,13 +147,11 @@ NodeId Manager::diff_rec(NodeId f, NodeId g) {
   if (cache_get(kOpDiff, f, g, 0, key, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
-  const std::uint32_t lf = node_level(nf.var);
-  const std::uint32_t lg = node_level(ng.var);
-  const VarIndex top = lf <= lg ? nf.var : ng.var;
-  const NodeId flo = lf <= lg ? nf.lo : f;
-  const NodeId fhi = lf <= lg ? nf.hi : f;
-  const NodeId glo = lg <= lf ? ng.lo : g;
-  const NodeId ghi = lg <= lf ? ng.hi : g;
+  const VarIndex top = std::min(nf.var, ng.var);
+  const NodeId flo = nf.var == top ? nf.lo : f;
+  const NodeId fhi = nf.var == top ? nf.hi : f;
+  const NodeId glo = ng.var == top ? ng.lo : g;
+  const NodeId ghi = ng.var == top ? ng.hi : g;
   const NodeId lo = diff_rec(flo, glo);
   const NodeId hi = diff_rec(fhi, ghi);
   const NodeId r = make_node(top, lo, hi);
@@ -196,10 +188,7 @@ NodeId Manager::ite_rec(NodeId f, NodeId g, NodeId h) {
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
   const Node nh = nodes_[h];
-  std::uint32_t top_level = node_level(nf.var);
-  VarIndex top = nf.var;
-  if (node_level(ng.var) < top_level) { top_level = node_level(ng.var); top = ng.var; }
-  if (node_level(nh.var) < top_level) { top_level = node_level(nh.var); top = nh.var; }
+  const VarIndex top = std::min({nf.var, ng.var, nh.var});
   const NodeId flo = nf.var == top ? nf.lo : f;
   const NodeId fhi = nf.var == top ? nf.hi : f;
   const NodeId glo = ng.var == top ? ng.lo : g;
@@ -230,12 +219,11 @@ bool Manager::leq_rec(NodeId f, NodeId g) {
   if (cache_get(kOpLeq, f, g, 0, key, out)) return out == kTrueId;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
-  const std::uint32_t lf = node_level(nf.var);
-  const std::uint32_t lg = node_level(ng.var);
-  const NodeId flo = lf <= lg ? nf.lo : f;
-  const NodeId fhi = lf <= lg ? nf.hi : f;
-  const NodeId glo = lg <= lf ? ng.lo : g;
-  const NodeId ghi = lg <= lf ? ng.hi : g;
+  const VarIndex top = std::min(nf.var, ng.var);
+  const NodeId flo = nf.var == top ? nf.lo : f;
+  const NodeId fhi = nf.var == top ? nf.hi : f;
+  const NodeId glo = ng.var == top ? ng.lo : g;
+  const NodeId ghi = ng.var == top ? ng.hi : g;
   const bool r = leq_rec(flo, glo) && leq_rec(fhi, ghi);
   cache_put(key, r ? kTrueId : kFalseId);
   return r;
@@ -258,12 +246,11 @@ bool Manager::disjoint_rec(NodeId f, NodeId g) {
   if (cache_get(kOpDisjoint, f, g, 0, key, out)) return out == kTrueId;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
-  const std::uint32_t lf = node_level(nf.var);
-  const std::uint32_t lg = node_level(ng.var);
-  const NodeId flo = lf <= lg ? nf.lo : f;
-  const NodeId fhi = lf <= lg ? nf.hi : f;
-  const NodeId glo = lg <= lf ? ng.lo : g;
-  const NodeId ghi = lg <= lf ? ng.hi : g;
+  const VarIndex top = std::min(nf.var, ng.var);
+  const NodeId flo = nf.var == top ? nf.lo : f;
+  const NodeId fhi = nf.var == top ? nf.hi : f;
+  const NodeId glo = ng.var == top ? ng.lo : g;
+  const NodeId ghi = ng.var == top ? ng.hi : g;
   const bool r = disjoint_rec(flo, glo) && disjoint_rec(fhi, ghi);
   cache_put(key, r ? kTrueId : kFalseId);
   return r;
@@ -297,8 +284,7 @@ NodeId Manager::exists_rec(NodeId f, NodeId cube) {
   if (f <= kTrueId) return f;
   // Skip quantified variables above f's top variable; they are not in f's
   // support, so quantifying them is the identity.
-  while (cube != kTrueId &&
-         node_level(nodes_[cube].var) < node_level(nodes_[f].var)) {
+  while (cube != kTrueId && nodes_[cube].var < nodes_[f].var) {
     cube = nodes_[cube].hi;
   }
   if (cube == kTrueId) return f;
@@ -320,8 +306,7 @@ NodeId Manager::exists_rec(NodeId f, NodeId cube) {
 
 NodeId Manager::forall_rec(NodeId f, NodeId cube) {
   if (f <= kTrueId) return f;
-  while (cube != kTrueId &&
-         node_level(nodes_[cube].var) < node_level(nodes_[f].var)) {
+  while (cube != kTrueId && nodes_[cube].var < nodes_[f].var) {
     cube = nodes_[cube].hi;
   }
   if (cube == kTrueId) return f;
@@ -345,11 +330,8 @@ NodeId Manager::and_exists_rec(NodeId f, NodeId g, NodeId cube) {
   if (f == kFalseId || g == kFalseId) return kFalseId;
   if (f == kTrueId && g == kTrueId) return kTrueId;
   if (f > g) std::swap(f, g);  // AND is commutative
-  const std::uint32_t lf = node_level(nodes_[f].var);
-  const std::uint32_t lg = node_level(nodes_[g].var);
-  const VarIndex top = lf <= lg ? nodes_[f].var : nodes_[g].var;
-  const std::uint32_t top_level = std::min(lf, lg);
-  while (cube != kTrueId && node_level(nodes_[cube].var) < top_level) {
+  const VarIndex top = std::min(nodes_[f].var, nodes_[g].var);
+  while (cube != kTrueId && nodes_[cube].var < top) {
     cube = nodes_[cube].hi;
   }
   if (cube == kTrueId) return and_rec(f, g);
@@ -473,7 +455,7 @@ NodeId Manager::pick_rec(NodeId f, NodeId cube) {
   }
   const Node nc = nodes_[cube];
   const VarIndex v = nc.var;
-  if (f == kTrueId || node_level(nodes_[f].var) > node_level(v)) {
+  if (f == kTrueId || nodes_[f].var > v) {
     // f does not constrain v: fix v = 0 for determinism.
     const NodeId rest = pick_rec(f, nc.hi);
     return make_node(v, rest, kFalseId);
@@ -515,7 +497,7 @@ void Manager::foreach_minterm(
       glo = nodes_[g].lo;
       ghi = nodes_[g].hi;
     } else {
-      assert(g == kTrueId || node_level(nodes_[g].var) > node_level(v));
+      assert(g == kTrueId || nodes_[g].var > v);
     }
     values[d] = false;
     walk(glo, d + 1);
@@ -547,13 +529,11 @@ IsopCover Manager::isop(const Bdd& lower, const Bdd& upper) {
     if (const auto it = memo.find(key); it != memo.end()) return it->second;
     const Node nl = nodes_[l];
     const Node nu = nodes_[u];
-    const std::uint32_t ll = node_level(nl.var);
-    const std::uint32_t lu = node_level(nu.var);
-    const VarIndex top = ll <= lu ? nl.var : nu.var;
-    const NodeId l0 = ll <= lu ? nl.lo : l;
-    const NodeId l1 = ll <= lu ? nl.hi : l;
-    const NodeId u0 = lu <= ll ? nu.lo : u;
-    const NodeId u1 = lu <= ll ? nu.hi : u;
+    const VarIndex top = std::min(nl.var, nu.var);
+    const NodeId l0 = nl.var == top ? nl.lo : l;
+    const NodeId l1 = nl.var == top ? nl.hi : l;
+    const NodeId u0 = nu.var == top ? nu.lo : u;
+    const NodeId u1 = nu.var == top ? nu.hi : u;
     // Minterms that only a cube with the literal can cover, then what the
     // two sides left for cubes without it.
     const Isop r0 = self(self, diff_rec(l0, u1), u0);

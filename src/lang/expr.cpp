@@ -104,12 +104,6 @@ bool Expr::is_boolean() const {
   }
 }
 
-void Expr::collect_vars(std::vector<sym::VarId>& out) const {
-  if (node_ == nullptr) return;
-  if (node_->kind == Kind::kVar) out.push_back(node_->value);
-  for (const Expr& child : node_->children) child.collect_vars(out);
-}
-
 std::string Expr::to_string() const { return to_string_impl(node(), nullptr); }
 
 std::string Expr::to_string(const sym::Space& space) const {

@@ -69,12 +69,6 @@ class Expr {
   /// syntax the model parser accepts (used by the .lr exporter).
   [[nodiscard]] std::string to_string(const sym::Space& space) const;
 
-  /// Appends every variable the expression references (current or next
-  /// copy alike, duplicates kept, syntactic order) to `out`. Empty
-  /// expressions contribute nothing. The variable-order heuristics use
-  /// this to build the action dependence graph before compilation.
-  void collect_vars(std::vector<sym::VarId>& out) const;
-
   // Comparisons (numeric × numeric -> bool).
   [[nodiscard]] Expr operator==(const Expr& rhs) const;
   [[nodiscard]] Expr operator!=(const Expr& rhs) const;

@@ -181,43 +181,6 @@ const lang::Expr& DistributedProgram::invariant_expression() const {
   return *invariant_expr_;
 }
 
-sym::order::Structure DistributedProgram::order_structure() const {
-  sym::order::Structure structure;
-  const auto add_action = [&structure](const lang::Action& action) {
-    std::vector<sym::VarId> vars;
-    action.guard.collect_vars(vars);
-    for (const lang::Assignment& assign : action.assigns) {
-      vars.push_back(assign.var);
-      for (const lang::Expr& alternative : assign.alternatives) {
-        alternative.collect_vars(vars);
-      }
-    }
-    vars.insert(vars.end(), action.havoc.begin(), action.havoc.end());
-    std::sort(vars.begin(), vars.end());
-    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-    structure.action_vars.push_back(std::move(vars));
-  };
-  const auto add_expr = [&structure](const lang::Expr& e) {
-    std::vector<sym::VarId> vars;
-    e.collect_vars(vars);
-    std::sort(vars.begin(), vars.end());
-    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-    if (!vars.empty()) structure.action_vars.push_back(std::move(vars));
-  };
-
-  for (const Process& proc : processes_) {
-    std::vector<sym::VarId> vars = proc.writes;
-    vars.insert(vars.end(), proc.reads.begin(), proc.reads.end());
-    structure.process_vars.push_back(std::move(vars));
-    for (const lang::Action& action : proc.actions) add_action(action);
-  }
-  for (const lang::Action& fault : faults_) add_action(fault);
-  if (invariant_expr_.has_value()) add_expr(*invariant_expr_);
-  for (const lang::Expr& e : bad_state_exprs_) add_expr(e);
-  for (const lang::Expr& e : bad_trans_exprs_) add_expr(e);
-  return structure;
-}
-
 bool DistributedProgram::writes_into(std::size_t k, std::size_t j) const {
   if (k == j) return false;
   const std::vector<sym::VarId>& reads = processes_.at(j).reads;

@@ -9,7 +9,6 @@
 #include "bdd/bdd.hpp"
 #include "lang/action.hpp"
 #include "lang/expr.hpp"
-#include "symbolic/order_heur.hpp"
 #include "symbolic/space.hpp"
 
 namespace lr::prog {
@@ -121,13 +120,6 @@ class DistributedProgram {
       const {
     return bad_trans_exprs_;
   }
-
-  /// The variable-dependence structure of the *parsed* model for the static
-  /// order heuristics (sym::order): per-action support sets (process
-  /// actions, faults, invariant and safety expressions) plus per-process
-  /// writes-then-reads lists. Works before compilation and does not freeze
-  /// the program — exactly what applying an initial order requires.
-  [[nodiscard]] sym::order::Structure order_structure() const;
 
   /// Whether the process graph has the edge k → j: k ≠ j and P_k writes a
   /// variable of V_j = R_j ∪ W_j (which is R_j, since W_j ⊆ R_j).

@@ -36,11 +36,6 @@ const std::vector<support::FlagSpec>& repair_cli_flag_specs() {
        "per-span BDD attribution table, the BDD memory report\n"
        "(per-level node histogram, table/cache occupancy) and\n"
        "the GC introspection section"},
-      {"order", "MODE",
-       "static initial variable order: decl|auto\n"
-       "(default decl: declaration order). auto scores the\n"
-       "interleave and adjacency heuristics against\n"
-       "declaration order and keeps the cheapest"},
       {"flamegraph", "FILE",
        "write the BDD call-path profile in collapsed-stack\n"
        "format (speedscope / inferno compatible); single-model\n"

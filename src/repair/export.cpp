@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bdd/order.hpp"
 #include "repair/describe.hpp"
 #include "support/fs.hpp"
 
@@ -123,10 +122,6 @@ class Renderer {
  public:
   Renderer(prog::DistributedProgram& program, const RepairResult& result)
       : program_(program), space_(program.space()) {
-    // The cover depends on the variable order: restore the creation order
-    // so exports are canonical no matter which --order mode the run used.
-    // Handles survive the swaps.
-    (void)bdd::order::restore_creation_order(space_.manager());
     // Exact on the fault span; the j-views with no state in it are
     // don't-cares, since no computation from the exported invariant S′
     // leaves the span. Each cover is computed once and walked by every

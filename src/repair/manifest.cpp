@@ -127,8 +127,6 @@ std::string options_fingerprint(const Options& options, bool cautious,
     case ToleranceLevel::kMasking: out += "|masking"; break;
   }
   out += options.restrict_to_reachable ? "|heuristic=1" : "|heuristic=0";
-  out += "|order=";
-  out += sym::order::mode_name(options.order_mode);
   out += "|maxouter=" + std::to_string(options.max_outer_iterations);
   out += verify ? "|verify=1" : "|verify=0";
   return out;

@@ -7,7 +7,6 @@
 
 #include "bdd/bdd.hpp"
 #include "repair/cancel.hpp"
-#include "symbolic/order_heur.hpp"
 
 namespace lr::repair {
 
@@ -60,11 +59,6 @@ struct Options {
 
   /// Benchmark row label; repair ignores it (see GroupMethod).
   GroupMethod group_method = GroupMethod::kPaperLoop;
-
-  /// Static initial variable order, applied before the model is compiled:
-  /// kDecl keeps declaration order, the other modes compute one from the
-  /// parsed structure. See sym::order and repair/order_setup.hpp.
-  sym::order::Mode order_mode = sym::order::Mode::kDecl;
 
   /// Bound on Algorithm 1's outer repeat loop (defensive; case studies
   /// converge in 1-2 iterations).

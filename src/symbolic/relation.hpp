@@ -16,9 +16,7 @@
 // because R is independent of cur\S. The supports are computed from the
 // *compiled* BDDs (bdd::Manager::support), not from parsed declarations,
 // so the schedule stays exact for algorithm-built parts (e.g. a process
-// delta minus a banned-transition set). The parsed structure
-// (order_heur's support analysis) guides how the repair layer *groups*
-// actions into parts; the cubes themselves never over-approximate.
+// delta minus a banned-transition set): the cubes never over-approximate.
 //
 // This is the engine's one partitioned representation: a list of
 // per-process BDDs becomes one with partitioned(). The flat `bdd::Bdd`

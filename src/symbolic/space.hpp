@@ -239,8 +239,8 @@ class Space {
 
  private:
   void freeze();
-  /// `vs` sorted by the level of each variable's first current bit,
-  /// deepest first (the order the frame conjunctions are built in).
+  /// `vs` sorted deepest first, that is by VarId descending (the order the
+  /// frame conjunctions are built in).
   [[nodiscard]] std::vector<VarId> deepest_first(
       std::span<const VarId> vs) const;
   [[nodiscard]] const std::vector<bdd::VarIndex>& bits_of(VarId v,

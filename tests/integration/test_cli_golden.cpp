@@ -231,6 +231,19 @@ TEST(CliGoldenTest_Help, HelpListsEveryFlagAndExitsZero) {
   }
 }
 
+TEST(CliOrderTest, BadOrderArgumentsExitTwo) {
+  // The order flags chose a planned variable order or saved one; the
+  // declaration order is now the only order, so every form is unknown.
+  for (const char* flag :
+       {"--order=auto", "--order=decl", "--order=sideways",
+        "--order=interleave", "--order=adjacency", "--order=file:x.json",
+        "--order-out=x.json"}) {
+    const CliRun unknown = run_cli(models_dir() + "/tmr.lr " + flag);
+    EXPECT_EQ(unknown.exit_code, 2)
+        << flag << ": order flags must be rejected";
+  }
+}
+
 TEST(CliGoldenTest_Progress, HeartbeatsNeverTouchStdout) {
   // A torture interval makes every fixpoint round emit; all of it must go
   // to stderr, leaving batch stdout byte-identical to a silent run.

@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bdd/order.hpp"
 #include "casestudies/byzantine.hpp"
 #include "casestudies/chain.hpp"
 #include "casestudies/tmr.hpp"
@@ -188,7 +187,6 @@ std::string reference_export(prog::DistributedProgram& program,
                              const RepairResult& result, bool exact = false) {
   sym::Space& space = program.space();
   bdd::Manager& mgr = space.manager();
-  (void)bdd::order::restore_creation_order(mgr);
   std::ostringstream out;
 
   out << "// Synthesized by lazyrepair: masking fault-tolerant version of '"
@@ -337,9 +335,7 @@ double path_count(bdd::Manager& mgr, const bdd::Bdd& f,
   if (f.is_false()) return 0.0;
   if (f.is_true()) return 1.0;
   if (const auto it = memo.find(f); it != memo.end()) return it->second;
-  const std::vector<bdd::VarIndex> support = mgr.support(f);
-  const bdd::VarIndex top = *std::ranges::min_element(
-      support, {}, [&mgr](bdd::VarIndex v) { return mgr.level_of(v); });
+  const bdd::VarIndex top = mgr.support(f).front();
   const double paths = path_count(mgr, mgr.cofactor(f, top, false), memo) +
                        path_count(mgr, mgr.cofactor(f, top, true), memo);
   memo.emplace(f, paths);

@@ -126,7 +126,7 @@ TEST(ManifestTest, EraseSimulatesATruncatedSweep) {
 TEST(ManifestTest, FingerprintCoversEveryOutcomeRelevantOption) {
   Options base;
   const std::string fp = options_fingerprint(base, false, true);
-  EXPECT_EQ(fp, "lazy|masking|heuristic=1|order=decl|maxouter=64|verify=1");
+  EXPECT_EQ(fp, "lazy|masking|heuristic=1|maxouter=64|verify=1");
   EXPECT_NE(fp, options_fingerprint(base, true, true));   // algorithm
   EXPECT_NE(fp, options_fingerprint(base, false, false)); // verify
   Options changed = base;
@@ -137,9 +137,6 @@ TEST(ManifestTest, FingerprintCoversEveryOutcomeRelevantOption) {
   EXPECT_NE(fp, options_fingerprint(changed, false, true));
   changed = base;
   changed.max_outer_iterations = 7;
-  EXPECT_NE(fp, options_fingerprint(changed, false, true));
-  changed = base;
-  changed.order_mode = sym::order::Mode::kAuto;
   EXPECT_NE(fp, options_fingerprint(changed, false, true));
   // Cancellation settings bound *when* a result exists, not *what* it is.
   changed = base;

@@ -4,11 +4,14 @@
 //  1. every flag the repair_cli source actually queries is declared,
 //  2. every declared flag appears in the generated --help text,
 //  3. every declared flag appears in the generated Markdown reference
-//     (the committed docs/flags.md copy is byte-checked by test_docs.cpp).
+//     (the committed docs/flags.md copy is byte-checked by test_docs.cpp),
+//  4. the repair_cli binary prints that reference for --help-markdown.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
 #include <fstream>
 #include <regex>
 #include <set>
@@ -102,6 +105,24 @@ TEST(CliFlagsTest, FlagsMarkdownCellsAreSingleLine) {
     }
     EXPECT_EQ(cell_pipes, 4u) << "table row malformed: " << line;
   }
+}
+
+TEST(CliFlagsTest, HelpMarkdownPrintsTheFlagTable) {
+  const std::string command =
+      std::string(LR_REPAIR_CLI) + " --help-markdown 2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  std::array<char, 4096> buffer;
+  std::size_t n = 0;
+  while ((n = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
+    output.append(buffer.data(), n);
+  }
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(output, lr::repair::repair_cli_flags_markdown());
+  EXPECT_EQ(output.rfind("# `repair_cli` flag reference", 0), 0u);
+  EXPECT_NE(output.find("| `--stats` |"), std::string::npos);
 }
 
 TEST(CliFlagsTest, OptionNamesReportsEveryPassedFlag) {
