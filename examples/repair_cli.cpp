@@ -37,7 +37,6 @@
 #include "repair/export.hpp"
 #include "repair/journal.hpp"
 #include "repair/lazy.hpp"
-#include "repair/relation_setup.hpp"
 #include "repair/report.hpp"
 #include "repair/verify.hpp"
 #include "support/cli.hpp"
@@ -450,8 +449,6 @@ int main(int argc, char** argv) {
     lr::bdd::meminfo::write_report(mem, std::cout);
     lr::bdd::meminfo::record_metrics(mem);
     lr::bdd::meminfo::write_gc_report(manager, std::cout);
-    std::printf("\n");
-    lr::repair::write_relation_report(*program, std::cout);
   }
 
   if (explain) {

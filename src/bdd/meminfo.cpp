@@ -111,12 +111,11 @@ void write_report(const MemInfo& info, std::ostream& out,
   });
   const std::size_t internal = std::accumulate(
       info.level_histogram.begin(), info.level_histogram.end(), std::size_t{0});
-  support::Table table({"level", "var", "nodes", "share"});
+  support::Table table({"level", "nodes", "share"});
   std::size_t shown = 0;
   for (const std::size_t level : levels) {
     if (shown == max_levels || info.level_histogram[level] == 0) break;
     table.add_row({std::to_string(level),
-                   "v" + std::to_string(level),
                    std::to_string(info.level_histogram[level]),
                    percent(static_cast<double>(info.level_histogram[level]) /
                            static_cast<double>(internal == 0 ? 1 : internal))});

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "support/trace.hpp"
-#include "symbolic/relation.hpp"
 
 namespace lr::prog {
 
@@ -312,8 +311,7 @@ const bdd::Bdd& DistributedProgram::reachable_under_faults() {
     std::vector<bdd::Bdd> parts = process_deltas_;
     parts.insert(parts.end(), fault_action_deltas_.begin(),
                  fault_action_deltas_.end());
-    reachable_ = space_.forward_reachable(
-        sym::TransitionRelation::partitioned(space_, parts), invariant_bdd_);
+    reachable_ = space_.forward_reachable(parts, invariant_bdd_);
   }
   return *reachable_;
 }

@@ -1,7 +1,5 @@
 #include "repair/add_masking.hpp"
 
-#include <algorithm>
-
 #include "repair/journal.hpp"
 #include "repair/relation_setup.hpp"
 #include "support/log.hpp"
@@ -20,9 +18,6 @@ StepOneResult add_masking(prog::DistributedProgram& program,
   bdd::Manager& mgr = space.manager();
 
   const bdd::Bdd delta_p = program.program_delta();
-  // Every fixpoint below runs over disjunctive partitions with early
-  // quantification (symbolic/relation.hpp).
-  const sym::TransitionRelation faults_rel = fault_relation(program);
   const bdd::Bdd valid_cur = space.valid(sym::Version::kCurrent);
   const bdd::Bdd valid_pair = space.valid_pair();
   // Nonmasking tolerance ignores the safety specification entirely: only
@@ -64,8 +59,8 @@ StepOneResult add_masking(prog::DistributedProgram& program,
   bdd::Bdd ms;
   {
     LR_TRACE_SPAN("add_masking.ms_fixpoint");
-    ms = fault_unsafe_states(program, faults_rel, bad_states, bad_trans,
-                             context, options.cancel.get());
+    ms = fault_unsafe_states(program, bad_states, bad_trans, context,
+                             options.cancel.get());
   }
 
   // --- mt: transitions the fault-tolerant program must never execute ----------
@@ -80,10 +75,8 @@ StepOneResult add_masking(prog::DistributedProgram& program,
     const bdd::Bdd trimmed = piece.minus(mt);
     if (!trimmed.is_false()) pieces_mt.push_back(trimmed);
   }
-  const sym::TransitionRelation delta_mt_rel =
-      sym::TransitionRelation::partitioned(space, pieces_mt);
   // ConstructInvariant of ref [1]: drop the states that deadlock.
-  bdd::Bdd s1 = space.live_core(delta_mt_rel, s_orig.minus(ms));
+  bdd::Bdd s1 = space.live_core(pieces_mt, s_orig.minus(ms));
   bdd::Bdd t1 = context.minus(ms);
 
   if (s1.is_false()) return result;
@@ -100,7 +93,6 @@ StepOneResult add_masking(prog::DistributedProgram& program,
   // So each runs over the part of P1 that can fire in it, with no change
   // to any computed set.
   bdd::Bdd rec_part;
-  sym::TransitionRelation rec_rel(space);
   std::size_t shrink_rounds = 0;
   // The manager's memory counters, sampled once per shrink round and per
   // recovery layer onto the trace's counter tracks.
@@ -133,8 +125,6 @@ StepOneResult add_masking(prog::DistributedProgram& program,
       rec_part = (writable & t1.minus(s1) & space.prime(t1) & valid_pair)
                      .minus(mt)
                      .minus(space.identity());
-      rec_rel = sym::TransitionRelation(space);
-      rec_rel.add_part(rec_part);
 
       // Failsafe tolerance has no recovery obligation: the span keeps
       // every safe state; it is fault-closed already because ms is
@@ -142,10 +132,10 @@ StepOneResult add_masking(prog::DistributedProgram& program,
       const bdd::Bdd t2 =
           options.level == ToleranceLevel::kFailsafe
               ? t1
-              : recoverable_span(rec_rel, faults_rel, s1, t1,
+              : recoverable_span(program, {&rec_part, 1}, s1, t1,
                                  options.cancel.get());
 
-      const bdd::Bdd s2 = space.live_core(delta_mt_rel, s1 & t2);
+      const bdd::Bdd s2 = space.live_core(pieces_mt, s1 & t2);
       if (s2.is_false()) return result;
 
       if (options.journal != nullptr) {
@@ -184,7 +174,7 @@ StepOneResult add_masking(prog::DistributedProgram& program,
     support::progress::Heartbeat heartbeat("add_masking.recovery");
     while (!remaining.is_false()) {
       throw_if_cancelled(options.cancel);
-      const bdd::Bdd layer = space.preimage(rec_rel, below) & remaining;
+      const bdd::Bdd layer = space.preimage({&rec_part, 1}, below) & remaining;
       if (layer.is_false()) break;
       const bdd::Bdd layer_added = rec_part & layer & space.prime(below);
       added |= layer_added;
@@ -217,8 +207,6 @@ StepOneResult add_masking(prog::DistributedProgram& program,
                                       stats.span_states, shrink_rounds,
                                       stats.recovery_layers);
   }
-  stats.peak_bdd_nodes =
-      std::max(stats.peak_bdd_nodes, mgr.stats().peak_nodes);
   LR_LOG(debug) << "[add_masking] rounds=" << stats.addmasking_rounds
                 << " recovery_layers=" << stats.recovery_layers
                 << " |S'|=" << stats.invariant_states

@@ -1,6 +1,7 @@
 #include "repair/cautious.hpp"
 
-#include <algorithm>
+#include <span>
+#include <vector>
 
 #include "repair/journal.hpp"
 #include "repair/relation_setup.hpp"
@@ -39,17 +40,11 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
   const auto finish = [&result, &mgr, &total] {
     result.stats.total_seconds = total.seconds();
     result.stats.bdd = mgr.stats();
-    result.stats.peak_bdd_nodes =
-        std::max(result.stats.peak_bdd_nodes, result.stats.bdd.peak_nodes);
   };
   if (options.journal != nullptr) {
     options.journal->begin_run(program, "cautious",
                                tolerance_level_name(options.level));
   }
-
-  // Partition-shape record (metrics, journal header).
-  record_relation_shape(program, options.journal);
-  const sym::TransitionRelation faults_rel = fault_relation(program);
 
   const std::size_t nproc = program.process_count();
   const bdd::Bdd delta_p = program.program_delta();
@@ -73,9 +68,8 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
 
   // ms / mt over the full state space.
   const bdd::Bdd ms =
-      fault_unsafe_states(program, faults_rel, bad_states,
-                          program.safety().bad_trans, space.bdd_true(),
-                          options.cancel.get());
+      fault_unsafe_states(program, bad_states, program.safety().bad_trans,
+                          space.bdd_true(), options.cancel.get());
   bdd::Bdd mt = (program.safety().bad_trans | space.prime(ms)) & valid_pair;
 
   bdd::Bdd s1 = program.invariant().minus(ms);
@@ -142,33 +136,27 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     ++result.stats.addmasking_rounds;
     LR_TRACE_SPAN_NAMED(shrink_span, "cautious_repair.shrink");
     // P1 as a relation: the per-process grouped sets stay disjunctive
-    // parts (their supports are what early quantification schedules
-    // around).
-    sym::TransitionRelation p1_rel(space);
+    // parts. The closure's parts come first: it runs over the invariant's
+    // behavior alone.
+    std::vector<bdd::Bdd> p1_parts;
     for (const bdd::Bdd& part : inv_j) {
-      if (!part.is_false()) p1_rel.add_part(part);
+      if (!part.is_false()) p1_parts.push_back(part);
     }
-    if (!inv_stutter.is_false()) p1_rel.add_part(inv_stutter);
+    if (!inv_stutter.is_false()) p1_parts.push_back(inv_stutter);
+    const std::size_t closure_parts = p1_parts.size();
     for (const bdd::Bdd& part : rec_j) {
-      if (!part.is_false()) p1_rel.add_part(part);
+      if (!part.is_false()) p1_parts.push_back(part);
     }
     // All of P1, unlike add_masking's rec_part-only span: tolerant_groups
     // re-includes a group's unreachable members outside the zone, so an
     // inv_j part can have sources outside S1 and add states to the
     // can-recover BFS.
-    const bdd::Bdd t2 = recoverable_span(p1_rel, faults_rel, s1, t1,
+    const bdd::Bdd t2 = recoverable_span(program, p1_parts, s1, t1,
                                          options.cancel.get());
     bdd::Bdd s2 = s1 & t2;
-    {
-      // Invariant closure: the νZ iterate stays inside S2, so a step that
-      // ends in it already ends in S2 and needs no S2′ conjunct.
-      sym::TransitionRelation closure_rel(space);
-      for (const bdd::Bdd& part : inv_j) {
-        if (!part.is_false()) closure_rel.add_part(part);
-      }
-      if (!inv_stutter.is_false()) closure_rel.add_part(inv_stutter);
-      s2 = space.live_core(closure_rel, s2);
-    }
+    // Invariant closure: the νZ iterate stays inside S2, so a step that
+    // ends in it already ends in S2 and needs no S2′ conjunct.
+    s2 = space.live_core(std::span(p1_parts).first(closure_parts), s2);
     if (options.journal != nullptr) {
       options.journal->fixpoint_round("cautious.shrink",
                                       result.stats.addmasking_rounds,
@@ -188,13 +176,11 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     bdd::Bdd below = s1;
     bdd::Bdd layer_decreasing = space.bdd_false();
     bdd::Bdd remaining = t1.minus(s1);
-    sym::TransitionRelation rec_rel(space);
-    for (const bdd::Bdd& part : rec_j) {
-      if (!part.is_false()) rec_rel.add_part(part);
-    }
+    const std::span<const bdd::Bdd> rec_parts =
+        std::span(p1_parts).subspan(closure_parts);
     result.stats.recovery_layers = 0;
     while (!remaining.is_false()) {
-      const bdd::Bdd layer = space.preimage(rec_rel, below) & remaining;
+      const bdd::Bdd layer = space.preimage(rec_parts, below) & remaining;
       if (layer.is_false()) break;  // leftovers are handled by the DL check
       layer_decreasing |= layer & space.prime(below);
       below |= layer;
@@ -223,15 +209,13 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     std::vector<bdd::Bdd> partitions = final_j;
     const std::vector<bdd::Bdd>& fault_parts = program.fault_action_deltas();
     partitions.insert(partitions.end(), fault_parts.begin(), fault_parts.end());
-    const sym::TransitionRelation span_rel =
-        sym::TransitionRelation::partitioned(space, partitions);
-    const bdd::Bdd span = space.forward_reachable(span_rel, s1);
+    const bdd::Bdd span = space.forward_reachable(partitions, s1);
     // Refinement reference: the candidate program's reach from the *full*
     // candidate invariant — the set the next round restarts from. (Using
     // `span` alone could shrink the reference below the restart invariant
     // and blanket-tolerate legitimate states.)
     const bdd::Bdd span_full = space.forward_reachable(
-        span_rel, program.invariant().minus(ms));
+        partitions, program.invariant().minus(ms));
     if (refinements < 8 && !reach_ref.leq(span_full)) {
       // The candidate program visits fewer states than the tolerance
       // reference assumed: tighten the reference and redo the analysis
@@ -249,13 +233,13 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     // Dead-region check: a state is alive when some successor chain stays
     // alive (stutter loops keep legitimate terminals alive); banning the
     // backward-closed dead set at once avoids one-layer-per-round peeling.
-    sym::TransitionRelation realized_rel(space);
+    std::vector<bdd::Bdd> realized_parts;
     for (const bdd::Bdd& part : final_j) {
-      if (!part.is_false()) realized_rel.add_part(part);
+      if (!part.is_false()) realized_parts.push_back(part);
     }
-    if (!inv_stutter.is_false()) realized_rel.add_part(inv_stutter);
+    if (!inv_stutter.is_false()) realized_parts.push_back(inv_stutter);
     const bdd::Bdd deadlocks =
-        span.minus(space.live_core(realized_rel, span));
+        span.minus(space.live_core(realized_parts, span));
     if (deadlocks.is_false()) {
       result.success = true;
       result.invariant = s1;

@@ -1,11 +1,10 @@
 #include "repair/lazy.hpp"
 
-#include <algorithm>
+#include <span>
 
 #include "repair/add_masking.hpp"
 #include "repair/journal.hpp"
 #include "repair/realize.hpp"
-#include "repair/relation_setup.hpp"
 #include "repair/verify.hpp"
 #include "support/log.hpp"
 #include "support/metrics.hpp"
@@ -57,7 +56,8 @@ void eliminate_livelocks(prog::DistributedProgram& program,
     throw_if_cancelled(options.cancel);
     bdd::Bdd actions = space.bdd_false();
     for (const bdd::Bdd& dj : deltas) actions |= dj;
-    cycle_states = space.live_core(actions, cycle_states, &iterations);
+    cycle_states =
+        space.live_core(std::span(&actions, 1), cycle_states, &iterations);
     if (cycle_states.is_false()) break;
     const bdd::Bdd on_cycle = cycle_states & space.prime(cycle_states);
     bool removed_added = false;
@@ -101,8 +101,6 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
   const auto finish = [&result, &space, &total] {
     result.stats.total_seconds = total.seconds();
     result.stats.bdd = space.manager().stats();
-    result.stats.peak_bdd_nodes =
-        std::max(result.stats.peak_bdd_nodes, result.stats.bdd.peak_nodes);
   };
 
   throw_if_cancelled(options.cancel);
@@ -111,9 +109,6 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
     options.journal->begin_run(program, "lazy",
                                tolerance_level_name(options.level));
   }
-
-  // Partition-shape record (metrics + journal header).
-  record_relation_shape(program, options.journal);
 
   bdd::Bdd candidate_invariant = program.invariant();
   bdd::Bdd extra_bad_trans = space.bdd_false();
@@ -173,11 +168,10 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
     std::vector<bdd::Bdd> step1_parts{step1.delta};
     step1_parts.insert(step1_parts.end(), fault_parts.begin(),
                        fault_parts.end());
-    const bdd::Bdd tolerance = space.forward_reachable(
-        sym::TransitionRelation::partitioned(space, step1_parts),
-        step1.invariant);
+    const bdd::Bdd tolerance =
+        space.forward_reachable(step1_parts, step1.invariant);
     std::vector<bdd::Bdd> deltas =
-        realize(program, step1.delta, tolerance, options, result.stats);
+        realize(program, step1.delta, tolerance, options);
     if (options.level != ToleranceLevel::kFailsafe) {
       eliminate_livelocks(program, step1.invariant, tolerance, deltas,
                           options);
@@ -187,9 +181,8 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
     // construction, so Line-1 don't-cares are indeed never executed).
     std::vector<bdd::Bdd> partitions = deltas;
     partitions.insert(partitions.end(), fault_parts.begin(), fault_parts.end());
-    const bdd::Bdd realized_span = space.forward_reachable(
-        sym::TransitionRelation::partitioned(space, partitions),
-        step1.invariant);
+    const bdd::Bdd realized_span =
+        space.forward_reachable(partitions, step1.invariant);
 
     // Deadlock check (Algorithm 1 lines 10-12), over the states the
     // realized program actually visits, generalized to the whole dead
@@ -224,10 +217,8 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
       std::vector<bdd::Bdd> realized_parts{step1.delta & identity};
       realized_parts.insert(realized_parts.end(), deltas.begin(),
                             deltas.end());
-      const sym::TransitionRelation realized_rel =
-          sym::TransitionRelation::partitioned(space, realized_parts);
-      deadlocks = realized_span.minus(space.live_core(realized_rel,
-                                                      realized_span));
+      deadlocks = realized_span.minus(
+          space.live_core(realized_parts, realized_span));
     }
     result.stats.step2_seconds += sw2.seconds();
 

@@ -1,6 +1,5 @@
 #include "repair/realize.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "repair/journal.hpp"
@@ -10,7 +9,7 @@ namespace lr::repair {
 
 std::vector<bdd::Bdd> realize(prog::DistributedProgram& program,
                               const bdd::Bdd& delta, const bdd::Bdd& tolerance,
-                              const Options& options, Stats& stats) {
+                              const Options& options) {
   LR_TRACE_SPAN_NAMED(span, "realize");
   sym::Space& space = program.space();
 
@@ -47,8 +46,6 @@ std::vector<bdd::Bdd> realize(prog::DistributedProgram& program,
     }
     result.push_back(std::move(accepted));
   }
-  stats.peak_bdd_nodes =
-      std::max(stats.peak_bdd_nodes, space.manager().stats().peak_nodes);
   return result;
 }
 

@@ -54,7 +54,6 @@ namespace lr::repair {
 [[nodiscard]] std::vector<bdd::Bdd> realize(prog::DistributedProgram& program,
                                             const bdd::Bdd& delta,
                                             const bdd::Bdd& tolerance,
-                                            const Options& options,
-                                            Stats& stats);
+                                            const Options& options);
 
 }  // namespace lr::repair

@@ -24,8 +24,6 @@ void record_run_metrics(const Stats& stats, const std::string& prefix) {
   m.add(p + "repair.deadlock_rounds", stats.deadlock_rounds);
   m.max_gauge(p + "repair.banned_trans_nodes",
               static_cast<double>(stats.banned_trans_nodes));
-  m.max_gauge(p + "repair.peak_bdd_nodes",
-              static_cast<double>(stats.peak_bdd_nodes));
 
   m.add(p + "bdd.cache_lookups", stats.bdd.cache_lookups);
   m.add(p + "bdd.cache_hits", stats.bdd.cache_hits);

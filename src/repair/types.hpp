@@ -98,7 +98,6 @@ struct Stats {
   double reachable_states = -1.0;  ///< |Reach(S, δ_P ∪ f)| (table column 1)
   double span_states = -1.0;       ///< |T'| of the result
   double invariant_states = -1.0;  ///< |S'| of the result
-  std::size_t peak_bdd_nodes = 0;  ///< engine high-water mark
 
   /// Deadlock-elimination history across Algorithm 1's outer iterations:
   /// how many rounds had to ban states, how many states they banned in

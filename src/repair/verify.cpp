@@ -2,7 +2,6 @@
 
 #include "repair/relation_setup.hpp"
 #include "support/trace.hpp"
-#include "symbolic/relation.hpp"
 
 namespace lr::repair {
 
@@ -37,8 +36,9 @@ std::optional<LivelockCertificate> find_livelock_certificate(
     const bdd::Bdd local = mgr.exists(deltas[j], hidden);
     // Rank i: the states peeled at step i, whose local successors in the
     // iterate all have a rank below i.
-    const bdd::Bdd cycling = space.live_core(
-        local, mgr.exists(outside, hidden), nullptr, &cert.ranks[j]);
+    const bdd::Bdd cycling =
+        space.live_core(std::span(&local, 1), mgr.exists(outside, hidden),
+                        nullptr, &cert.ranks[j]);
     if (!cycling.is_false()) return std::nullopt;
   }
   return cert;
@@ -125,7 +125,7 @@ VerifyReport verify_masking(prog::DistributedProgram& program,
        "new transitions were added inside the invariant");
 
   // Closure of S' in δ'.
-  fail(report.invariant_closed, space.image(delta, s_new).leq(s_new),
+  fail(report.invariant_closed, space.image(std::span(&delta, 1), s_new).leq(s_new),
        "S' is not closed under the repaired program");
 
   // Safety inside the invariant.
@@ -140,8 +140,7 @@ VerifyReport verify_masking(prog::DistributedProgram& program,
   std::vector<bdd::Bdd> partitions = result.process_deltas;
   const std::vector<bdd::Bdd>& fault_parts = program.fault_action_deltas();
   partitions.insert(partitions.end(), fault_parts.begin(), fault_parts.end());
-  const bdd::Bdd span = space.forward_reachable(
-      sym::TransitionRelation::partitioned(space, partitions), s_new);
+  const bdd::Bdd span = space.forward_reachable(partitions, s_new);
   report.reachable_span_states = space.count_states(span);
   fail(report.safety_under_faults,
        level == ToleranceLevel::kNonmasking ||
@@ -181,7 +180,9 @@ VerifyReport verify_masking(prog::DistributedProgram& program,
   }
   verify_span.attr("livelock_proof",
                    report.livelock_certified ? "certificate" : "nu_z");
-  if (!report.livelock_certified) z = space.live_core(delta, z);
+  if (!report.livelock_certified) {
+    z = space.live_core(std::span(&delta, 1), z);
+  }
   fail(report.livelock_free, report.livelock_certified || z.is_false(),
        "an infinite execution can avoid the invariant (recovery fails)");
 
@@ -223,8 +224,7 @@ VerifyReport verify_tolerant_model(prog::DistributedProgram& program,
   const bdd::Bdd ms =
       level == ToleranceLevel::kNonmasking
           ? space.bdd_false()
-          : fault_unsafe_states(program, fault_relation(program),
-                                program.safety().bad_states,
+          : fault_unsafe_states(program, program.safety().bad_states,
                                 program.safety().bad_trans, valid_cur,
                                 nullptr);
 
@@ -233,15 +233,13 @@ VerifyReport verify_tolerant_model(prog::DistributedProgram& program,
   // steps never leave a set, so closure under the process deltas alone is
   // the same condition. Any genuine repair's S' is such a set, so this
   // derivation never under-shoots a correct export.
-  const sym::TransitionRelation processes =
-      sym::TransitionRelation::partitioned(space, view.process_deltas);
-  view.invariant = closed_subset(processes, program.invariant().minus(ms));
+  view.invariant = closed_subset(space, view.process_deltas,
+                                 program.invariant().minus(ms));
 
   std::vector<bdd::Bdd> partitions = view.process_deltas;
   const std::vector<bdd::Bdd>& fault_parts = program.fault_action_deltas();
   partitions.insert(partitions.end(), fault_parts.begin(), fault_parts.end());
-  view.fault_span = space.forward_reachable(
-      sym::TransitionRelation::partitioned(space, partitions), view.invariant);
+  view.fault_span = space.forward_reachable(partitions, view.invariant);
 
   return verify_masking(program, view, level);
 }

@@ -8,7 +8,6 @@
 
 #include "bdd/witness.hpp"
 #include "support/trace.hpp"
-#include "symbolic/relation.hpp"
 
 namespace lr::sym {
 
@@ -23,6 +22,18 @@ std::uint32_t bits_for_domain(std::uint32_t domain) {
     ++bits;
   }
   return bits;
+}
+
+/// The union over `parts` of step(part). Starting from the first part's
+/// result, not from false, keeps a one-part call to the ops of `step`
+/// alone: every OR may fire a GC, and step counts follow the GC points.
+template <class Step>
+bdd::Bdd union_of(bdd::Manager& mgr, std::span<const bdd::Bdd> parts,
+                  Step step) {
+  if (parts.empty()) return mgr.bdd_false();
+  bdd::Bdd result = step(parts.front());
+  for (const bdd::Bdd& part : parts.subspan(1)) result |= step(part);
+  return result;
 }
 
 }  // namespace
@@ -233,85 +244,33 @@ bdd::Bdd Space::unprime(const bdd::Bdd& state) {
   return mgr_.permute(state, *swap_perm_);
 }
 
-bdd::Bdd Space::image(const bdd::Bdd& rel, const bdd::Bdd& from) {
+bdd::Bdd Space::image(std::span<const bdd::Bdd> parts, const bdd::Bdd& from) {
   freeze();
-  return unprime(mgr_.and_exists(rel, from, cube_cur_));
+  return union_of(mgr_, parts, [&](const bdd::Bdd& part) {
+    return unprime(mgr_.and_exists(part, from, cube_cur_));
+  });
 }
 
-bdd::Bdd Space::preimage(const bdd::Bdd& rel, const bdd::Bdd& to) {
-  freeze();
-  return mgr_.and_exists(rel, prime(to), cube_next_);
-}
-
-bdd::Bdd Space::image_part(const RelationPart& part, const bdd::Bdd& from) {
-  freeze();
-  // Early quantification: the part cannot see the bits outside its
-  // support, so they leave the operand before the product.
-  const bdd::Bdd operand = part.absent_cur_cube.is_true()
-                               ? from
-                               : mgr_.exists(from, part.absent_cur_cube);
-  return unprime(mgr_.and_exists(part.relation, operand, part.local_cur_cube));
-}
-
-bdd::Bdd Space::preimage_part(const RelationPart& part,
-                              const bdd::Bdd& to_primed) {
-  freeze();
-  const bdd::Bdd operand = part.absent_next_cube.is_true()
-                               ? to_primed
-                               : mgr_.exists(to_primed, part.absent_next_cube);
-  return mgr_.and_exists(part.relation, operand, part.local_next_cube);
-}
-
-bdd::Bdd Space::image(const TransitionRelation& rel, const bdd::Bdd& from) {
-  freeze();
-  bdd::Bdd result = mgr_.bdd_false();
-  for (const RelationPart& part : rel.parts()) {
-    result |= image_part(part, from);
-  }
-  return result;
-}
-
-bdd::Bdd Space::preimage(const TransitionRelation& rel, const bdd::Bdd& to) {
+bdd::Bdd Space::preimage(std::span<const bdd::Bdd> parts, const bdd::Bdd& to) {
   freeze();
   const bdd::Bdd to_primed = prime(to);
-  bdd::Bdd result = mgr_.bdd_false();
-  for (const RelationPart& part : rel.parts()) {
-    result |= preimage_part(part, to_primed);
-  }
-  return result;
+  return union_of(mgr_, parts, [&](const bdd::Bdd& part) {
+    return mgr_.and_exists(part, to_primed, cube_next_);
+  });
 }
 
-bdd::Bdd Space::forward_reachable(const bdd::Bdd& rel, const bdd::Bdd& from) {
-  LR_TRACE_SPAN_NAMED(span, "space.forward_reachable");
-  std::uint64_t iterations = 0;
-  bdd::Bdd reached = from;
-  bdd::Bdd frontier = from;
-  while (!frontier.is_false()) {
-    frontier = image(rel, frontier).minus(reached);
-    reached |= frontier;
-    ++iterations;
-  }
-  if (support::trace::enabled()) {
-    span.attr("iterations", iterations);
-    span.attr("result_nodes",
-              static_cast<std::uint64_t>(reached.node_count()));
-  }
-  return reached;
-}
-
-bdd::Bdd Space::forward_reachable(const TransitionRelation& rel,
+bdd::Bdd Space::forward_reachable(std::span<const bdd::Bdd> parts,
                                   const bdd::Bdd& from) {
-  LR_TRACE_SPAN_NAMED(span, "space.forward_reachable_partitioned");
-  freeze();
+  LR_TRACE_SPAN_NAMED(span, "space.forward_reachable");
   std::uint64_t images = 0;
   bdd::Bdd reached = from;
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const RelationPart& part : rel.parts()) {
+    for (const bdd::Bdd& part : parts) {
       // Chaotic iteration: saturate this part before moving to the next.
       while (true) {
-        const bdd::Bdd fresh = image_part(part, reached).minus(reached);
+        const bdd::Bdd fresh = image({&part, 1}, reached).minus(reached);
         ++images;
         if (fresh.is_false()) break;
         reached |= fresh;
@@ -320,7 +279,7 @@ bdd::Bdd Space::forward_reachable(const TransitionRelation& rel,
     }
   }
   if (support::trace::enabled()) {
-    span.attr("partitions", static_cast<std::uint64_t>(rel.part_count()));
+    span.attr("parts", static_cast<std::uint64_t>(parts.size()));
     span.attr("image_steps", images);
     span.attr("result_nodes",
               static_cast<std::uint64_t>(reached.node_count()));
@@ -328,63 +287,27 @@ bdd::Bdd Space::forward_reachable(const TransitionRelation& rel,
   return reached;
 }
 
-bdd::Bdd Space::backward_reachable(const bdd::Bdd& rel, const bdd::Bdd& to) {
-  LR_TRACE_SPAN_NAMED(span, "space.backward_reachable");
-  std::uint64_t iterations = 0;
-  bdd::Bdd reached = to;
-  bdd::Bdd frontier = to;
-  while (!frontier.is_false()) {
-    frontier = preimage(rel, frontier).minus(reached);
-    reached |= frontier;
-    ++iterations;
-  }
-  if (support::trace::enabled()) {
-    span.attr("iterations", iterations);
-    span.attr("result_nodes",
-              static_cast<std::uint64_t>(reached.node_count()));
-  }
-  return reached;
-}
-
-bdd::Bdd Space::has_successor_in(const bdd::Bdd& rel, const bdd::Bdd& set) {
+bdd::Bdd Space::has_successor_in(std::span<const bdd::Bdd> parts,
+                                 const bdd::Bdd& set) {
   freeze();
   // The primed operand stays referenced through the conjunction, so a GC
   // that fires inside it keeps that node set (νZ step counts depend on it).
-  return set & mgr_.and_exists(rel, prime(set), cube_next_);
+  const bdd::Bdd set_primed = prime(set);
+  return set & union_of(mgr_, parts, [&](const bdd::Bdd& part) {
+           return mgr_.and_exists(part, set_primed, cube_next_);
+         });
 }
 
-bdd::Bdd Space::has_successor_in(const TransitionRelation& rel,
-                                 const bdd::Bdd& set) {
-  return set & preimage(rel, set);
-}
-
-namespace {
-
-template <class Rel>
-bdd::Bdd live_core_over(Space& space, const Rel& rel, bdd::Bdd states,
-                        std::uint64_t* iterations,
-                        std::vector<bdd::Bdd>* peeled) {
+bdd::Bdd Space::live_core(std::span<const bdd::Bdd> parts, bdd::Bdd states,
+                          std::uint64_t* iterations,
+                          std::vector<bdd::Bdd>* peeled) {
   while (true) {
     if (iterations != nullptr) ++*iterations;
-    bdd::Bdd shrunk = space.has_successor_in(rel, states);
+    bdd::Bdd shrunk = has_successor_in(parts, states);
     if (shrunk == states) return states;
     if (peeled != nullptr) peeled->push_back(states.minus(shrunk));
     states = std::move(shrunk);
   }
-}
-
-}  // namespace
-
-bdd::Bdd Space::live_core(const bdd::Bdd& rel, bdd::Bdd states,
-                          std::uint64_t* iterations,
-                          std::vector<bdd::Bdd>* peeled) {
-  return live_core_over(*this, rel, std::move(states), iterations, peeled);
-}
-
-bdd::Bdd Space::live_core(const TransitionRelation& rel, bdd::Bdd states,
-                          std::uint64_t* iterations,
-                          std::vector<bdd::Bdd>* peeled) {
-  return live_core_over(*this, rel, std::move(states), iterations, peeled);
 }
 
 double Space::count_states(const bdd::Bdd& set) {

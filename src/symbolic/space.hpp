@@ -12,9 +12,6 @@
 
 namespace lr::sym {
 
-class TransitionRelation;
-struct RelationPart;
-
 /// Identifier of a finite-domain program variable within a Space.
 using VarId = std::uint32_t;
 
@@ -123,70 +120,44 @@ class Space {
   [[nodiscard]] bdd::Bdd unprime(const bdd::Bdd& state);
 
   // --- Relational operations ------------------------------------------------------
-
-  /// States reachable from `from` in exactly one step of `rel`
-  /// (a current-version state predicate).
-  [[nodiscard]] bdd::Bdd image(const bdd::Bdd& rel, const bdd::Bdd& from);
-
-  /// States with at least one `rel` successor inside `to`.
-  [[nodiscard]] bdd::Bdd preimage(const bdd::Bdd& rel, const bdd::Bdd& to);
-
-  // --- Relation-aware overloads (symbolic/relation.hpp) --------------------
   //
-  // A TransitionRelation interleaves quantification with conjunction: per
-  // part, the bits outside the part's support are quantified out of the
-  // operand first, then the and-exists with the part's BDD quantifies only
-  // the support-local bits. The results are the same canonical sets the
-  // flat overloads above compute.
+  // A transition relation is a disjunctive list of parts, one BDD each (a
+  // process delta, a fault action, ...). Every operation below works on the
+  // union of the parts without building it; a single BDD is a one-element
+  // span, and a one-part call runs exactly the ops of the formula over that
+  // BDD.
 
-  /// Image over a TransitionRelation (∪ over parts).
-  [[nodiscard]] bdd::Bdd image(const TransitionRelation& rel,
+  /// States reachable from `from` in exactly one step (a current-version
+  /// state predicate): the union over parts of ∃cur. (part ∧ from).
+  [[nodiscard]] bdd::Bdd image(std::span<const bdd::Bdd> parts,
                                const bdd::Bdd& from);
 
-  /// Preimage over a TransitionRelation (∪ over parts).
-  [[nodiscard]] bdd::Bdd preimage(const TransitionRelation& rel,
+  /// States with at least one successor inside `to`: the union over parts
+  /// of ∃next. (part ∧ to′).
+  [[nodiscard]] bdd::Bdd preimage(std::span<const bdd::Bdd> parts,
                                   const bdd::Bdd& to);
 
-  /// Least fixpoint of `from ∪ image(rel, ·)` (forward reachability).
-  [[nodiscard]] bdd::Bdd forward_reachable(const bdd::Bdd& rel,
+  /// Least fixpoint of `from ∪ image(parts, ·)` (forward reachability),
+  /// computed by chaotic iteration: each part is saturated in turn until a
+  /// global fixpoint. Avoids the frontier blow-up of breadth-first search
+  /// on loosely-coupled relations (havoc-style fault structures).
+  [[nodiscard]] bdd::Bdd forward_reachable(std::span<const bdd::Bdd> parts,
                                            const bdd::Bdd& from);
 
-  /// Forward reachability over a TransitionRelation, computed by chaotic
-  /// iteration: each part is saturated in turn until a global fixpoint.
-  /// Produces the same set as the flat overload over the parts' union but
-  /// avoids the frontier blow-up of breadth-first search on loosely-coupled
-  /// relations (orders of magnitude faster on havoc-style fault
-  /// structures).
-  [[nodiscard]] bdd::Bdd forward_reachable(const TransitionRelation& rel,
-                                           const bdd::Bdd& from);
-
-  /// Least fixpoint of `to ∪ preimage(rel, ·)` (backward reachability).
-  [[nodiscard]] bdd::Bdd backward_reachable(const bdd::Bdd& rel,
-                                            const bdd::Bdd& to);
-
-  /// States of `set` that have at least one `rel`-successor within `set`
-  /// — i.e. set ∩ preimage(rel, set). One step of live_core.
-  [[nodiscard]] bdd::Bdd has_successor_in(const bdd::Bdd& rel,
+  /// States of `set` that have at least one successor within `set`
+  /// — i.e. set ∩ preimage(parts, set). One step of live_core.
+  [[nodiscard]] bdd::Bdd has_successor_in(std::span<const bdd::Bdd> parts,
                                           const bdd::Bdd& set);
 
-  /// TransitionRelation form: set ∩ preimage(rel, set).
-  [[nodiscard]] bdd::Bdd has_successor_in(const TransitionRelation& rel,
-                                          const bdd::Bdd& set);
-
-  /// The νZ. states ∩ pre(rel, Z): the largest subset of `states` in which
-  /// every state has a `rel`-successor inside the subset. Over a region
+  /// The νZ. states ∩ pre(parts, Z): the largest subset of `states` in
+  /// which every state has a successor inside the subset. Over a region
   /// that must be left (outside an invariant) it is the set of states that
   /// can stay in the region forever; over a reachable span it is the part
   /// that never deadlocks. `iterations`, when given, is increased by the
   /// number of has_successor_in steps taken, the last one included.
   /// `peeled`, when given, receives the states each shrinking step
   /// removes, in order (the ranks of a livelock certificate).
-  [[nodiscard]] bdd::Bdd live_core(const bdd::Bdd& rel, bdd::Bdd states,
-                                   std::uint64_t* iterations = nullptr,
-                                   std::vector<bdd::Bdd>* peeled = nullptr);
-
-  /// TransitionRelation form of live_core.
-  [[nodiscard]] bdd::Bdd live_core(const TransitionRelation& rel,
+  [[nodiscard]] bdd::Bdd live_core(std::span<const bdd::Bdd> parts,
                                    bdd::Bdd states,
                                    std::uint64_t* iterations = nullptr,
                                    std::vector<bdd::Bdd>* peeled = nullptr);
@@ -247,13 +218,6 @@ class Space {
                                                           Version ver) const {
     return ver == Version::kCurrent ? vars_[v].cur_bits : vars_[v].next_bits;
   }
-
-  /// Early-quantified image/preimage of one scheduled part (see
-  /// symbolic/relation.hpp).
-  [[nodiscard]] bdd::Bdd image_part(const RelationPart& part,
-                                    const bdd::Bdd& from);
-  [[nodiscard]] bdd::Bdd preimage_part(const RelationPart& part,
-                                       const bdd::Bdd& to_primed);
 
   bdd::Manager mgr_;
   std::vector<VariableInfo> vars_;

@@ -8,7 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,7 +17,6 @@
 #include "bdd/profile.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
-#include "symbolic/relation.hpp"
 #include "symbolic/space.hpp"
 
 namespace lr::bdd {
@@ -169,12 +168,11 @@ namespace {
 constexpr std::size_t kParts = 5;
 
 /// A space with one relation part per process (each process copies its
-/// ring successor's value), plus the relation over it. `rel` is declared
-/// after `space` so its handles are released before the manager they point
-/// into is torn down.
+/// ring successor's value). `parts` is declared after `space` so its
+/// handles are released before the manager they point into is torn down.
 struct PartitionedFixture {
   std::unique_ptr<sym::Space> space;
-  std::optional<sym::TransitionRelation> rel;
+  std::vector<bdd::Bdd> parts;
 };
 
 PartitionedFixture make_partitioned_space() {
@@ -184,7 +182,6 @@ PartitionedFixture make_partitioned_space() {
   for (std::size_t i = 0; i < kParts; ++i) {
     vars.push_back(fx.space->add_variable("p" + std::to_string(i), 4));
   }
-  std::vector<bdd::Bdd> parts;
   for (std::size_t i = 0; i < kParts; ++i) {
     bdd::Bdd part = fx.space->vars_eq(vars[i], sym::Version::kNext,
                                       vars[(i + 1) % kParts],
@@ -192,16 +189,15 @@ PartitionedFixture make_partitioned_space() {
     for (std::size_t j = 0; j < kParts; ++j) {
       if (j != i) part &= fx.space->unchanged(vars[j]);
     }
-    parts.push_back(part);
+    fx.parts.push_back(part);
   }
-  fx.rel = sym::TransitionRelation::partitioned(*fx.space, parts);
   // Setup work (relation building) is not part of the measured workload.
   fx.space->manager().profiler().clear();
   return fx;
 }
 
-void partitioned_workload(sym::Space& space,
-                          const sym::TransitionRelation& rel, bool nested) {
+void partitioned_workload(sym::Space& space, std::span<const bdd::Bdd> rel,
+                          bool nested) {
   const bdd::Bdd from = space.valid(sym::Version::kCurrent);
   if (nested) {
     LR_TRACE_SPAN("profile_test.parts_outer");
@@ -225,10 +221,10 @@ TEST_F(BddProfileTest, NestedSpansConservePartitionedTotals) {
   // operation sequence is deterministic, so only the span bucketing may
   // differ — the summed `bdd.<span>.*` totals must not.
   PartitionedFixture flat = make_partitioned_space();
-  partitioned_workload(*flat.space, *flat.rel, /*nested=*/false);
+  partitioned_workload(*flat.space, flat.parts, /*nested=*/false);
 
   PartitionedFixture nested = make_partitioned_space();
-  partitioned_workload(*nested.space, *nested.rel, /*nested=*/true);
+  partitioned_workload(*nested.space, nested.parts, /*nested=*/true);
 
   const profile::SpanCounters a = flat.space->manager().profiler().totals();
   const profile::SpanCounters b = nested.space->manager().profiler().totals();

@@ -54,7 +54,8 @@ TEST(ByzantineModelTest, FaultsPreserveInvariantMembershipCount) {
   // single-byzantine shapes); decision-lying may leave it.
   const auto inv = p->invariant();
   const auto after =
-      sp.image(p->fault_delta(), inv) & sp.valid(sym::Version::kCurrent);
+      sp.image(p->fault_action_deltas(), inv) &
+      sp.valid(sym::Version::kCurrent);
   EXPECT_FALSE(after.is_false());
 }
 
@@ -99,7 +100,7 @@ TEST(TokenRingModelTest, TokenCirculatesInsideInvariant) {
   // Within the invariant, the program moves and stays in the invariant.
   const auto inside = p->program_delta() & p->invariant();
   EXPECT_FALSE(inside.is_false());
-  EXPECT_TRUE(sp.image(inside, p->invariant()).leq(p->invariant()));
+  EXPECT_TRUE(sp.image({&inside, 1}, p->invariant()).leq(p->invariant()));
 }
 
 TEST(TokenRingModelTest, LazyRepairStabilizes) {

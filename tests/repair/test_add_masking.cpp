@@ -107,14 +107,13 @@ TEST(AddMaskingTest, FailsWhenAFaultSequenceForcesBadStates) {
   p->add_bad_states(Expr::var(x) == 3u);
   sym::Space& space = p->space();
   const bdd::Bdd valid = space.valid(sym::Version::kCurrent);
-  const sym::TransitionRelation faults = fault_relation(*p);
-  EXPECT_EQ(fault_unsafe_states(*p, faults, p->safety().bad_states,
+  EXPECT_EQ(fault_unsafe_states(*p, p->safety().bad_states,
                                 p->safety().bad_trans, valid, nullptr),
             valid);
   // The closure stays inside `within`: without x = 2 the chain is cut.
   const bdd::Bdd no_two =
       valid.minus(space.value_eq(x, 2, sym::Version::kCurrent));
-  EXPECT_EQ(fault_unsafe_states(*p, faults, p->safety().bad_states,
+  EXPECT_EQ(fault_unsafe_states(*p, p->safety().bad_states,
                                 p->safety().bad_trans, no_two, nullptr),
             space.value_eq(x, 3, sym::Version::kCurrent));
   EXPECT_FALSE(run(*p).success);
@@ -139,7 +138,7 @@ TEST(AddMaskingTest, InvariantClosedAndSafeUnderDelta) {
   const StepOneResult r = run(*p);
   ASSERT_TRUE(r.success);
   // Closure of S' under δ'.
-  EXPECT_TRUE(sp.image(r.delta, r.invariant).leq(r.invariant));
+  EXPECT_TRUE(sp.image({&r.delta, 1}, r.invariant).leq(r.invariant));
   // S' ⊆ S and δ'|S' ⊆ δ_P|S'.
   EXPECT_TRUE(r.invariant.leq(p->invariant()));
   EXPECT_TRUE((r.delta & r.invariant & sp.prime(r.invariant))
@@ -154,8 +153,9 @@ TEST(AddMaskingTest, SpanClosedUnderFaultsAndDelta) {
   auto& sp = p->space();
   const StepOneResult r = run(*p);
   ASSERT_TRUE(r.success);
-  EXPECT_TRUE(sp.image(p->fault_delta(), r.fault_span).leq(r.fault_span));
-  EXPECT_TRUE(sp.image(r.delta, r.fault_span).leq(r.fault_span));
+  EXPECT_TRUE(
+      sp.image(p->fault_action_deltas(), r.fault_span).leq(r.fault_span));
+  EXPECT_TRUE(sp.image({&r.delta, 1}, r.fault_span).leq(r.fault_span));
 }
 
 TEST(AddMaskingTest, EverySpanStateReachesInvariant) {
@@ -163,7 +163,14 @@ TEST(AddMaskingTest, EverySpanStateReachesInvariant) {
   auto& sp = p->space();
   const StepOneResult r = run(*p);
   ASSERT_TRUE(r.success);
-  EXPECT_TRUE(r.fault_span.leq(sp.backward_reachable(r.delta, r.invariant)));
+  // Backward reachability of S' under δ': the least fixpoint of preimages.
+  bdd::Bdd reaches = r.invariant;
+  while (true) {
+    const bdd::Bdd grown = reaches | sp.preimage({&r.delta, 1}, reaches);
+    if (grown == reaches) break;
+    reaches = grown;
+  }
+  EXPECT_TRUE(r.fault_span.leq(reaches));
 }
 
 TEST(AddMaskingTest, NoSelfLoopsOutsideInvariant) {
@@ -240,7 +247,6 @@ StepOneResult full_p1_step_one(prog::DistributedProgram& program,
                                ToleranceLevel level) {
   sym::Space& space = program.space();
   const bdd::Bdd delta_p = program.program_delta();
-  const sym::TransitionRelation faults_rel = fault_relation(program);
   const bdd::Bdd valid_pair = space.valid_pair();
   const bool use_safety = level != ToleranceLevel::kNonmasking;
   const bdd::Bdd bad_states =
@@ -257,41 +263,41 @@ StepOneResult full_p1_step_one(prog::DistributedProgram& program,
 
   const bdd::Bdd context =
       space.forward_reachable(program_fault_relation(program), s_orig);
-  const bdd::Bdd ms = fault_unsafe_states(program, faults_rel, bad_states,
-                                          bad_trans, context, nullptr);
+  const bdd::Bdd ms =
+      fault_unsafe_states(program, bad_states, bad_trans, context, nullptr);
   const bdd::Bdd mt = (bad_trans | space.prime(ms)) & valid_pair;
   std::vector<bdd::Bdd> pieces_mt;
   for (const bdd::Bdd& piece : program_delta_pieces(program)) {
     const bdd::Bdd trimmed = piece.minus(mt);
     if (!trimmed.is_false()) pieces_mt.push_back(trimmed);
   }
-  bdd::Bdd s1 = space.live_core(
-      sym::TransitionRelation::partitioned(space, pieces_mt),
-      s_orig.minus(ms));
+  bdd::Bdd s1 = space.live_core(pieces_mt, s_orig.minus(ms));
   bdd::Bdd t1 = context.minus(ms);
   if (s1.is_false()) return result;
 
-  sym::TransitionRelation p1_rel(space);
+  std::vector<bdd::Bdd> p1_parts;
   while (true) {
     const bdd::Bdd rec_part =
         (writable & t1.minus(s1) & space.prime(t1) & valid_pair)
             .minus(mt)
             .minus(space.identity());
     const bdd::Bdd inv_cross = s1 & space.prime(s1);
-    p1_rel = sym::TransitionRelation(space);
-    for (const bdd::Bdd& piece : pieces_mt) p1_rel.add_part(piece & inv_cross);
-    if (!rec_part.is_false()) p1_rel.add_part(rec_part);
-    const bdd::Bdd t2 =
-        level == ToleranceLevel::kFailsafe
-            ? t1
-            : recoverable_span(p1_rel, faults_rel, s1, t1, nullptr);
+    p1_parts.clear();
+    for (const bdd::Bdd& piece : pieces_mt) {
+      p1_parts.push_back(piece & inv_cross);
+    }
+    if (!rec_part.is_false()) p1_parts.push_back(rec_part);
+    const bdd::Bdd t2 = level == ToleranceLevel::kFailsafe
+                            ? t1
+                            : recoverable_span(program, p1_parts, s1, t1,
+                                               nullptr);
     bdd::Bdd s2 = s1 & t2;
     const bdd::Bdd s2_primed = space.prime(s2);
-    sym::TransitionRelation closure_rel(space);
-    for (const sym::RelationPart& part : p1_rel.parts()) {
-      closure_rel.add_part(part.relation & s2_primed);
+    std::vector<bdd::Bdd> closure_parts;
+    for (const bdd::Bdd& part : p1_parts) {
+      closure_parts.push_back(part & s2_primed);
     }
-    s2 = space.live_core(closure_rel, s2);
+    s2 = space.live_core(closure_parts, s2);
     if (s2.is_false()) return result;
     if (s2 == s1 && t2 == t1) break;
     s1 = s2;
@@ -304,9 +310,9 @@ StepOneResult full_p1_step_one(prog::DistributedProgram& program,
   bdd::Bdd remaining =
       level == ToleranceLevel::kFailsafe ? space.bdd_false() : outside;
   bdd::Bdd p1_flat = space.bdd_false();
-  for (const sym::RelationPart& part : p1_rel.parts()) p1_flat |= part.relation;
+  for (const bdd::Bdd& part : p1_parts) p1_flat |= part;
   while (!remaining.is_false()) {
-    const bdd::Bdd layer = space.preimage(p1_rel, below) & remaining;
+    const bdd::Bdd layer = space.preimage(p1_parts, below) & remaining;
     if (layer.is_false()) break;
     added |= p1_flat & layer & space.prime(below);
     below |= layer;

@@ -7,7 +7,7 @@
 #include "program/distributed_program.hpp"
 #include "repair/lazy.hpp"
 #include "repair/verify.hpp"
-#include "symbolic/relation.hpp"
+#include "symbolic/space.hpp"
 
 namespace lr::repair {
 namespace {
@@ -134,8 +134,7 @@ TEST(ToleranceLevelTest, FailsafeKeepsSafetyUnderFaults) {
   auto& sp = p->space();
   std::vector<bdd::Bdd> parts = r.process_deltas;
   for (const auto& f : p->fault_action_deltas()) parts.push_back(f);
-  const bdd::Bdd span = sp.forward_reachable(
-      sym::TransitionRelation::partitioned(sp, parts), r.invariant);
+  const bdd::Bdd span = sp.forward_reachable(parts, r.invariant);
   EXPECT_TRUE(span.disjoint(p->safety().bad_states));
 }
 

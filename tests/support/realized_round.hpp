@@ -11,7 +11,7 @@
 #include "program/distributed_program.hpp"
 #include "repair/add_masking.hpp"
 #include "repair/realize.hpp"
-#include "symbolic/relation.hpp"
+#include "symbolic/space.hpp"
 
 namespace lr::testgen {
 
@@ -34,10 +34,9 @@ inline RealizedRound realize_first_round(prog::DistributedProgram& program,
   if (!step1.success) return out;
   std::vector<bdd::Bdd> parts{step1.delta};
   for (const bdd::Bdd& f : program.fault_action_deltas()) parts.push_back(f);
-  const bdd::Bdd tolerance = space.forward_reachable(
-      sym::TransitionRelation::partitioned(space, parts), step1.invariant);
+  const bdd::Bdd tolerance = space.forward_reachable(parts, step1.invariant);
   out.ok = true;
-  out.deltas = repair::realize(program, step1.delta, tolerance, options, stats);
+  out.deltas = repair::realize(program, step1.delta, tolerance, options);
   out.invariant = step1.invariant;
   out.tolerance = tolerance;
   out.outside = tolerance.minus(step1.invariant);
@@ -53,7 +52,7 @@ inline bdd::Bdd livelock_states(sym::Space& space,
   for (const bdd::Bdd& dj : deltas) actions |= dj;
   bdd::Bdd z = outside;
   while (true) {
-    const bdd::Bdd shrunk = space.has_successor_in(actions, z);
+    const bdd::Bdd shrunk = space.has_successor_in({&actions, 1}, z);
     if (shrunk == z) return z;
     z = shrunk;
   }
@@ -66,11 +65,7 @@ inline bdd::Bdd verifier_outside(prog::DistributedProgram& program,
                                  const bdd::Bdd& invariant) {
   std::vector<bdd::Bdd> parts = deltas;
   for (const bdd::Bdd& f : program.fault_action_deltas()) parts.push_back(f);
-  sym::Space& space = program.space();
-  return space
-      .forward_reachable(sym::TransitionRelation::partitioned(space, parts),
-                         invariant)
-      .minus(invariant);
+  return program.space().forward_reachable(parts, invariant).minus(invariant);
 }
 
 /// The verifier's νZ: the states of `outside` that start an infinite run
@@ -84,7 +79,7 @@ inline bdd::Bdd stuttering_livelock_states(prog::DistributedProgram& program,
   const bdd::Bdd delta = program.stutter_completion(actions);
   bdd::Bdd z = outside;
   while (true) {
-    const bdd::Bdd shrunk = space.has_successor_in(delta, z);
+    const bdd::Bdd shrunk = space.has_successor_in({&delta, 1}, z);
     if (shrunk == z) return z;
     z = shrunk;
   }

@@ -1,16 +1,15 @@
-// Differential suite for the scheduled transition relation
-// (sym::TransitionRelation), the engine's one relation representation:
-// its image, preimage, has_successor_in, live_core and forward_reachable
-// overloads must compute exactly the sets the flat bdd::Bdd overloads
-// compute over the union of the same parts. The flat reference is rebuilt
-// here from the parts' BDDs, so a wrong early-quantification cube or a
-// dropped part shows up as a set mismatch.
+// Differential suite for relations as lists of parts: Space's image,
+// preimage, has_successor_in, live_core and forward_reachable over n parts
+// must compute exactly the sets they compute over the union of the same
+// parts passed as one part. The union is rebuilt here from the parts'
+// BDDs, so a dropped part or a wrong per-part step shows up as a set
+// mismatch.
 //
 // Covered: random parts over every variable, random parts that leave
-// variables out of their support (so the schedule quantifies bits before
-// the product), a one-part relation, the empty fault list, the relations
-// the repair layer builds for every case study, and seeded random models
-// across every LR_FUZZ_TOPOLOGY x LR_FUZZ_FAULTS combination.
+// variables out of their support, a one-part relation, the empty fault
+// list, the relations the repair layer builds for every case study, and
+// seeded random models across every LR_FUZZ_TOPOLOGY x LR_FUZZ_FAULTS
+// combination.
 //
 // Environment knobs (fuzz sweep):
 //   LR_FUZZ_SEED=N     base seed (model i uses seed N+i); default 20160523
@@ -26,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,38 +37,35 @@
 #include "program/distributed_program.hpp"
 #include "repair/relation_setup.hpp"
 #include "support/rng.hpp"
-#include "symbolic/relation.hpp"
+#include "symbolic/space.hpp"
 #include "../support/model_gen.hpp"
 
 namespace lr::sym {
 namespace {
 
-/// The flat reference of `rel`: the union of its parts.
-bdd::Bdd flatten(Space& space, const TransitionRelation& rel) {
+/// Compares every relational operation over `parts` with the same
+/// operation over their union as one part, on `probe`. Returns the number
+/// of mismatches (each also reported as a failure).
+int expect_matches_union(Space& space, std::span<const bdd::Bdd> parts,
+                         const bdd::Bdd& probe, const std::string& what) {
   bdd::Bdd whole = space.bdd_false();
-  for (const RelationPart& part : rel.parts()) whole |= part.relation;
-  return whole;
-}
-
-/// Compares every relation-aware overload with the flat one on `probe`.
-/// Returns the number of mismatches (each also reported as a failure).
-int expect_matches_flat(Space& space, const TransitionRelation& rel,
-                        const bdd::Bdd& probe, const std::string& what) {
-  const bdd::Bdd flat = flatten(space, rel);
+  for (const bdd::Bdd& part : parts) whole |= part;
+  const std::span<const bdd::Bdd> one(&whole, 1);
   int mismatches = 0;
-  const auto check = [&](const bdd::Bdd& scheduled, const bdd::Bdd& expected,
+  const auto check = [&](const bdd::Bdd& split, const bdd::Bdd& expected,
                          const char* op) {
-    EXPECT_EQ(scheduled, expected) << what << ": " << op << " vs flat";
-    if (scheduled != expected) ++mismatches;
+    EXPECT_EQ(split, expected) << what << ": " << op << " vs union";
+    if (split != expected) ++mismatches;
   };
-  check(space.image(rel, probe), space.image(flat, probe), "image");
-  check(space.preimage(rel, probe), space.preimage(flat, probe), "preimage");
-  check(space.has_successor_in(rel, probe),
-        space.has_successor_in(flat, probe), "has_successor_in");
-  check(space.live_core(rel, probe), space.live_core(flat, probe),
+  check(space.image(parts, probe), space.image(one, probe), "image");
+  check(space.preimage(parts, probe), space.preimage(one, probe),
+        "preimage");
+  check(space.has_successor_in(parts, probe),
+        space.has_successor_in(one, probe), "has_successor_in");
+  check(space.live_core(parts, probe), space.live_core(one, probe),
         "live_core");
-  check(space.forward_reachable(rel, probe),
-        space.forward_reachable(flat, probe), "forward_reachable");
+  check(space.forward_reachable(parts, probe),
+        space.forward_reachable(one, probe), "forward_reachable");
   return mismatches;
 }
 
@@ -126,13 +123,13 @@ TEST(RelationDifferentialTest, OneConjunctParts) {
   Space space;
   add_random_part_variables(space);
   for (int round = 0; round < 6; ++round) {
-    TransitionRelation rel(space);
+    std::vector<bdd::Bdd> rel;
     for (int p = 0; p < 3; ++p) {
-      rel.add_part(random_transitions(space, rng, 12));
+      rel.push_back(random_transitions(space, rng, 12));
     }
     for (const bdd::Bdd& probe : probes(space, rng)) {
-      expect_matches_flat(space, rel, probe,
-                          "round " + std::to_string(round));
+      expect_matches_union(space, rel, probe,
+                           "round " + std::to_string(round));
     }
   }
 }
@@ -165,15 +162,14 @@ TEST(RelationDifferentialTest, PartialSupportParts) {
   Space space;
   add_random_part_variables(space);
   for (int round = 0; round < 6; ++round) {
-    TransitionRelation rel(space);
-    for (int p = 0; p < 3; ++p) {
-      rel.add_part(random_local_part(space, rng, 4));
-    }
     // Each part names at most two of the three variables.
-    ASSERT_GT(rel.shape().schedulable_bits, 0u);
+    std::vector<bdd::Bdd> rel;
+    for (int p = 0; p < 3; ++p) {
+      rel.push_back(random_local_part(space, rng, 4));
+    }
     for (const bdd::Bdd& probe : probes(space, rng)) {
-      expect_matches_flat(space, rel, probe,
-                          "partial support, round " + std::to_string(round));
+      expect_matches_union(space, rel, probe,
+                           "partial support, round " + std::to_string(round));
     }
   }
 }
@@ -198,34 +194,29 @@ TEST(RelationDifferentialTest, OnePartRelation) {
   Space& space = program->space();
   support::SplitMix64 rng(44);
   const bdd::Bdd delta = program->program_delta();
-  const TransitionRelation single =
-      TransitionRelation::partitioned(space, std::span(&delta, 1));
-  ASSERT_EQ(single.part_count(), 1u);
-  const TransitionRelation natural = repair::program_fault_relation(*program);
+  const std::vector<bdd::Bdd> natural =
+      repair::program_fault_relation(*program);
   for (const bdd::Bdd& probe : probes(space, rng)) {
-    expect_matches_flat(space, single, probe, "one part");
-    expect_matches_flat(space, natural, probe, "one process, no faults");
+    expect_matches_union(space, std::span(&delta, 1), probe, "one part");
+    expect_matches_union(space, natural, probe, "one process, no faults");
   }
 }
 
 TEST(RelationDifferentialTest, EmptyFaultList) {
   auto program = lang::parse_program(kOneProcessNoFaults);
   Space& space = program->space();
-  ASSERT_TRUE(program->fault_action_deltas().empty());
-  const TransitionRelation faults = repair::fault_relation(*program);
-  const TransitionRelation empty(space);
+  const std::vector<bdd::Bdd>& faults = program->fault_action_deltas();
+  ASSERT_TRUE(faults.empty());
   const bdd::Bdd start = program->invariant();
   // No fault steps: nothing is a fault successor or predecessor, and fault
   // reachability is the identity.
   EXPECT_TRUE(space.image(faults, start).is_false());
   EXPECT_TRUE(space.preimage(faults, start).is_false());
+  EXPECT_TRUE(space.has_successor_in(faults, start).is_false());
   EXPECT_EQ(space.forward_reachable(faults, start), start);
-  EXPECT_TRUE(space.image(empty, start).is_false());
-  EXPECT_EQ(space.forward_reachable(empty, start), start);
   support::SplitMix64 rng(55);
   for (const bdd::Bdd& probe : probes(space, rng)) {
-    expect_matches_flat(space, faults, probe, "empty fault list");
-    expect_matches_flat(space, empty, probe, "no parts");
+    expect_matches_union(space, faults, probe, "empty fault list");
   }
 }
 
@@ -239,15 +230,15 @@ int expect_program_relations_match(prog::DistributedProgram& program,
   const bdd::Bdd inv = program.invariant();
   const bdd::Bdd inv_cross = inv & space.prime(inv);
   const bdd::Bdd reach_primed = space.prime(program.reachable_under_faults());
-  TransitionRelation closed(space);
-  TransitionRelation reaching(space);
+  std::vector<bdd::Bdd> closed;
+  std::vector<bdd::Bdd> reaching;
   for (const bdd::Bdd& piece : repair::program_delta_pieces(program)) {
     const bdd::Bdd in_invariant = piece & inv_cross;
-    closed.add_part(in_invariant);
-    reaching.add_part(in_invariant & reach_primed);
+    closed.push_back(in_invariant);
+    reaching.push_back(in_invariant & reach_primed);
   }
-  const TransitionRelation relations[] = {
-      repair::program_fault_relation(program), repair::fault_relation(program),
+  const std::vector<bdd::Bdd> relations[] = {
+      repair::program_fault_relation(program), program.fault_action_deltas(),
       std::move(closed), std::move(reaching)};
   const char* const names[] = {"program+faults", "faults", "inside S",
                                "inside S, into reach"};
@@ -257,8 +248,8 @@ int expect_program_relations_match(prog::DistributedProgram& program,
   int mismatches = 0;
   for (std::size_t r = 0; r < 4; ++r) {
     for (const bdd::Bdd& probe : sets) {
-      mismatches += expect_matches_flat(space, relations[r], probe,
-                                        what + " " + names[r]);
+      mismatches += expect_matches_union(space, relations[r], probe,
+                                         what + " " + names[r]);
     }
   }
   return mismatches;

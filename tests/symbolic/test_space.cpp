@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "casestudies/chain.hpp"
+#include "casestudies/tmr.hpp"
+#include "program/distributed_program.hpp"
 #include "symbolic/space.hpp"
 
 namespace lr::sym {
@@ -159,14 +163,13 @@ TEST(SpaceTest, ImageAndPreimageOnHandBuiltRelation) {
   Space space;
   const VarId x = space.add_variable("x", 4);
   (void)x;
-  // rel: 0 -> 1 -> 2 -> 3, and 3 -> 3.
-  Bdd rel = space.bdd_false();
   auto tr = [&](std::uint32_t from, std::uint32_t to) {
     const std::uint32_t f[1] = {from};
     const std::uint32_t t[1] = {to};
     return space.transition(f, t);
   };
-  rel = tr(0, 1) | tr(1, 2) | tr(2, 3) | tr(3, 3);
+  // rel: 0 -> 1 -> 2 -> 3, and 3 -> 3.
+  const Bdd rel[] = {tr(0, 1) | tr(1, 2) | tr(2, 3) | tr(3, 3)};
 
   auto st = [&](std::uint32_t v) {
     const std::uint32_t s[1] = {v};
@@ -192,12 +195,24 @@ TEST(SpaceTest, ForwardAndBackwardReachability) {
     const std::uint32_t s[1] = {v};
     return space.state(s);
   };
-  // Two disconnected chains: 0->1->2 and 4->5.
-  const Bdd rel = tr(0, 1) | tr(1, 2) | tr(4, 5);
-  EXPECT_EQ(space.forward_reachable(rel, st(0)), st(0) | st(1) | st(2));
-  EXPECT_EQ(space.forward_reachable(rel, st(4)), st(4) | st(5));
-  EXPECT_EQ(space.backward_reachable(rel, st(2)), st(0) | st(1) | st(2));
-  EXPECT_EQ(space.backward_reachable(rel, st(7)), st(7));
+  // Backward reachability: the least fixpoint of `to ∪ pre(rel, ·)`.
+  const auto backward = [&](std::span<const Bdd> rel, Bdd reached) {
+    while (true) {
+      const Bdd grown = reached | space.preimage(rel, reached);
+      if (grown == reached) return reached;
+      reached = grown;
+    }
+  };
+  // Two disconnected chains: 0->1->2 and 4->5, as one part and as three.
+  const Bdd whole[] = {tr(0, 1) | tr(1, 2) | tr(4, 5)};
+  const Bdd parts[] = {tr(4, 5), tr(1, 2), tr(0, 1)};
+  for (const std::span<const Bdd> rel : {std::span<const Bdd>(whole),
+                                         std::span<const Bdd>(parts)}) {
+    EXPECT_EQ(space.forward_reachable(rel, st(0)), st(0) | st(1) | st(2));
+    EXPECT_EQ(space.forward_reachable(rel, st(4)), st(4) | st(5));
+    EXPECT_EQ(backward(rel, st(2)), st(0) | st(1) | st(2));
+    EXPECT_EQ(backward(rel, st(7)), st(7));
+  }
 }
 
 TEST(SpaceTest, HasSuccessorInFindsCycles) {
@@ -214,7 +229,7 @@ TEST(SpaceTest, HasSuccessorInFindsCycles) {
     return space.state(s);
   };
   // 0 -> 1 -> 0 cycle; 2 -> 3 acyclic.
-  const Bdd rel = tr(0, 1) | tr(1, 0) | tr(2, 3);
+  const Bdd rel[] = {tr(0, 1) | tr(1, 0) | tr(2, 3)};
   // νZ. Z ∧ pre(Z) starting from everything finds exactly the cycle.
   Bdd z = space.valid(Version::kCurrent);
   while (true) {
@@ -235,6 +250,63 @@ TEST(SpaceTest, HasSuccessorInFindsCycles) {
   EXPECT_EQ(peeled[0], st(3));
   EXPECT_EQ(peeled[1], st(2));
   EXPECT_TRUE(space.live_core(rel, st(2) | st(3)).is_false());
+}
+
+/// One image and one νZ of `program`: the image of its invariant under
+/// δ_P ∪ f, and the live core of its actions outside the invariant. With
+/// `direct`, through the formulas over one BDD; otherwise through Space
+/// with a one-element span. Returns both sets and the op-cache lookups
+/// they took.
+struct OnePartRun {
+  Bdd image;
+  Bdd core;
+  std::uint64_t lookups = 0;
+};
+
+OnePartRun run_one_part(prog::DistributedProgram& program, bool direct) {
+  Space& space = program.space();
+  bdd::Manager& mgr = space.manager();
+  const Bdd step = program.program_delta() | program.fault_delta();
+  const Bdd actions = program.actions_delta();
+  const Bdd outside = space.valid(Version::kCurrent).minus(program.invariant());
+  const Bdd cur = space.cube(Version::kCurrent);
+  const Bdd next = space.cube(Version::kNext);
+  const std::uint64_t before = mgr.stats().cache_lookups;
+  OnePartRun run;
+  if (direct) {
+    run.image = space.unprime(mgr.and_exists(step, program.invariant(), cur));
+    run.core = outside;
+    while (true) {
+      Bdd shrunk =
+          run.core & mgr.and_exists(actions, space.prime(run.core), next);
+      if (shrunk == run.core) break;
+      run.core = std::move(shrunk);
+    }
+  } else {
+    run.image = space.image({&step, 1}, program.invariant());
+    run.core = space.live_core({&actions, 1}, outside);
+  }
+  run.lookups = mgr.stats().cache_lookups - before;
+  return run;
+}
+
+// A one-part call runs exactly the ops of the formula over that BDD: the
+// same sets and the same op-cache lookups, on two identically built
+// programs.
+TEST(SpaceTest, OnePartCallsRunTheDirectFormulas) {
+  const auto check = [](auto make, const char* what) {
+    auto direct_program = make();
+    auto span_program = make();
+    const OnePartRun direct = run_one_part(*direct_program, true);
+    const OnePartRun one_part = run_one_part(*span_program, false);
+    EXPECT_GT(direct.lookups, 0u) << what;
+    EXPECT_EQ(one_part.lookups, direct.lookups) << what;
+    // Both managers were built alike, so equal functions share node ids.
+    EXPECT_EQ(one_part.image.id(), direct.image.id()) << what;
+    EXPECT_EQ(one_part.core.id(), direct.core.id()) << what;
+  };
+  check([] { return cs::make_tmr({}); }, "tmr");
+  check([] { return cs::make_chain({.length = 4, .domain = 8}); }, "Sc^4 d8");
 }
 
 TEST(SpaceTest, CountStatesAndTransitions) {
